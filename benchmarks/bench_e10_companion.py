@@ -35,7 +35,7 @@ def test_bench_bipartiteness(benchmark, seed):
     stream = stream_from_edges(n, cycle_graph(n))
 
     def run():
-        return BipartitenessSketch(n, HashSource(seed)).consume(stream)
+        return BipartitenessSketch(n, HashSource(seed)).consume_batch(stream.as_batch())
 
     sk = benchmark(run)
     assert not sk.is_bipartite()  # odd cycle
@@ -48,7 +48,7 @@ def test_bench_mst_weight(benchmark, seed):
 
     def run():
         sk = MSTWeightSketch(n, max_weight=8, source=HashSource(seed))
-        sk.consume(stream)
+        sk.consume_batch(stream.as_batch())
         return sk.estimate()
 
     benchmark(run)
@@ -58,7 +58,7 @@ def test_bench_cut_queries(benchmark, seed):
     clique, bridges = 8, 3
     n = 2 * clique
     stream = stream_from_edges(n, dumbbell_graph(clique, bridges))
-    sk = CutEdgesSketch(n, k=8, source=HashSource(seed)).consume(stream)
+    sk = CutEdgesSketch(n, k=8, source=HashSource(seed)).consume_batch(stream.as_batch())
     side = set(range(clique))
     crossing = benchmark(sk.crossing_edges, side)
     assert len(crossing) == bridges

@@ -31,7 +31,7 @@ def test_bench_stream_pass(benchmark, seed):
     def run():
         MinCutSketch(
             wl.graph.n, epsilon=0.5, source=HashSource(seed), c_k=1.0
-        ).consume(wl.stream)
+        ).consume_batch(wl.stream.as_batch())
 
     benchmark(run)
 
@@ -41,5 +41,5 @@ def test_bench_postprocess(benchmark, seed):
     wl = make_workload("dumbbell", seed=seed)
     sketch = MinCutSketch(
         wl.graph.n, epsilon=0.5, source=HashSource(seed), c_k=1.0
-    ).consume(wl.stream)
+    ).consume_batch(wl.stream.as_batch())
     benchmark(sketch.estimate)

@@ -30,7 +30,7 @@ def test_bench_stream_pass(benchmark, seed):
     def run():
         SimpleSparsification(
             wl.graph.n, epsilon=0.5, source=HashSource(seed), c_k=0.1
-        ).consume(wl.stream)
+        ).consume_batch(wl.stream.as_batch())
 
     benchmark(run)
 
@@ -39,7 +39,7 @@ def test_bench_postprocess(benchmark, seed):
     wl = make_workload("er-dense", seed=seed)
     sk = SimpleSparsification(
         wl.graph.n, epsilon=0.5, source=HashSource(seed), c_k=0.1
-    ).consume(wl.stream)
+    ).consume_batch(wl.stream.as_batch())
     benchmark(sk.sparsifier)
 
 
@@ -51,7 +51,7 @@ def test_bench_ck_ablation(benchmark, seed, c_k):
     def run():
         sk = SimpleSparsification(
             wl.graph.n, epsilon=0.5, source=HashSource(seed), c_k=c_k
-        ).consume(wl.stream)
+        ).consume_batch(wl.stream.as_batch())
         return sk.sparsifier()
 
     sp = benchmark(run)

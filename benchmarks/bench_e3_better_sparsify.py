@@ -30,7 +30,7 @@ def _built_sketch(seed):
     sk = Sparsification(
         wl.graph.n, epsilon=0.5, source=HashSource(seed),
         c_k=0.3, c_rough=0.05, c_level=4.0,
-    ).consume(wl.stream)
+    ).consume_batch(wl.stream.as_batch())
     return wl, sk
 
 
@@ -41,7 +41,7 @@ def test_bench_stream_pass(benchmark, seed):
         Sparsification(
             wl.graph.n, epsilon=0.5, source=HashSource(seed),
             c_k=0.3, c_rough=0.05, c_level=4.0,
-        ).consume(wl.stream)
+        ).consume_batch(wl.stream.as_batch())
 
     benchmark(run)
 

@@ -27,7 +27,7 @@ def test_bench_stream_pass(benchmark, seed):
         WeightedSparsification(
             wl.graph.n, max_weight=16, epsilon=0.5,
             source=HashSource(seed), c_k=0.3,
-        ).consume(wl.stream)
+        ).consume_batch(wl.stream.as_batch())
 
     benchmark(run)
 
@@ -37,5 +37,5 @@ def test_bench_postprocess(benchmark, seed):
     sk = WeightedSparsification(
         wl.graph.n, max_weight=16, epsilon=0.5,
         source=HashSource(seed), c_k=0.3,
-    ).consume(wl.stream)
+    ).consume_batch(wl.stream.as_batch())
     benchmark(sk.sparsifier)

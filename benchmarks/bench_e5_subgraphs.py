@@ -30,7 +30,7 @@ def test_bench_stream_pass_k3(benchmark, seed):
     def run():
         SubgraphSketch(
             wl.graph.n, order=3, samplers=64, source=HashSource(seed)
-        ).consume(wl.stream)
+        ).consume_batch(wl.stream.as_batch())
 
     benchmark(run)
 
@@ -42,7 +42,7 @@ def test_bench_stream_pass_k4(benchmark, seed):
     def run():
         SubgraphSketch(
             wl.graph.n, order=4, samplers=16, source=HashSource(seed)
-        ).consume(wl.stream)
+        ).consume_batch(wl.stream.as_batch())
 
     benchmark(run)
 
@@ -51,5 +51,5 @@ def test_bench_estimate(benchmark, seed):
     wl = make_workload("triangles", seed=seed)
     sk = SubgraphSketch(
         wl.graph.n, order=3, samplers=128, source=HashSource(seed)
-    ).consume(wl.stream)
+    ).consume_batch(wl.stream.as_batch())
     benchmark(sk.estimate, TRIANGLE)

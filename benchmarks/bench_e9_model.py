@@ -27,15 +27,15 @@ def test_bench_consume_stream(benchmark, seed):
     wl = make_workload("er-small", seed=seed)
 
     def run():
-        SpanningForestSketch(wl.graph.n, HashSource(seed)).consume(wl.stream)
+        SpanningForestSketch(wl.graph.n, HashSource(seed)).consume_batch(wl.stream.as_batch())
 
     benchmark(run)
 
 
 def test_bench_merge(benchmark, seed):
     wl = make_workload("er-small", seed=seed)
-    a = SpanningForestSketch(wl.graph.n, HashSource(seed)).consume(wl.stream)
-    b = SpanningForestSketch(wl.graph.n, HashSource(seed)).consume(wl.stream)
+    a = SpanningForestSketch(wl.graph.n, HashSource(seed)).consume_batch(wl.stream.as_batch())
+    b = SpanningForestSketch(wl.graph.n, HashSource(seed)).consume_batch(wl.stream.as_batch())
     benchmark(a.merge, b)
 
 
@@ -47,6 +47,6 @@ def test_bench_rounds_scaling(benchmark, seed, rounds):
     def run():
         SpanningForestSketch(
             wl.graph.n, HashSource(seed), rounds=rounds
-        ).consume(wl.stream)
+        ).consume_batch(wl.stream.as_batch())
 
     benchmark(run)

@@ -41,7 +41,6 @@ from repro.streams import erdos_renyi_graph, stream_from_edges
 from repro.temporal import (
     EpochManager,
     EpochStore,
-    TemporalQueryEngine,
     materialise_window,
 )
 
@@ -114,7 +113,6 @@ def test_bench_window_vs_replay(benchmark, seed, quick, temporal_table,
     n, stream = _long_stream(seed)
     factory = functools.partial(forest_sketch, n, seed + 5)
     timeline = EpochManager.consume(factory, stream, epochs=EPOCHS)
-    engine = TemporalQueryEngine(timeline)
     batch = stream.as_batch()
     windows = [(t, EPOCHS) for t in range(EPOCHS)]
 
@@ -130,7 +128,7 @@ def test_bench_window_vs_replay(benchmark, seed, quick, temporal_table,
 
     # Checkpoint path: loads + subtraction, independent of window span.
     t0 = time.perf_counter()
-    materialised = [engine.window_sketch(t1, t2) for t1, t2 in windows]
+    materialised = [materialise_window(timeline, t1, t2) for t1, t2 in windows]
     subtract_s = time.perf_counter() - t0
 
     speedup = replay_s / subtract_s
@@ -158,7 +156,7 @@ def test_bench_window_vs_replay(benchmark, seed, quick, temporal_table,
         f"at {EPOCHS} epochs (gate: {GATE}x)"
     )
     benchmark.pedantic(
-        lambda: engine.window_sketch(EPOCHS // 2, EPOCHS),
+        lambda: materialise_window(timeline, EPOCHS // 2, EPOCHS),
         rounds=1 if quick else 5, iterations=1,
     )
 
@@ -193,7 +191,7 @@ def test_bench_store_window_paging(benchmark, seed, quick, store_table,
     )
     t0 = time.perf_counter()
     for t1, t2 in windows:
-        paged.window_sketch(t1, t2)
+        materialise_window(paged, t1, t2)
     window_s = time.perf_counter() - t0
     window_ms = window_s * 1000 / len(windows)
     resident = paged.resident_bytes
@@ -207,7 +205,7 @@ def test_bench_store_window_paging(benchmark, seed, quick, store_table,
     # The paged answers are the exact timeline answers.
     for t1, t2 in (windows[0], windows[-1], (STORE_EPOCHS // 2 - 1,
                                              STORE_EPOCHS // 2 + 1)):
-        assert dump_sketch(paged.window_sketch(t1, t2)) == \
+        assert dump_sketch(materialise_window(paged, t1, t2)) == \
             dump_sketch(materialise_window(timeline, t1, t2))
 
     temporal_json["rows"].append({
@@ -256,6 +254,6 @@ def test_bench_store_window_paging(benchmark, seed, quick, store_table,
         "paging budget"
     )
     benchmark.pedantic(
-        lambda: paged.window_sketch(STORE_EPOCHS // 2, STORE_EPOCHS),
+        lambda: materialise_window(paged, STORE_EPOCHS // 2, STORE_EPOCHS),
         rounds=1 if quick else 5, iterations=1,
     )

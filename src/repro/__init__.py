@@ -28,10 +28,10 @@ registry::
 
 The sketch classes themselves (:class:`MinCutSketch`,
 :class:`SimpleSparsification`, ...) remain importable for direct use
-and post-processing; their per-class ``consume`` entry points, the
-``sharded_consume`` helper, and direct ``TemporalQueryEngine``
-construction are deprecated shims over the engine (see
-``docs/MIGRATION.md``).  Substrates — ℓ₀ samplers, k-sparse recovery,
+and post-processing; they ingest through one columnar entry point,
+``sketch.consume_batch(stream.as_batch())``, the same call the engine
+makes (``docs/MIGRATION.md`` maps the removed pre-engine calls onto
+it).  Substrates — ℓ₀ samplers, k-sparse recovery,
 hashing, the dynamic-stream model, and exact graph algorithms — live
 in :mod:`repro.sketch`, :mod:`repro.hashing`, :mod:`repro.streams` and
 :mod:`repro.graphs`.

@@ -3,8 +3,8 @@
 Pure-Python :mod:`ast` passes (plus one import-and-introspect registry
 cross-check) that enforce the invariants every correctness claim in
 this reproduction rests on: deterministic seeded randomness, complete
-four-site registration of every sketch kind, batched hot paths, a
-fully-annotated public API, and contained deprecation shims.  See
+four-site registration of every sketch kind, batched hot paths, and a
+fully-annotated public API.  See
 ``docs/INVARIANTS.md`` for the full catalogue and rationale, and run
 ``python -m repro.analysis --check`` for the CI gate.
 """
@@ -16,7 +16,6 @@ from .cli import main
 from .engine import AnalysisReport, default_source_root, run_analysis
 from .findings import (
     FAMILIES,
-    FAMILY_DEPRECATION,
     FAMILY_DETERMINISM,
     FAMILY_HYGIENE,
     FAMILY_PURITY,
@@ -30,7 +29,6 @@ __all__ = [
     "AnalysisReport",
     "Baseline",
     "FAMILIES",
-    "FAMILY_DEPRECATION",
     "FAMILY_DETERMINISM",
     "FAMILY_HYGIENE",
     "FAMILY_PURITY",

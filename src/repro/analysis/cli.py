@@ -50,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Repo-specific invariant linter for the sketch stack: "
-            "determinism, registry completeness, hot-path purity, API "
-            "hygiene, deprecation containment (see docs/INVARIANTS.md)."
+            "determinism, registry completeness, hot-path purity and API "
+            "hygiene (see docs/INVARIANTS.md)."
         ),
     )
     parser.add_argument(

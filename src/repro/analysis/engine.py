@@ -2,10 +2,10 @@
 
 :func:`run_analysis` walks a source root (by default the installed
 :mod:`repro` package itself), parses each module once, and dispatches
-the tree to every per-module rule plus the whole-project deprecation
-pass; the live-registry introspection checks run on top when analysing
-the real package (they import it).  Fixture trees in the test suite run
-through the same entry point with ``introspect=False``.
+the tree to every per-module rule; the live-registry introspection
+checks run on top when analysing the real package (they import it).
+Fixture trees in the test suite run through the same entry point with
+``introspect=False``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import deprecation, determinism, hygiene, purity, registry
+from . import determinism, hygiene, purity, registry
 from .astutil import ImportMap
 from .findings import FAMILIES, Finding
 
@@ -100,7 +100,7 @@ def run_analysis(
     """
     root = (source_root or default_source_root()).resolve()
     findings: list[Finding] = []
-    modules: dict[str, ast.Module] = {}
+    files_scanned = 0
     for path in iter_source_files(root):
         relpath = path.relative_to(root).as_posix()
         try:
@@ -110,16 +110,15 @@ def run_analysis(
                 f"{relpath} does not parse ({err.msg} at line {err.lineno}); "
                 "fix the syntax error before analysing"
             ) from err
-        modules[relpath] = tree
+        files_scanned += 1
         imports = ImportMap(tree)
         for check in _MODULE_CHECKS:
             findings.extend(check(relpath, tree, imports))
-    findings.extend(deprecation.check_project(modules))
     if introspect:
         findings.extend(registry.check_registries())
     findings.sort()
     return AnalysisReport(
         findings=tuple(findings),
-        files_scanned=len(modules),
+        files_scanned=files_scanned,
         source_root=str(root),
     )

@@ -2,7 +2,7 @@
 
 A :class:`Finding` is one violation of one rule at one source location.
 Rules are grouped into *families* (determinism, registry, purity,
-hygiene, deprecation — see ``docs/INVARIANTS.md`` for what each family
+hygiene — see ``docs/INVARIANTS.md`` for what each family
 protects and why sketch linearity needs it).  Two families are
 *zero-tolerance*: determinism and registry findings always fail
 ``--check`` regardless of any committed baseline, because each one is a
@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 
 __all__ = [
     "FAMILIES",
-    "FAMILY_DEPRECATION",
     "FAMILY_DETERMINISM",
     "FAMILY_HYGIENE",
     "FAMILY_PURITY",
@@ -30,7 +29,6 @@ FAMILY_DETERMINISM = "determinism"
 FAMILY_REGISTRY = "registry"
 FAMILY_PURITY = "purity"
 FAMILY_HYGIENE = "hygiene"
-FAMILY_DEPRECATION = "deprecation"
 
 #: Every rule family, in report order.
 FAMILIES = (
@@ -38,7 +36,6 @@ FAMILIES = (
     FAMILY_REGISTRY,
     FAMILY_PURITY,
     FAMILY_HYGIENE,
-    FAMILY_DEPRECATION,
 )
 
 #: Families whose findings always fail ``--check``, baseline or not.

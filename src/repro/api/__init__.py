@@ -6,8 +6,8 @@ with the fluent :class:`GraphSketchEngine` builder (local single-pass,
 epochs combined), and *ask* through one typed ``query()`` dispatch
 backed by the capability registry.  The engine routes to the library's
 existing pipelines, so its answers are byte-identical to the hand-wired
-equivalents; legacy entry points remain as deprecated shims (see
-``docs/MIGRATION.md``).
+equivalents.  The pre-engine entry points have been removed; their
+replacements are listed in ``docs/MIGRATION.md``.
 """
 
 from .capabilities import (

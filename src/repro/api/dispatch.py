@@ -5,8 +5,8 @@ sketch (live, merged, or a subtracted temporal window — it cannot
 tell, which is the point) and the typed query, and returns the result
 class plus its payload fields; the engine stamps kind/capability/
 window/telemetry on top.  Handlers only ever use the sketch classes'
-*existing* post-processing surfaces, so facade answers are the legacy
-answers by construction.
+*existing* post-processing surfaces, so facade answers are the
+direct-call answers by construction.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .queries import (
     SubgraphCountResult,
 )
 
-__all__ = ["answer_query"]
+__all__: list[str] = []
 
 
 def _components_of(sketch: Any) -> list[set[int]]:
@@ -171,22 +171,3 @@ def _answer_query(
     if handler is None:  # pragma: no cover - closed vocabulary
         raise NotSupportedError(f"no handler for capability {capability!r}")
     return handler(sketch, query)
-
-
-def answer_query(
-    capability: str, sketch: Any, query: Query
-) -> "tuple[type[QueryResult], dict[str, Any]]":
-    """Deprecated import path for the capability dispatcher.
-
-    .. deprecated::
-        Use :meth:`GraphSketchEngine.query` — the engine stamps
-        kind/capability/window/telemetry on the answer and is the only
-        supported dispatch surface (see ``docs/MIGRATION.md``).
-    """
-    from .deprecation import warn_deprecated
-
-    warn_deprecated(
-        "repro.api.dispatch.answer_query()",
-        "GraphSketchEngine.query()",
-    )
-    return _answer_query(capability, sketch, query)

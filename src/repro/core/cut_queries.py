@@ -22,7 +22,7 @@ from ..errors import RecoveryFailed, incompatible
 from ..hashing import HashSource
 from ..sketch import ArenaBacked, SparseRecoveryBank
 from ..sketch.bank import CellBank
-from ..streams import DynamicGraphStream, EdgeUpdate, StreamBatch
+from ..streams import EdgeUpdate, StreamBatch
 from ..util import pair_count, pair_unrank
 
 __all__ = ["CutEdgesSketch"]
@@ -75,18 +75,6 @@ class CutEdgesSketch(ArenaBacked):
             np.array([e, e], dtype=np.int64),
             np.array([delta, -delta], dtype=np.int64),
         )
-
-    def consume(self, stream: DynamicGraphStream) -> "CutEdgesSketch":
-        """Feed an entire stream (single pass), vectorised."""
-        from ..api.deprecation import warn_deprecated
-
-        warn_deprecated(
-            f"{type(self).__name__}.consume()",
-            "GraphSketchEngine.for_spec(spec).ingest(stream)",
-        )
-        if stream.n != self.n:
-            raise ValueError("stream and sketch node universes differ")
-        return self.consume_batch(stream.as_batch())
 
     def consume_batch(self, batch: StreamBatch) -> "CutEdgesSketch":
         """Ingest one columnar batch (both signed endpoint rows at once)."""

@@ -27,7 +27,7 @@ from ..graphs import Graph
 from ..hashing import HashSource
 from ..sketch import ArenaBacked
 from ..sketch.bank import CellBank
-from ..streams import DynamicGraphStream, EdgeUpdate, StreamBatch
+from ..streams import EdgeUpdate, StreamBatch
 from ..util import pair_rank_array
 from .forest import SpanningForestSketch
 
@@ -105,18 +105,6 @@ class EdgeConnectivitySketch(ArenaBacked):
                 pre = (uniq, inv.reshape(items.shape))
         for group in self.groups:
             group.update_edges(lo, hi, deltas, items=items, _pre=pre)
-
-    def consume(self, stream: DynamicGraphStream) -> "EdgeConnectivitySketch":
-        """Feed an entire stream (single pass)."""
-        from ..api.deprecation import warn_deprecated
-
-        warn_deprecated(
-            f"{type(self).__name__}.consume()",
-            "GraphSketchEngine.for_spec(spec).ingest(stream)",
-        )
-        if stream.n != self.n:
-            raise ValueError("stream and sketch node universes differ")
-        return self.consume_batch(stream.as_batch())
 
     def consume_batch(self, batch: StreamBatch) -> "EdgeConnectivitySketch":
         """Ingest one columnar batch into every group (no re-conversion)."""

@@ -30,7 +30,7 @@ from ..hashing import HashSource
 from ..kernels import get as _get_kernel
 from ..sketch import ArenaBacked, L0SamplerBank
 from ..sketch.bank import CellBank
-from ..streams import DynamicGraphStream, EdgeUpdate, StreamBatch
+from ..streams import EdgeUpdate, StreamBatch
 from ..util import ceil_log2, pair_rank_array, pair_unrank
 from .incidence import edge_domain
 
@@ -140,18 +140,6 @@ class SpanningForestSketch(ArenaBacked):
                 )
             return
         _K_FOREST_SCATTER(self.bank, lo, hi, deltas, items, pre=_pre)
-
-    def consume(self, stream: DynamicGraphStream) -> "SpanningForestSketch":
-        """Feed an entire stream (single pass); returns self for chaining."""
-        from ..api.deprecation import warn_deprecated
-
-        warn_deprecated(
-            f"{type(self).__name__}.consume()",
-            "GraphSketchEngine.for_spec(spec).ingest(stream)",
-        )
-        if stream.n != self.n:
-            raise ValueError("stream and sketch node universes differ")
-        return self.consume_batch(stream.as_batch())
 
     def consume_batch(self, batch: StreamBatch) -> "SpanningForestSketch":
         """Ingest a columnar batch (shared across sketches/levels)."""

@@ -33,7 +33,7 @@ from ..hashing import HashSource
 from ..kernels import get as _get_kernel
 from ..sketch import ArenaBacked
 from ..sketch.bank import CellBank
-from ..streams import DynamicGraphStream, EdgeUpdate, StreamBatch
+from ..streams import EdgeUpdate, StreamBatch
 from ..util import ceil_log2
 from .edge_connect import EdgeConnectivitySketch
 
@@ -145,23 +145,6 @@ class MinCutSketch(ArenaBacked):
         top = self._edge_level(update.lo, update.hi)
         for i in range(top + 1):
             self.instances[i].update(update)
-
-    def consume(self, stream: DynamicGraphStream) -> "MinCutSketch":
-        """Feed an entire stream (single pass).
-
-        Pulls the stream's shared columnar batch and routes it per level
-        so each ``k-EDGECONNECT`` instance receives one vectorised
-        scatter instead of per-token (or per-level re-converted) work.
-        """
-        from ..api.deprecation import warn_deprecated
-
-        warn_deprecated(
-            f"{type(self).__name__}.consume()",
-            "GraphSketchEngine.for_spec(spec).ingest(stream)",
-        )
-        if stream.n != self.n:
-            raise ValueError("stream and sketch node universes differ")
-        return self.consume_batch(stream.as_batch())
 
     def consume_batch(self, batch: StreamBatch) -> "MinCutSketch":
         """Ingest one columnar batch, subsampled into every level.

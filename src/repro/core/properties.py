@@ -79,18 +79,6 @@ class BipartitenessSketch(ArenaBacked):
         self.doubled.update(EdgeUpdate(u, v + self.n, d))
         self.doubled.update(EdgeUpdate(v, u + self.n, d))
 
-    def consume(self, stream: DynamicGraphStream) -> "BipartitenessSketch":
-        """Feed an entire stream (single pass)."""
-        from ..api.deprecation import warn_deprecated
-
-        warn_deprecated(
-            f"{type(self).__name__}.consume()",
-            "GraphSketchEngine.for_spec(spec).ingest(stream)",
-        )
-        if stream.n != self.n:
-            raise ValueError("stream and sketch node universes differ")
-        return self.consume_batch(stream.as_batch())
-
     def consume_batch(self, batch: StreamBatch) -> "BipartitenessSketch":
         """Ingest one columnar batch into the base and doubled sketches.
 
@@ -249,18 +237,6 @@ class MSTWeightSketch(ArenaBacked):
         for threshold, sketch in zip(self.thresholds, self.sketches):
             if w <= threshold:
                 sketch.update(presence)
-
-    def consume(self, stream: DynamicGraphStream) -> "MSTWeightSketch":
-        """Feed an entire stream (single pass)."""
-        from ..api.deprecation import warn_deprecated
-
-        warn_deprecated(
-            f"{type(self).__name__}.consume()",
-            "GraphSketchEngine.for_spec(spec).ingest(stream)",
-        )
-        if stream.n != self.n:
-            raise ValueError("stream and sketch node universes differ")
-        return self.consume_batch(stream.as_batch())
 
     def consume_batch(self, batch: StreamBatch) -> "MSTWeightSketch":
         """Ingest one columnar batch, routed to every qualifying threshold."""

@@ -39,7 +39,7 @@ from ..graphs import Graph, gomory_hu_tree
 from ..hashing import HashSource
 from ..sketch import ArenaBacked, SparseRecoveryBank
 from ..sketch.bank import CellBank
-from ..streams import DynamicGraphStream, EdgeUpdate, StreamBatch
+from ..streams import EdgeUpdate, StreamBatch
 from ..util import ceil_log2, pair_unrank
 from .sparsifier import Sparsifier
 from .sparsify_simple import SimpleSparsification, default_sparsifier_k
@@ -144,18 +144,6 @@ class Sparsification(ArenaBacked):
         items = np.full(2 * (top + 1), e, dtype=np.int64)
         deltas = np.tile(np.array([delta, -delta], dtype=np.int64), top + 1)
         self.recovery.update(groups, insts, items, deltas)
-
-    def consume(self, stream: DynamicGraphStream) -> "Sparsification":
-        """Feed an entire stream (single pass), batched."""
-        from ..api.deprecation import warn_deprecated
-
-        warn_deprecated(
-            f"{type(self).__name__}.consume()",
-            "GraphSketchEngine.for_spec(spec).ingest(stream)",
-        )
-        if stream.n != self.n:
-            raise ValueError("stream and sketch node universes differ")
-        return self.consume_batch(stream.as_batch())
 
     def consume_batch(self, batch: StreamBatch) -> "Sparsification":
         """Ingest one columnar batch (rough sparsifier + recovery bank)."""

@@ -38,7 +38,7 @@ from ..hashing import HashSource
 from ..kernels import get as _get_kernel
 from ..sketch import ArenaBacked
 from ..sketch.bank import CellBank
-from ..streams import DynamicGraphStream, EdgeUpdate, StreamBatch
+from ..streams import EdgeUpdate, StreamBatch
 from ..util import ceil_log2
 from .edge_connect import EdgeConnectivitySketch
 from .sparsifier import Sparsifier
@@ -134,18 +134,6 @@ class SimpleSparsification(ArenaBacked):
         top = int(self._level_source.levels(e, self.levels))
         for i in range(top + 1):
             self.instances[i].update(update)
-
-    def consume(self, stream: DynamicGraphStream) -> "SimpleSparsification":
-        """Feed an entire stream (single pass), batched per level."""
-        from ..api.deprecation import warn_deprecated
-
-        warn_deprecated(
-            f"{type(self).__name__}.consume()",
-            "GraphSketchEngine.for_spec(spec).ingest(stream)",
-        )
-        if stream.n != self.n:
-            raise ValueError("stream and sketch node universes differ")
-        return self.consume_batch(stream.as_batch())
 
     def consume_batch(self, batch: StreamBatch) -> "SimpleSparsification":
         """Ingest one columnar batch, subsampled into every level.

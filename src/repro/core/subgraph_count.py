@@ -35,7 +35,7 @@ from ..errors import NotSupportedError, SamplerFailed, incompatible
 from ..hashing import HashSource
 from ..sketch import ArenaBacked, L0SamplerBank, pair_positions_k3, rows_for_order
 from ..sketch.bank import CellBank
-from ..streams import DynamicGraphStream, EdgeUpdate, StreamBatch
+from ..streams import EdgeUpdate, StreamBatch
 from ..util import comb
 from .patterns import Pattern, encoding_class
 
@@ -134,24 +134,6 @@ class SubgraphSketch(ArenaBacked):
         dl = np.tile(deltas, s)
         zeros = np.zeros(items.size, dtype=np.int64)
         self.bank.update(fams, zeros, items, dl)
-
-    def consume(self, stream: DynamicGraphStream) -> "SubgraphSketch":
-        """Feed an entire stream (single pass).
-
-        Tokens are processed in chunks handed to the sampler bank as one
-        scatter, which amortises the bank-call overhead across the chunk
-        (the k = 3 fast path computes whole chunks of column expansions
-        on 2-D arrays).  Bit-identical to per-token :meth:`update` calls.
-        """
-        from ..api.deprecation import warn_deprecated
-
-        warn_deprecated(
-            f"{type(self).__name__}.consume()",
-            "GraphSketchEngine.for_spec(spec).ingest(stream)",
-        )
-        if stream.n != self.n:
-            raise ValueError("stream and sketch node universes differ")
-        return self.consume_batch(stream.as_batch())
 
     def consume_batch(self, batch: StreamBatch) -> "SubgraphSketch":
         """Ingest one columnar batch (chunked column expansion)."""

@@ -25,7 +25,7 @@ from ..graphs import Graph
 from ..hashing import HashSource
 from ..sketch import ArenaBacked
 from ..sketch.bank import CellBank
-from ..streams import DynamicGraphStream, EdgeUpdate, StreamBatch
+from ..streams import EdgeUpdate, StreamBatch
 from ..util import ceil_log2
 from .sparsifier import Sparsifier
 from .sparsify_simple import SimpleSparsification
@@ -108,18 +108,6 @@ class WeightedSparsification(ArenaBacked):
                 f"token weight {w} exceeds configured max_weight {self.max_weight}"
             )
         self.classes[weight_class_of(update.delta)].update(update)
-
-    def consume(self, stream: DynamicGraphStream) -> "WeightedSparsification":
-        """Feed an entire stream (single pass), splitting by class."""
-        from ..api.deprecation import warn_deprecated
-
-        warn_deprecated(
-            f"{type(self).__name__}.consume()",
-            "GraphSketchEngine.for_spec(spec).ingest(stream)",
-        )
-        if stream.n != self.n:
-            raise ValueError("stream and sketch node universes differ")
-        return self.consume_batch(stream.as_batch())
 
     def consume_batch(self, batch: StreamBatch) -> "WeightedSparsification":
         """Ingest one columnar batch, routed to the dyadic class sketches."""

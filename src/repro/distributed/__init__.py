@@ -34,7 +34,6 @@ from .coordinator import (
     ShardedRunReport,
     ShardedSketchRunner,
     SiteReport,
-    sharded_consume,
 )
 from .factories import forest_sketch, mincut_sketch, sparsifier_sketch
 from .partition import (
@@ -57,6 +56,5 @@ __all__ = [
     "partition_stream",
     "partition_stream_by",
     "shard_assignment",
-    "sharded_consume",
     "sparsifier_sketch",
 ]

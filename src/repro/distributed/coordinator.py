@@ -72,7 +72,6 @@ __all__ = [
     "ShardedEpochReport",
     "ShardedSketchRunner",
     "default_start_method",
-    "sharded_consume",
 ]
 
 #: Execution modes accepted by :class:`ShardedSketchRunner`.
@@ -777,30 +776,3 @@ class ShardedSketchRunner:
             mode=mode,
             wall_seconds=time.perf_counter() - t_start,
         )
-
-
-def sharded_consume(
-    stream: DynamicGraphStream,
-    factory: Callable[[], object],
-    sites: int = 4,
-    strategy: str = "hash-edge",
-    mode: str = "sequential",
-    seed: int = 0,
-) -> ShardedRunReport:
-    """One-call convenience wrapper around :class:`ShardedSketchRunner`.
-
-    .. deprecated::
-        Use ``GraphSketchEngine.for_spec(spec).sharded(...)`` — the
-        engine runs the identical pipeline and adds the uniform query
-        dispatch on top (see ``docs/MIGRATION.md``).
-    """
-    from ..api.deprecation import warn_deprecated
-
-    warn_deprecated(
-        "sharded_consume()",
-        "GraphSketchEngine.for_spec(spec).sharded(sites=K).ingest(stream)",
-    )
-    with ShardedSketchRunner(
-        factory, sites=sites, strategy=strategy, mode=mode, seed=seed
-    ) as runner:
-        return runner.run(stream)

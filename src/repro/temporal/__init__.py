@@ -18,9 +18,10 @@ The package:
 * :class:`~repro.temporal.epochs.EpochTimeline` — the immutable
   checkpoint sequence, serialisable to a single manifest blob
   (:func:`repro.sketch.dump_epoch_manifest`);
-* :class:`~repro.temporal.query.TemporalQueryEngine` — materialises any
-  epoch-aligned window ``[t1, t2)`` by subtraction and routes it
-  through the sketch's existing query surface;
+* :func:`~repro.temporal.query.materialise_window` — materialises any
+  epoch-aligned window ``[t1, t2)`` by subtraction (timeline) or span
+  merges (store); :class:`~repro.api.GraphSketchEngine` routes every
+  windowed ``query()`` through it;
 * :class:`~repro.temporal.store.EpochStore` — durable, append-only
   checkpoint storage with dyadic compaction (old windows answered from
   O(log T) span loads), :class:`~repro.temporal.store.RetentionPolicy`
@@ -42,9 +43,7 @@ from .epochs import (
     normalize_boundaries,
 )
 from .query import (
-    TemporalQueryEngine,
     materialise_window,
-    window_answer,
     window_payload_bytes,
     window_tokens,
 )
@@ -57,11 +56,9 @@ __all__ = [
     "EpochTimeline",
     "RetentionPolicy",
     "SpanEntry",
-    "TemporalQueryEngine",
     "epoch_boundaries",
     "materialise_window",
     "normalize_boundaries",
-    "window_answer",
     "window_payload_bytes",
     "window_tokens",
 ]

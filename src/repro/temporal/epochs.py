@@ -43,6 +43,7 @@ __all__ = [
     "EpochTimeline",
     "epoch_boundaries",
     "normalize_boundaries",
+    "require_window",
 ]
 
 
@@ -51,6 +52,15 @@ def epoch_boundaries(tokens: int, epochs: int) -> list[int]:
     if epochs < 1:
         raise ValueError(f"need at least one epoch, got {epochs}")
     return [tokens * (e + 1) // epochs for e in range(epochs)]
+
+
+def require_window(epochs: int, t1: int, t2: int) -> None:
+    """Validate the half-open epoch range ``[t1, t2)`` against ``epochs``."""
+    if not (0 <= t1 < t2 <= epochs):
+        raise ValueError(
+            f"window [{t1}, {t2}) is not a valid epoch range within "
+            f"[0, {epochs}]"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,13 +142,7 @@ class EpochTimeline:
         Same duck-typed surface as :meth:`repro.temporal.store.
         EpochStore.window_payloads`, whose second list is always empty.
         """
-        # Bounds check inlined rather than imported from .query (which
-        # imports this module).
-        if not 0 <= t1 < t2 <= self.epochs:
-            raise ValueError(
-                f"window [{t1}, {t2}) is not a valid epoch range within "
-                f"[0, {self.epochs}]"
-            )
+        require_window(self.epochs, t1, t2)
         subtract = [self.checkpoint(t1).payload] if t1 > 0 else []
         return [self.checkpoint(t2).payload], subtract
 

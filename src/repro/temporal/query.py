@@ -1,15 +1,12 @@
-"""Window materialisation and query routing over an epoch timeline.
+"""Window materialisation over an epoch timeline or a durable store.
 
-``TemporalQueryEngine`` answers "what did the graph look like between
+:func:`materialise_window` answers "what did the graph look like between
 checkpoints t1 and t2?" by *sketch subtraction*: load the cumulative
 checkpoint at ``t2``, subtract the one at ``t1``, and the result is —
 exactly, by linearity — the sketch a fresh instance would have produced
 consuming only the window's tokens.  The materialised window sketch is
-an ordinary sketch object, so every existing query surface (forest
-extraction, k-connectivity witnesses, min-cut estimation, both
-sparsifiers, weighted classes, subgraph counts, the property sketches)
-applies unchanged; :func:`window_answer` bundles one canonical answer
-per sketch class for the CLI and experiments.
+an ordinary sketch object, so the engine's ``query()`` dispatch (and
+every sketch class's own query surface) applies unchanged.
 
 A caveat inherent to *delta* windows: a window that deletes edges
 inserted before ``t1`` sketches a vector with negative entries.  The
@@ -23,38 +20,28 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Union
 
-from ..errors import SketchFailure
+from ..errors import StoreCorruptionError
 from ..sketch.serialize import (
     load_sketch,
     merge_sketch_bytes,
     subtract_sketch_bytes,
 )
-from .epochs import EpochTimeline
+from .epochs import require_window
+from .store import EpochStore
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports epochs)
-    from .store import EpochStore
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from .epochs import EpochTimeline
 
     WindowSource = Union[EpochTimeline, EpochStore]
 else:
     WindowSource = Any
 
 __all__ = [
-    "TemporalQueryEngine",
     "materialise_window",
     "require_window",
-    "window_answer",
     "window_payload_bytes",
     "window_tokens",
 ]
-
-
-def require_window(epochs: int, t1: int, t2: int) -> None:
-    """Validate the half-open epoch range ``[t1, t2)`` against ``epochs``."""
-    if not (0 <= t1 < t2 <= epochs):
-        raise ValueError(
-            f"window [{t1}, {t2}) is not a valid epoch range within "
-            f"[0, {epochs}]"
-        )
 
 
 def materialise_window(source: WindowSource, t1: int, t2: int) -> Any:
@@ -65,19 +52,29 @@ def materialise_window(source: WindowSource, t1: int, t2: int) -> Any:
     and a subtraction otherwise) or a durable :class:`~repro.temporal.
     store.EpochStore` (O(log T) dyadic span loads merged, no
     subtraction) — both exact by linearity, and byte-identical to each
-    other.  The shared implementation behind both
-    :class:`TemporalQueryEngine` and the
-    :class:`~repro.api.GraphSketchEngine` temporal mode.
+    other.  Both sources validate the range (:func:`require_window`).
+
+    Store segments are CRC-verified at page-in, so a store window whose
+    segments then fail to load or combine raises
+    :class:`~repro.errors.StoreCorruptionError`; timeline windows raise
+    the codec's :class:`ValueError` unchanged.
     """
-    require_window(source.epochs, t1, t2)
     merge, subtract = source.window_payloads(t1, t2)
-    sketch = load_sketch(merge[0])
-    for payload in merge[1:]:
-        merge_sketch_bytes(sketch, payload)
-    for payload in subtract:
-        # In-arena subtraction of the earlier checkpoint's bytes —
-        # no second twin sketch is materialised.
-        subtract_sketch_bytes(sketch, payload)
+    try:
+        sketch = load_sketch(merge[0])
+        for payload in merge[1:]:
+            merge_sketch_bytes(sketch, payload)
+        for payload in subtract:
+            # In-arena subtraction of the earlier checkpoint's bytes —
+            # no second twin sketch is materialised.
+            subtract_sketch_bytes(sketch, payload)
+    except ValueError as err:
+        if not isinstance(source, EpochStore):
+            raise
+        raise StoreCorruptionError(
+            f"window [{t1}, {t2}) failed to materialise from verified "
+            f"segments: {err}"
+        ) from err
     return sketch
 
 
@@ -92,140 +89,3 @@ def window_tokens(source: WindowSource, t1: int, t2: int) -> int:
     boundaries = source.boundaries
     start = boundaries[t1 - 1] if t1 else 0
     return int(boundaries[t2 - 1] - start)
-
-
-class TemporalQueryEngine:
-    """Materialise epoch-aligned windows of a checkpoint timeline.
-
-    Windows are half-open epoch index ranges ``[t1, t2)`` with
-    ``0 <= t1 < t2 <= epochs``: ``window(0, t)`` is the prefix through
-    epoch ``t``; ``window(t - 1, t)`` is epoch ``t`` alone.
-
-    .. deprecated::
-        Direct construction is deprecated — build a
-        :class:`~repro.api.GraphSketchEngine` with ``.epochs(...)`` (or
-        restore one from manifest bytes) and issue windowed queries
-        through its single ``query()`` dispatch instead.
-    """
-
-    def __init__(self, timeline: WindowSource):
-        # Either an in-memory EpochTimeline or a durable EpochStore —
-        # every window path below goes through the generic helpers.
-        from ..api.deprecation import warn_deprecated
-
-        warn_deprecated(
-            "direct TemporalQueryEngine use",
-            "GraphSketchEngine.for_spec(spec).epochs(...) / "
-            "GraphSketchEngine.restore(manifest)",
-        )
-        self.timeline = timeline
-
-    @classmethod
-    def from_manifest(cls, data: bytes) -> "TemporalQueryEngine":
-        """Build an engine straight from epoch-manifest bytes."""
-        from ..api.deprecation import warn_deprecated
-
-        # Warn here (attributed to the caller) rather than routing
-        # through __init__, whose fixed stacklevel would attribute the
-        # warning to this classmethod's frame inside the library.
-        warn_deprecated(
-            "TemporalQueryEngine.from_manifest()",
-            "GraphSketchEngine.restore(manifest)",
-        )
-        engine = cls.__new__(cls)
-        engine.timeline = EpochTimeline.from_bytes(data)
-        return engine
-
-    @property
-    def epochs(self) -> int:
-        """Number of epochs addressable by window queries."""
-        return self.timeline.epochs
-
-    def _require_window(self, t1: int, t2: int) -> None:
-        require_window(self.epochs, t1, t2)
-
-    def window_sketch(self, t1: int, t2: int) -> Any:
-        """The sketch of exactly the tokens in epochs ``t1+1 .. t2``."""
-        return materialise_window(self.timeline, t1, t2)
-
-    def prefix_sketch(self, t: int) -> Any:
-        """The cumulative sketch through epoch ``t`` (graph state)."""
-        return self.window_sketch(0, t)
-
-    def window_tokens(self, t1: int, t2: int) -> int:
-        """Number of stream tokens the window spans."""
-        return window_tokens(self.timeline, t1, t2)
-
-    def answer(self, t1: int, t2: int) -> dict:
-        """One canonical answer for the window, keyed by sketch kind."""
-        return window_answer(self.window_sketch(t1, t2))
-
-    def was_connected(self, u: int, v: int, through_epoch: int) -> bool:
-        """Whether ``u`` and ``v`` were connected in the graph state at
-        the end of ``through_epoch`` (forest-family sketches only)."""
-        sketch = self.prefix_sketch(through_epoch)
-        if not hasattr(sketch, "connected_components"):
-            raise TypeError(
-                f"{type(sketch).__name__} has no connectivity surface"
-            )
-        for component in sketch.connected_components():
-            if u in component:
-                return v in component
-        return False
-
-
-def window_answer(sketch: Any) -> dict:
-    """Route a materialised window sketch through its query surface.
-
-    Returns a small JSON-able dict: the sketch class plus one canonical
-    metric per kind.  Probabilistic FAIL outcomes (Theorems 2.1/2.2)
-    surface as ``"FAIL"`` rather than an exception, so sweeps over many
-    windows don't abort on one unlucky decode.
-    """
-    from ..core import (
-        TRIANGLE,
-        BipartitenessSketch,
-        CutEdgesSketch,
-        EdgeConnectivitySketch,
-        MinCutSketch,
-        MSTWeightSketch,
-        SimpleSparsification,
-        Sparsification,
-        SpanningForestSketch,
-        SubgraphSketch,
-        WeightedSparsification,
-    )
-
-    result: dict[str, Any] = {"sketch": type(sketch).__name__}
-    try:
-        if isinstance(sketch, SpanningForestSketch):
-            forest = sketch.spanning_forest()
-            result["components"] = sketch.n - len(forest)
-            result["forest_edges"] = len(forest)
-        elif isinstance(sketch, EdgeConnectivitySketch):
-            witness = sketch.witness()
-            result["k"] = sketch.k
-            result["witness_edges"] = witness.num_edges()
-        elif isinstance(sketch, MinCutSketch):
-            estimate = sketch.estimate()
-            result["mincut"] = estimate.value
-            result["stop_level"] = estimate.stop_level
-        elif isinstance(
-            sketch, (SimpleSparsification, Sparsification, WeightedSparsification)
-        ):
-            result["sparsifier_edges"] = sketch.sparsifier().graph.num_edges()
-        elif isinstance(sketch, SubgraphSketch):
-            estimate = sketch.estimate(TRIANGLE)
-            result["triangle_gamma"] = estimate.gamma
-        elif isinstance(sketch, CutEdgesSketch):
-            result["crossing_node0"] = len(sketch.crossing_edges({0}))
-        elif isinstance(sketch, BipartitenessSketch):
-            result["bipartite"] = sketch.is_bipartite()
-        elif isinstance(sketch, MSTWeightSketch):
-            result["mst_weight"] = sketch.estimate()
-        else:
-            result["note"] = "no canonical window answer registered"
-    except SketchFailure as err:
-        result["answer"] = "FAIL"
-        result["reason"] = str(err)
-    return result

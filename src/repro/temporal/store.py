@@ -50,7 +50,6 @@ import pathlib
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
 
 from ..errors import EpochStoreError, StoreCorruptionError
 from ..sketch.serialize import (
@@ -62,7 +61,7 @@ from ..sketch.serialize import (
     peek_sketch_meta,
     subtract_sketch_bytes,
 )
-from .epochs import EpochCheckpoint, EpochTimeline
+from .epochs import EpochCheckpoint, EpochTimeline, require_window
 
 __all__ = ["EpochStore", "RetentionPolicy", "SpanEntry"]
 
@@ -821,11 +820,7 @@ class EpochStore:
         it reaches below the retention floor or falls between retained
         spans (finer than ``min_granularity`` in the compacted region).
         """
-        if not 0 <= t1 < t2 <= self.epochs:
-            raise ValueError(
-                f"window [{t1}, {t2}) is not a valid epoch range within "
-                f"[0, {self.epochs}]"
-            )
+        require_window(self.epochs, t1, t2)
         if t1 < self._base:
             raise EpochStoreError(
                 f"window [{t1}, {t2}) reaches below the retention floor "
@@ -854,22 +849,8 @@ class EpochStore:
         """Payloads to merge / subtract for ``[t1, t2)`` (store: merge-only)."""
         return [self._page(entry) for entry in self.plan_window(t1, t2)], []
 
-    def window_sketch(self, t1: int, t2: int) -> Any:
-        """Materialise the window ``[t1, t2)`` — exact, by linearity."""
-        merge, _subtract = self.window_payloads(t1, t2)
-        try:
-            sketch = load_sketch(merge[0])
-            for payload in merge[1:]:
-                merge_sketch_bytes(sketch, payload)
-        except ValueError as err:
-            raise StoreCorruptionError(
-                f"window [{t1}, {t2}) failed to materialise from verified "
-                f"segments: {err}"
-            ) from err
-        return sketch
-
     def window_payload_bytes(self, t1: int, t2: int) -> int:
-        """Segment bytes :meth:`window_sketch` pages for ``[t1, t2)``."""
+        """Segment bytes a window materialisation pages for ``[t1, t2)``."""
         return sum(entry.nbytes for entry in self.plan_window(t1, t2))
 
     # -- engine snapshot pointer ------------------------------------------------

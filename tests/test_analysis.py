@@ -59,7 +59,6 @@ def analyse(fixture: str):
         ("registry_bad", {"REP-R004", "REP-R005"}),
         ("purity_bad", {"REP-P001", "REP-P002", "REP-P003"}),
         ("hygiene_bad", {"REP-H001", "REP-H002", "REP-H003"}),
-        ("deprecation_bad", {"REP-X001", "REP-X002"}),
     ],
 )
 def test_violating_fixture_trees_are_caught(fixture, expected_rules):
@@ -74,7 +73,6 @@ def test_violating_fixture_trees_are_caught(fixture, expected_rules):
         "registry_ok",
         "purity_ok",
         "hygiene_ok",
-        "deprecation_ok",
     ],
 )
 def test_clean_fixture_trees_pass(fixture):
@@ -84,7 +82,7 @@ def test_clean_fixture_trees_pass(fixture):
 
 def test_finding_families_match_rule_prefixes():
     for fixture in ("determinism_bad", "registry_bad", "purity_bad",
-                    "hygiene_bad", "deprecation_bad"):
+                    "hygiene_bad"):
         for finding in analyse(fixture).findings:
             assert finding.rule.startswith("REP-")
             assert finding.line > 0

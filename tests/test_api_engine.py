@@ -5,7 +5,7 @@ sharded across all four partition strategies, temporal epoch windows,
 and sharded-temporal — the :class:`~repro.api.GraphSketchEngine` state
 is *byte-identical* to the pipeline a caller would have hand-wired
 before the facade existed.  DeprecationWarnings are promoted to errors
-here: the engine must never answer through a deprecated shim.
+here: the engine path must stay free of deprecated calls.
 
 Capability dispatch rides along: every capability a kind declares must
 actually answer its canonical query, and every undeclared one must
@@ -493,58 +493,6 @@ class TestEngineContracts:
                 kind="spanning_forest", cls=SpanningForestSketch,
                 queries=frozenset({"mincut"}),
             ))
-
-
-class TestDeprecatedShims:
-    """The legacy entry points still work — loudly."""
-
-    def test_consume_warns_and_matches_engine(self, stream, direct_bytes):
-        spec = SPECS["spanning_forest"]
-        sketch = spec.build()
-        with pytest.warns(DeprecationWarning, match="consume"):
-            sketch.consume(stream)
-        assert dump_sketch(sketch) == direct_bytes["spanning_forest"]
-
-    def test_sharded_consume_warns_and_matches_engine(
-        self, stream, direct_bytes
-    ):
-        from repro.distributed import sharded_consume
-
-        spec = SPECS["spanning_forest"]
-        with pytest.warns(DeprecationWarning, match="sharded_consume"):
-            report = sharded_consume(
-                stream, functools.partial(build_sketch, spec),
-                sites=3, seed=3,
-            )
-        assert dump_sketch(report.sketch) == direct_bytes["spanning_forest"]
-
-    def test_temporal_query_engine_warns_and_matches(self, stream):
-        from repro.temporal import TemporalQueryEngine
-
-        spec = SPECS["spanning_forest"]
-        engine = (GraphSketchEngine.for_spec(spec)
-                  .epochs(count=3)
-                  .ingest(stream))
-        with pytest.warns(DeprecationWarning, match="TemporalQueryEngine"):
-            legacy = TemporalQueryEngine(engine.timeline)
-        assert dump_sketch(legacy.window_sketch(1, 3)) == dump_sketch(
-            spec.build().consume_batch(stream.as_batch().slice(
-                engine.timeline.boundaries[0], engine.timeline.boundaries[2]
-            ))
-        )
-
-    def test_answer_query_warns_and_matches_engine(self, stream):
-        from repro.api.dispatch import answer_query
-
-        spec = SPECS["mincut"]
-        engine = GraphSketchEngine.for_spec(spec).ingest(stream)
-        direct = spec.build().consume_batch(stream.as_batch())
-        with pytest.warns(DeprecationWarning, match="answer_query"):
-            result_cls, fields = answer_query("mincut", direct, MinCutQuery())
-        facade = engine.query(MinCutQuery())
-        assert result_cls is type(facade)
-        assert fields["value"] == facade.value
-        assert fields["stop_level"] == facade.stop_level
 
 
 class TestDictQueries:

@@ -1,9 +1,12 @@
 """Snapshot of the public API surface.
 
-``repro.__all__`` and ``repro.api.__all__`` are pinned name for name:
-an accidental removal, rename, or silent addition fails here before it
+``repro.__all__``, ``repro.api.__all__``, ``repro.temporal.__all__``
+and ``repro.distributed.__all__`` are pinned name for name: an
+accidental removal, rename, or silent addition fails here before it
 reaches a caller.  Growing the API deliberately means updating the
-snapshot in the same change — which is the point.
+snapshot in the same change — which is the point.  Ingestion has one
+entry point per sketch, ``consume_batch``; no registered class may grow
+a second one.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ import pytest
 
 import repro
 import repro.api
+import repro.distributed
 import repro.errors
+import repro.temporal
 
 pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
@@ -96,6 +101,35 @@ EXPECTED_TEMPORAL_STORE = frozenset({
     "RetentionPolicy",
 })
 
+EXPECTED_TEMPORAL = frozenset({
+    "EpochCheckpoint",
+    "EpochManager",
+    "EpochStore",
+    "EpochTimeline",
+    "RetentionPolicy",
+    "SpanEntry",
+    "epoch_boundaries",
+    "materialise_window",
+    "normalize_boundaries",
+    "window_payload_bytes",
+    "window_tokens",
+})
+
+EXPECTED_DISTRIBUTED = frozenset({
+    "PARTITION_STRATEGIES",
+    "ShardedEpochReport",
+    "ShardedRunReport",
+    "ShardedSketchRunner",
+    "SiteReport",
+    "forest_sketch",
+    "mincut_sketch",
+    "partition_batch",
+    "partition_stream",
+    "partition_stream_by",
+    "shard_assignment",
+    "sparsifier_sketch",
+})
+
 EXPECTED_TOP_LEVEL = (
     EXPECTED_API
     | EXPECTED_SKETCH_CLASSES
@@ -153,6 +187,17 @@ class TestApiSurface:
             assert hasattr(repro.api, name)
 
 
+class TestSubpackageSurfaces:
+    @pytest.mark.parametrize("module, expected", [
+        (repro.temporal, EXPECTED_TEMPORAL),
+        (repro.distributed, EXPECTED_DISTRIBUTED),
+    ], ids=["temporal", "distributed"])
+    def test_all_matches_snapshot(self, module, expected):
+        assert frozenset(module.__all__) == expected
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__} lacks {name}"
+
+
 class TestExceptionHierarchy:
     def test_every_public_exception_is_exported(self):
         """No exception class hides in repro.errors unexported."""
@@ -176,6 +221,12 @@ class TestRegistrySnapshots:
 
     def test_capability_vocabulary(self):
         assert repro.CAPABILITIES == EXPECTED_CAPABILITIES
+
+    def test_no_registered_class_has_a_consume_entry_point(self):
+        """``consume_batch`` is the one ingest entry point per sketch."""
+        for kind in repro.registered_kinds():
+            cls = repro.capability_entry(kind).cls
+            assert not hasattr(cls, "consume"), f"{cls.__name__}.consume exists"
 
     def test_every_kind_declares_known_capabilities(self):
         for kind in repro.registered_kinds():

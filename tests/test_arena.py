@@ -26,6 +26,7 @@ from blob_utils import (
     unpack_v2,
 )
 
+from repro.api import ConnectivityQuery, GraphSketchEngine
 from repro.core import (
     BipartitenessSketch,
     CutEdgesSketch,
@@ -56,7 +57,7 @@ from repro.streams import (
     random_weighted_edges,
     weighted_churn_stream,
 )
-from repro.temporal import EpochTimeline, TemporalQueryEngine
+from repro.temporal import EpochTimeline
 
 N = 10
 
@@ -200,9 +201,9 @@ class TestAlgebraEquivalence:
 
     def test_nested_then_top_level_readoption(self, stream):
         """Using a nested forest directly, then the parent, stays exact."""
-        a = EdgeConnectivitySketch(N, 2, HashSource(31)).consume(stream)
-        b = EdgeConnectivitySketch(N, 2, HashSource(31)).consume(stream)
-        ref = EdgeConnectivitySketch(N, 2, HashSource(31)).consume(stream)
+        a = EdgeConnectivitySketch(N, 2, HashSource(31)).consume_batch(stream.as_batch())
+        b = EdgeConnectivitySketch(N, 2, HashSource(31)).consume_batch(stream.as_batch())
+        ref = EdgeConnectivitySketch(N, 2, HashSource(31)).consume_batch(stream.as_batch())
 
         parent_arena = ensure_arena(a)
         # Nested use: merge the sub-forests directly (steals their banks
@@ -236,26 +237,26 @@ class TestEmptyAndEdgeCases:
         assert not ensure_arena(restored).buffer.any()
 
     def test_merge_bytes_into_empty_equals_load(self, stream):
-        consumed = SpanningForestSketch(N, HashSource(52)).consume(stream)
+        consumed = SpanningForestSketch(N, HashSource(52)).consume_batch(stream.as_batch())
         blob = dump_sketch(consumed)
         empty = SpanningForestSketch(N, HashSource(52))
         merge_sketch_bytes(empty, blob)
         assert dump_sketch(empty) == blob
 
     def test_subtract_bytes_inverts_merge_bytes(self, stream):
-        base = SpanningForestSketch(N, HashSource(53)).consume(stream)
+        base = SpanningForestSketch(N, HashSource(53)).consume_batch(stream.as_batch())
         reference = dump_sketch(base)
-        other = dump_sketch(SpanningForestSketch(N, HashSource(53)).consume(
-            stream
+        other = dump_sketch(SpanningForestSketch(N, HashSource(53)).consume_batch(
+            stream.as_batch()
         ))
         merge_sketch_bytes(base, other)
         subtract_sketch_bytes(base, other)
         assert dump_sketch(base) == reference
 
     def test_combine_bytes_refuses_mismatches(self, stream):
-        ours = SpanningForestSketch(N, HashSource(54)).consume(stream)
+        ours = SpanningForestSketch(N, HashSource(54)).consume_batch(stream.as_batch())
         stranger = dump_sketch(
-            SpanningForestSketch(N, HashSource(55)).consume(stream)
+            SpanningForestSketch(N, HashSource(55)).consume_batch(stream.as_batch())
         )
         with pytest.raises(SketchCompatibilityError, match="seed"):
             merge_sketch_bytes(ours, stranger)
@@ -266,7 +267,7 @@ class TestEmptyAndEdgeCases:
             subtract_sketch_bytes(ours, b"junk bytes, not a blob")
 
     def test_combine_bytes_accepts_v1_blob(self, stream):
-        consumed = SpanningForestSketch(N, HashSource(56)).consume(stream)
+        consumed = SpanningForestSketch(N, HashSource(56)).consume_batch(stream.as_batch())
         v1 = pack_v1_sketch(dump_sketch(consumed))
         empty = SpanningForestSketch(N, HashSource(56))
         merge_sketch_bytes(empty, v1)
@@ -303,14 +304,14 @@ class TestSparseEncoding:
         blob = dump_sketch(consumed)
         assert unpack_v2(blob)[0]["encoding"] == "sparse-zlib"
 
-        via_bytes = SpanningForestSketch(N, HashSource(83)).consume(stream)
+        via_bytes = SpanningForestSketch(N, HashSource(83)).consume_batch(stream.as_batch())
         merge_sketch_bytes(via_bytes, blob)
-        via_object = SpanningForestSketch(N, HashSource(83)).consume(stream)
+        via_object = SpanningForestSketch(N, HashSource(83)).consume_batch(stream.as_batch())
         via_object.merge(load_sketch(blob))
         assert dump_sketch(via_bytes) == dump_sketch(via_object)
         subtract_sketch_bytes(via_bytes, blob)
         assert dump_sketch(via_bytes) == dump_sketch(
-            SpanningForestSketch(N, HashSource(83)).consume(stream)
+            SpanningForestSketch(N, HashSource(83)).consume_batch(stream.as_batch())
         )
 
     def test_tampered_sparse_payloads_rejected(self, stream):
@@ -352,7 +353,7 @@ class TestCodecMigration:
     """v1 blobs (golden fixtures included) migrate losslessly to v2."""
 
     def test_v2_payload_matches_v1_field_concatenation(self, stream):
-        sketch = EdgeConnectivitySketch(N, 2, HashSource(61)).consume(stream)
+        sketch = EdgeConnectivitySketch(N, 2, HashSource(61)).consume_batch(stream.as_batch())
         blob = dump_sketch(sketch)
         _header, fields = sketch_fields_v2(blob)
         banks = sketch._cell_banks()
@@ -368,8 +369,9 @@ class TestCodecMigration:
             / "forest_epochs_v1.manifest"
         )
         timeline = EpochTimeline.from_bytes(fixture.read_bytes())
+        v1_engine = GraphSketchEngine.restore(fixture.read_bytes())
         answers = [
-            TemporalQueryEngine(timeline).answer(0, t)
+            v1_engine.query(ConnectivityQuery(window=(0, t))).components
             for t in range(1, timeline.epochs + 1)
         ]
         # Migrate every checkpoint through the v2 codec.
@@ -386,10 +388,9 @@ class TestCodecMigration:
             for c in timeline.checkpoints
         ])
         v2_bytes = migrated.to_bytes()
-        restored = EpochTimeline.from_bytes(v2_bytes)
-        engine = TemporalQueryEngine(restored)
+        engine = GraphSketchEngine.restore(v2_bytes)
         for t, want in enumerate(answers, start=1):
-            assert engine.answer(0, t) == want
+            assert engine.query(ConnectivityQuery(window=(0, t))).components == want
 
     def test_golden_v1_checkpoint_merges_with_v2_twin(self, tmp_path):
         import pathlib

@@ -143,7 +143,7 @@ def _assert_identical(batched, reference) -> None:
 def test_consume_matches_tokenwise_update(name, source):
     factory, make_stream = SKETCHES[name]
     stream = make_stream()
-    batched = factory(source.derive(1)).consume(stream)
+    batched = factory(source.derive(1)).consume_batch(stream.as_batch())
     reference = factory(source.derive(1))
     for upd in stream:
         reference.update(upd)
@@ -154,10 +154,10 @@ def test_consume_matches_tokenwise_update(name, source):
 def test_merged_partitions_match_whole_stream(name, source):
     factory, make_stream = SKETCHES[name]
     stream = make_stream()
-    whole = factory(source.derive(2)).consume(stream)
+    whole = factory(source.derive(2)).consume_batch(stream.as_batch())
     merged = None
     for part in stream.partition(3, seed=5):
-        site = factory(source.derive(2)).consume(part)
+        site = factory(source.derive(2)).consume_batch(part.as_batch())
         if merged is None:
             merged = site
         else:

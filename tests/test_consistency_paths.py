@@ -60,7 +60,7 @@ def _phi_of(sketch):
 )
 def test_update_equals_consume(workload, factory):
     n, stream = workload
-    batched = factory(n).consume(stream)
+    batched = factory(n).consume_batch(stream.as_batch())
     tokenwise = factory(n)
     for upd in stream:
         tokenwise.update(upd)
@@ -71,7 +71,7 @@ def test_update_equals_consume(workload, factory):
 def test_chunked_consume_equals_whole(workload):
     """Forest consume() chunking must not affect the result."""
     n, stream = workload
-    whole = SpanningForestSketch(n, HashSource(82)).consume(stream)
+    whole = SpanningForestSketch(n, HashSource(82)).consume_batch(stream.as_batch())
     chunked = SpanningForestSketch(n, HashSource(82))
     m = len(stream)
     lo = np.fromiter((u.lo for u in stream), dtype=np.int64, count=m)
@@ -92,7 +92,7 @@ def test_subgraph_consume_equals_update(workload):
     n, stream = workload
     batched = SubgraphSketch(
         n, order=3, samplers=16, source=HashSource(83)
-    ).consume(stream)
+    ).consume_batch(stream.as_batch())
     tokenwise = SubgraphSketch(n, order=3, samplers=16, source=HashSource(83))
     for upd in stream:
         tokenwise.update(upd)

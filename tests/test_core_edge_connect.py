@@ -22,8 +22,8 @@ class TestEdgeConnectivitySketch:
         clique, bridges = 7, 2
         n = 2 * clique
         edges = dumbbell_graph(clique, bridges)
-        sk = EdgeConnectivitySketch(n, k=4, source=source.derive(1)).consume(
-            churn_stream(n, edges, seed=2)
+        sk = EdgeConnectivitySketch(n, k=4, source=source.derive(1)).consume_batch(
+            churn_stream(n, edges, seed=2).as_batch()
         )
         h = sk.witness()
         for t in range(bridges):
@@ -33,16 +33,16 @@ class TestEdgeConnectivitySketch:
         clique, bridges = 6, 3
         n = 2 * clique
         edges = dumbbell_graph(clique, bridges)
-        sk = EdgeConnectivitySketch(n, k=5, source=source.derive(2)).consume(
-            churn_stream(n, edges, seed=3)
+        sk = EdgeConnectivitySketch(n, k=5, source=source.derive(2)).consume_batch(
+            churn_stream(n, edges, seed=3).as_batch()
         )
         assert global_min_cut_value(sk.witness()) == bridges
 
     def test_witness_edge_budget(self, source):
         n = 14
         edges = complete_graph(n)
-        sk = EdgeConnectivitySketch(n, k=3, source=source.derive(3)).consume(
-            stream_from_edges(n, edges)
+        sk = EdgeConnectivitySketch(n, k=3, source=source.derive(3)).consume_batch(
+            stream_from_edges(n, edges).as_batch()
         )
         h = sk.witness()
         assert h.num_edges() <= 3 * (n - 1)
@@ -51,8 +51,8 @@ class TestEdgeConnectivitySketch:
         n = 18
         edges = erdos_renyi_graph(n, 0.3, seed=5)
         g = Graph.from_edges(n, edges)
-        sk = EdgeConnectivitySketch(n, k=3, source=source.derive(4)).consume(
-            churn_stream(n, edges, seed=6)
+        sk = EdgeConnectivitySketch(n, k=3, source=source.derive(4)).consume_batch(
+            churn_stream(n, edges, seed=6).as_batch()
         )
         for u, v, _w in sk.witness().weighted_edges():
             assert g.has_edge(u, v)
@@ -61,8 +61,8 @@ class TestEdgeConnectivitySketch:
         """For graphs with < k-connectivity everywhere, H == G."""
         n = 12
         edges = path_graph(n)
-        sk = EdgeConnectivitySketch(n, k=3, source=source.derive(5)).consume(
-            stream_from_edges(n, edges)
+        sk = EdgeConnectivitySketch(n, k=3, source=source.derive(5)).consume_batch(
+            stream_from_edges(n, edges).as_batch()
         )
         h = sk.witness()
         assert sorted(h.edges()) == sorted(edges)
@@ -71,8 +71,8 @@ class TestEdgeConnectivitySketch:
         """witness() must restore sketch state (subtract-then-restore)."""
         n = 12
         edges = erdos_renyi_graph(n, 0.4, seed=7)
-        sk = EdgeConnectivitySketch(n, k=3, source=source.derive(6)).consume(
-            stream_from_edges(n, edges)
+        sk = EdgeConnectivitySketch(n, k=3, source=source.derive(6)).consume_batch(
+            stream_from_edges(n, edges).as_batch()
         )
         first = sorted(sk.witness().edges())
         second = sorted(sk.witness().edges())
@@ -82,11 +82,13 @@ class TestEdgeConnectivitySketch:
         n = 14
         edges = erdos_renyi_graph(n, 0.35, seed=8)
         st = churn_stream(n, edges, seed=9)
-        direct = EdgeConnectivitySketch(n, k=3, source=source.derive(7)).consume(st)
+        direct = EdgeConnectivitySketch(n, k=3, source=source.derive(7)).consume_batch(
+            st.as_batch()
+        )
         merged = EdgeConnectivitySketch(n, k=3, source=source.derive(7))
         for part in st.partition(2, seed=10):
             site = EdgeConnectivitySketch(n, k=3, source=source.derive(7))
-            merged.merge(site.consume(part))
+            merged.merge(site.consume_batch(part.as_batch()))
         assert sorted(direct.witness().edges()) == sorted(merged.witness().edges())
 
     def test_merge_mismatch(self, source):
@@ -106,8 +108,8 @@ class TestEdgeConnectivitySketch:
     def test_disconnected_components_both_covered(self, source):
         n = 12
         edges = [(0, 1), (1, 2), (2, 0)] + [(6 + u, 6 + v) for u, v in path_graph(5)]
-        sk = EdgeConnectivitySketch(n, k=2, source=source.derive(10)).consume(
-            stream_from_edges(n, edges)
+        sk = EdgeConnectivitySketch(n, k=2, source=source.derive(10)).consume_batch(
+            stream_from_edges(n, edges).as_batch()
         )
         h = sk.witness()
         assert h.num_edges() >= len(edges) - 1  # triangle may drop 1 at k=2... not below

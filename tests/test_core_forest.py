@@ -67,8 +67,8 @@ class TestSpanningForestSketch:
         ],
     )
     def test_component_count(self, edges, n, comps, source):
-        sk = SpanningForestSketch(n, source.derive(1)).consume(
-            stream_from_edges(n, edges)
+        sk = SpanningForestSketch(n, source.derive(1)).consume_batch(
+            stream_from_edges(n, edges).as_batch()
         )
         assert len(sk.connected_components()) == comps
 
@@ -76,8 +76,8 @@ class TestSpanningForestSketch:
         n = 24
         edges = erdos_renyi_graph(n, 0.25, seed=3)
         g = Graph.from_edges(n, edges)
-        sk = SpanningForestSketch(n, source.derive(2)).consume(
-            churn_stream(n, edges, seed=4)
+        sk = SpanningForestSketch(n, source.derive(2)).consume_batch(
+            churn_stream(n, edges, seed=4).as_batch()
         )
         forest = sk.spanning_forest()
         from repro.graphs import UnionFind
@@ -93,8 +93,8 @@ class TestSpanningForestSketch:
         edges = erdos_renyi_graph(n, 0.4, seed=5)
         g = Graph.from_edges(n, edges)
         want = len(connected_components(g))
-        sk = SpanningForestSketch(n, source.derive(3)).consume(
-            churn_stream(n, edges, seed=6)
+        sk = SpanningForestSketch(n, source.derive(3)).consume_batch(
+            churn_stream(n, edges, seed=6).as_batch()
         )
         assert len(sk.connected_components()) == want
 
@@ -104,8 +104,8 @@ class TestSpanningForestSketch:
         edges = erdos_renyi_graph(n, 0.3, seed=7)
         churny = churn_stream(n, edges, seed=8)
         clean = stream_from_edges(n, edges)
-        a = SpanningForestSketch(n, source.derive(4)).consume(churny)
-        b = SpanningForestSketch(n, source.derive(4)).consume(clean)
+        a = SpanningForestSketch(n, source.derive(4)).consume_batch(churny.as_batch())
+        b = SpanningForestSketch(n, source.derive(4)).consume_batch(clean.as_batch())
         assert (a.bank.bank.phi == b.bank.bank.phi).all()
         assert (a.bank.bank.iota == b.bank.bank.iota).all()
         assert (a.bank.bank.fp1 == b.bank.bank.fp1).all()
@@ -114,10 +114,10 @@ class TestSpanningForestSketch:
         n = 16
         edges = erdos_renyi_graph(n, 0.3, seed=9)
         st = churn_stream(n, edges, seed=10)
-        direct = SpanningForestSketch(n, source.derive(5)).consume(st)
+        direct = SpanningForestSketch(n, source.derive(5)).consume_batch(st.as_batch())
         merged = SpanningForestSketch(n, source.derive(5))
         for part in st.partition(3, seed=11):
-            site = SpanningForestSketch(n, source.derive(5)).consume(part)
+            site = SpanningForestSketch(n, source.derive(5)).consume_batch(part.as_batch())
             merged.merge(site)
         assert (merged.bank.bank.phi == direct.bank.bank.phi).all()
         assert len(merged.connected_components()) == len(
@@ -133,7 +133,7 @@ class TestSpanningForestSketch:
     def test_stream_universe_mismatch(self, source):
         sk = SpanningForestSketch(10, source.derive(7))
         with pytest.raises(ValueError):
-            sk.consume(DynamicGraphStream(11))
+            sk.consume_batch(DynamicGraphStream(11).as_batch())
 
     def test_empty_graph(self, source):
         sk = SpanningForestSketch(6, source.derive(8))
@@ -144,14 +144,14 @@ class TestSpanningForestSketch:
         n = 6
         st = DynamicGraphStream(n)
         st.insert(0, 1, copies=5)
-        sk = SpanningForestSketch(n, source.derive(9)).consume(st)
+        sk = SpanningForestSketch(n, source.derive(9)).consume_batch(st.as_batch())
         forest = sk.spanning_forest()
         assert forest == [(0, 1, 5)]
 
     def test_is_connected(self, source):
         n = 12
-        sk = SpanningForestSketch(n, source.derive(10)).consume(
-            stream_from_edges(n, path_graph(n))
+        sk = SpanningForestSketch(n, source.derive(10)).consume_batch(
+            stream_from_edges(n, path_graph(n)).as_batch()
         )
         assert sk.is_connected()
 

@@ -38,22 +38,22 @@ class TestMinCutSketch:
         edges = dumbbell_graph(clique, bridges)
         sk = MinCutSketch(
             n, epsilon=0.5, source=source.derive(1, bridges), c_k=1.0
-        ).consume(churn_stream(n, edges, seed=bridges))
+        ).consume_batch(churn_stream(n, edges, seed=bridges).as_batch())
         res = sk.estimate()
         assert res.value == bridges
         assert res.stop_level == 0
 
     def test_path_graph_min_cut_one(self, source):
         n = 16
-        sk = MinCutSketch(n, epsilon=0.5, source=source.derive(2)).consume(
-            stream_from_edges(n, path_graph(n))
+        sk = MinCutSketch(n, epsilon=0.5, source=source.derive(2)).consume_batch(
+            stream_from_edges(n, path_graph(n)).as_batch()
         )
         assert sk.estimate().value == 1
 
     def test_disconnected_graph_zero(self, source):
         n = 10
-        sk = MinCutSketch(n, epsilon=0.5, source=source.derive(3)).consume(
-            stream_from_edges(n, [(0, 1), (2, 3)])
+        sk = MinCutSketch(n, epsilon=0.5, source=source.derive(3)).consume_batch(
+            stream_from_edges(n, [(0, 1), (2, 3)]).as_batch()
         )
         assert sk.estimate().value == 0
 
@@ -65,7 +65,7 @@ class TestMinCutSketch:
         truth = global_min_cut_value(g)
         sk = MinCutSketch(
             n, epsilon=0.5, source=source.derive(4), c_k=0.35
-        ).consume(churn_stream(n, edges, seed=5))
+        ).consume_batch(churn_stream(n, edges, seed=5).as_batch())
         res = sk.estimate()
         assert truth >= res.k, "workload should force recursion"
         assert res.stop_level >= 1
@@ -75,7 +75,7 @@ class TestMinCutSketch:
         n = 12
         edges = erdos_renyi_graph(n, 0.4, seed=6)
         st = churn_stream(n, edges, seed=7)
-        a = MinCutSketch(n, source=source.derive(5)).consume(st)
+        a = MinCutSketch(n, source=source.derive(5)).consume_batch(st.as_batch())
         b = MinCutSketch(n, source=source.derive(5))
         for upd in st:
             b.update(upd)
@@ -85,10 +85,10 @@ class TestMinCutSketch:
         n = 12
         edges = erdos_renyi_graph(n, 0.4, seed=8)
         st = churn_stream(n, edges, seed=9)
-        direct = MinCutSketch(n, source=source.derive(6)).consume(st)
+        direct = MinCutSketch(n, source=source.derive(6)).consume_batch(st.as_batch())
         merged = MinCutSketch(n, source=source.derive(6))
         for part in st.partition(2, seed=10):
-            merged.merge(MinCutSketch(n, source=source.derive(6)).consume(part))
+            merged.merge(MinCutSketch(n, source=source.derive(6)).consume_batch(part.as_batch()))
         assert merged.estimate().value == direct.estimate().value
 
     def test_merge_mismatch(self, source):
@@ -99,8 +99,8 @@ class TestMinCutSketch:
 
     def test_result_diagnostics(self, source):
         n = 12
-        sk = MinCutSketch(n, source=source.derive(8)).consume(
-            stream_from_edges(n, path_graph(n))
+        sk = MinCutSketch(n, source=source.derive(8)).consume_batch(
+            stream_from_edges(n, path_graph(n)).as_batch()
         )
         res = sk.estimate()
         assert res.k == sk.k
@@ -109,8 +109,8 @@ class TestMinCutSketch:
 
     def test_witnesses_exposed(self, source):
         n = 10
-        sk = MinCutSketch(n, source=source.derive(9)).consume(
-            stream_from_edges(n, path_graph(n))
+        sk = MinCutSketch(n, source=source.derive(9)).consume_batch(
+            stream_from_edges(n, path_graph(n)).as_batch()
         )
         ws = sk.witnesses()
         assert len(ws) == sk.levels + 1
@@ -121,4 +121,4 @@ class TestMinCutSketch:
 
         sk = MinCutSketch(10, source=source.derive(10))
         with pytest.raises(ValueError):
-            sk.consume(DynamicGraphStream(12))
+            sk.consume_batch(DynamicGraphStream(12).as_batch())

@@ -40,8 +40,8 @@ class TestBipartitenessSketch:
         ],
     )
     def test_known_graphs(self, edges, n, expect, source):
-        sk = BipartitenessSketch(n, source.derive(1, n)).consume(
-            stream_from_edges(n, edges)
+        sk = BipartitenessSketch(n, source.derive(1, n)).consume_batch(
+            stream_from_edges(n, edges).as_batch()
         )
         assert sk.is_bipartite() == expect
 
@@ -53,8 +53,8 @@ class TestBipartitenessSketch:
         """One bipartite and one odd-cycle component: not bipartite."""
         n = 12
         edges = path_graph(5) + [(6 + u, 6 + v) for u, v in cycle_graph(5)]
-        sk = BipartitenessSketch(n, source.derive(3)).consume(
-            stream_from_edges(n, edges)
+        sk = BipartitenessSketch(n, source.derive(3)).consume_batch(
+            stream_from_edges(n, edges).as_batch()
         )
         assert not sk.is_bipartite()
 
@@ -65,7 +65,7 @@ class TestBipartitenessSketch:
         for u, v in cycle_graph(5):
             st.insert(u, v)
         st.delete(4, 0)  # break the odd cycle
-        sk = BipartitenessSketch(n, source.derive(4)).consume(st)
+        sk = BipartitenessSketch(n, source.derive(4)).consume_batch(st.as_batch())
         assert sk.is_bipartite()
 
     def test_merge(self, source):
@@ -74,7 +74,7 @@ class TestBipartitenessSketch:
         st = stream_from_edges(n, edges)
         merged = BipartitenessSketch(n, source.derive(5))
         for part in st.partition(2, seed=1):
-            site = BipartitenessSketch(n, source.derive(5)).consume(part)
+            site = BipartitenessSketch(n, source.derive(5)).consume_batch(part.as_batch())
             merged.merge(site)
         assert not merged.is_bipartite()
 
@@ -113,7 +113,7 @@ class TestMSTWeightSketch:
     def test_unit_weights_spanning_tree(self, source):
         n = 12
         st = stream_from_edges(n, path_graph(n))
-        sk = MSTWeightSketch(n, max_weight=1, source=source.derive(20)).consume(st)
+        sk = MSTWeightSketch(n, max_weight=1, source=source.derive(20)).consume_batch(st.as_batch())
         assert sk.estimate() == n - 1
 
     def test_weighted_path_exact(self, source):
@@ -122,7 +122,7 @@ class TestMSTWeightSketch:
         st = DynamicGraphStream(n)
         for i, w in enumerate([1, 2, 3, 4]):
             st.insert(i, i + 1, copies=w)
-        sk = MSTWeightSketch(n, max_weight=4, source=source.derive(21)).consume(st)
+        sk = MSTWeightSketch(n, max_weight=4, source=source.derive(21)).consume_batch(st.as_batch())
         assert sk.estimate() == 10
 
     def test_cheap_edges_chosen(self, source):
@@ -132,14 +132,14 @@ class TestMSTWeightSketch:
         st.insert(0, 1, copies=1)
         st.insert(1, 2, copies=1)
         st.insert(0, 2, copies=5)
-        sk = MSTWeightSketch(n, max_weight=5, source=source.derive(22)).consume(st)
+        sk = MSTWeightSketch(n, max_weight=5, source=source.derive(22)).consume_batch(st.as_batch())
         assert sk.estimate() == 2
 
     def test_matches_kruskal_on_random_graphs(self, source):
         n = 14
         wedges = random_weighted_edges(n, 0.5, 6, seed=3)
         st = weighted_churn_stream(n, wedges, seed=4)
-        sk = MSTWeightSketch(n, max_weight=6, source=source.derive(23)).consume(st)
+        sk = MSTWeightSketch(n, max_weight=6, source=source.derive(23)).consume_batch(st.as_batch())
         assert sk.estimate() == _kruskal_weight(n, wedges)
 
     def test_disconnected_returns_forest_weight(self, source):
@@ -147,7 +147,7 @@ class TestMSTWeightSketch:
         st = DynamicGraphStream(n)
         st.insert(0, 1, copies=2)
         st.insert(3, 4, copies=3)
-        sk = MSTWeightSketch(n, max_weight=4, source=source.derive(24)).consume(st)
+        sk = MSTWeightSketch(n, max_weight=4, source=source.derive(24)).consume_batch(st.as_batch())
         assert sk.estimate() == 5
 
     def test_geometric_ladder_overestimates_within_bound(self, source):
@@ -157,7 +157,7 @@ class TestMSTWeightSketch:
         eps = 0.5
         sk = MSTWeightSketch(
             n, max_weight=32, epsilon=eps, source=source.derive(25)
-        ).consume(st)
+        ).consume_batch(st.as_batch())
         truth = _kruskal_weight(n, wedges)
         est = sk.estimate()
         assert truth <= est <= (1 + eps) * truth + 1e-9
@@ -168,17 +168,21 @@ class TestMSTWeightSketch:
         st = DynamicGraphStream(5)
         st.insert(0, 1, copies=7)
         with pytest.raises(StreamError):
-            sk.consume(st)
+            sk.consume_batch(st.as_batch())
 
     def test_merge(self, source):
         n = 10
         wedges = random_weighted_edges(n, 0.5, 4, seed=7)
         st = weighted_churn_stream(n, wedges, seed=8)
-        direct = MSTWeightSketch(n, max_weight=4, source=source.derive(27)).consume(st)
+        direct = MSTWeightSketch(n, max_weight=4, source=source.derive(27)).consume_batch(
+            st.as_batch()
+        )
         merged = MSTWeightSketch(n, max_weight=4, source=source.derive(27))
         for part in st.partition(2, seed=9):
             merged.merge(
-                MSTWeightSketch(n, max_weight=4, source=source.derive(27)).consume(part)
+                MSTWeightSketch(n, max_weight=4, source=source.derive(27)).consume_batch(
+                    part.as_batch()
+                )
             )
         assert merged.estimate() == direct.estimate()
 
@@ -204,8 +208,8 @@ class TestCutEdgesSketch:
     def test_exact_cut_listing(self, source):
         n = 12
         edges = dumbbell_graph(6, 2)
-        sk = CutEdgesSketch(n, k=5, source=source.derive(30)).consume(
-            churn_stream(n, edges, seed=1)
+        sk = CutEdgesSketch(n, k=5, source=source.derive(30)).consume_batch(
+            churn_stream(n, edges, seed=1).as_batch()
         )
         crossing = sk.crossing_edges(set(range(6)))
         assert crossing == {(0, 6): 1, (1, 7): 1}
@@ -213,16 +217,16 @@ class TestCutEdgesSketch:
 
     def test_any_query_side_orientation(self, source):
         n = 8
-        sk = CutEdgesSketch(n, k=4, source=source.derive(31)).consume(
-            stream_from_edges(n, path_graph(n))
+        sk = CutEdgesSketch(n, k=4, source=source.derive(31)).consume_batch(
+            stream_from_edges(n, path_graph(n)).as_batch()
         )
         assert sk.crossing_edges({0, 1, 2}) == {(2, 3): 1}
         assert sk.crossing_edges({3, 4, 5, 6, 7}) == {(2, 3): 1}
 
     def test_overfull_cut_fails(self, source):
         n = 10
-        sk = CutEdgesSketch(n, k=3, source=source.derive(32)).consume(
-            stream_from_edges(n, complete_graph(n))
+        sk = CutEdgesSketch(n, k=3, source=source.derive(32)).consume_batch(
+            stream_from_edges(n, complete_graph(n)).as_batch()
         )
         with pytest.raises(RecoveryFailed):
             sk.crossing_edges({0, 1, 2, 3, 4})
@@ -230,8 +234,8 @@ class TestCutEdgesSketch:
     def test_component_detection(self, source):
         n = 8
         edges = [(0, 1), (1, 2), (3, 4)]
-        sk = CutEdgesSketch(n, k=4, source=source.derive(33)).consume(
-            stream_from_edges(n, edges)
+        sk = CutEdgesSketch(n, k=4, source=source.derive(33)).consume_batch(
+            stream_from_edges(n, edges).as_batch()
         )
         assert sk.is_cut_empty({0, 1, 2})
         assert not sk.is_cut_empty({0, 1})
@@ -240,7 +244,7 @@ class TestCutEdgesSketch:
         n = 5
         st = DynamicGraphStream(n)
         st.insert(0, 3, copies=4)
-        sk = CutEdgesSketch(n, k=3, source=source.derive(34)).consume(st)
+        sk = CutEdgesSketch(n, k=3, source=source.derive(34)).consume_batch(st.as_batch())
         assert sk.crossing_edges({0}) == {(0, 3): 4}
         assert sk.cut_value({0}) == 4
 
@@ -257,10 +261,12 @@ class TestCutEdgesSketch:
         n = 8
         edges = erdos_renyi_graph(n, 0.4, seed=2)
         st = churn_stream(n, edges, seed=3)
-        direct = CutEdgesSketch(n, k=8, source=source.derive(36)).consume(st)
+        direct = CutEdgesSketch(n, k=8, source=source.derive(36)).consume_batch(st.as_batch())
         merged = CutEdgesSketch(n, k=8, source=source.derive(36))
         for part in st.partition(2, seed=4):
-            merged.merge(CutEdgesSketch(n, k=8, source=source.derive(36)).consume(part))
+            merged.merge(
+                CutEdgesSketch(n, k=8, source=source.derive(36)).consume_batch(part.as_batch())
+            )
         assert (merged.bank.bank.phi == direct.bank.bank.phi).all()
 
     def test_rejects_bad_parameters(self, source):

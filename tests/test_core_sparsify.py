@@ -45,8 +45,8 @@ class TestSimpleSparsification:
         """Graphs with connectivity < k everywhere are kept verbatim."""
         n = 14
         edges = path_graph(n)
-        sk = SimpleSparsification(n, source=source.derive(1), c_k=1.0).consume(
-            stream_from_edges(n, edges)
+        sk = SimpleSparsification(n, source=source.derive(1), c_k=1.0).consume_batch(
+            stream_from_edges(n, edges).as_batch()
         )
         sp = sk.sparsifier()
         assert sorted(sp.graph.edges()) == sorted(edges)
@@ -61,7 +61,7 @@ class TestSimpleSparsification:
         edges = erdos_renyi_graph(n, 0.5, seed=2)
         sk = SimpleSparsification(
             n, source=source.derive(2), c_k=0.15
-        ).consume(churn_stream(n, edges, seed=3))
+        ).consume_batch(churn_stream(n, edges, seed=3).as_batch())
         sp = sk.sparsifier()
         for (u, v), level in sp.edge_levels.items():
             assert sp.graph.weight(u, v) == 2**level
@@ -72,7 +72,7 @@ class TestSimpleSparsification:
         g = Graph.from_edges(n, edges)
         sk = SimpleSparsification(
             n, source=source.derive(3), c_k=0.15
-        ).consume(churn_stream(n, edges, seed=5))
+        ).consume_batch(churn_stream(n, edges, seed=5).as_batch())
         for u, v in sk.sparsifier().graph.edges():
             assert g.has_edge(u, v)
 
@@ -85,7 +85,7 @@ class TestSimpleSparsification:
         for c_k in (0.05, 0.4):
             sk = SimpleSparsification(
                 n, source=source.derive(4), c_k=c_k
-            ).consume(st)
+            ).consume_batch(st.as_batch())
             rep = cut_approximation_report(g, sk.sparsifier(), sample_cuts=150)
             errs.append(rep.max_relative_error)
         assert errs[1] <= errs[0]
@@ -95,7 +95,7 @@ class TestSimpleSparsification:
         edges = erdos_renyi_graph(n, 0.9, seed=8)
         sk = SimpleSparsification(
             n, source=source.derive(5), c_k=0.05
-        ).consume(stream_from_edges(n, edges))
+        ).consume_batch(stream_from_edges(n, edges).as_batch())
         sp = sk.sparsifier()
         assert sp.num_edges < len(edges)
 
@@ -104,7 +104,7 @@ class TestSimpleSparsification:
         edges = erdos_renyi_graph(n, 0.7, seed=9)
         sk = SimpleSparsification(
             n, source=source.derive(6), c_k=0.1
-        ).consume(stream_from_edges(n, edges))
+        ).consume_batch(stream_from_edges(n, edges).as_batch())
         sp = sk.sparsifier()
         assert sum(sp.level_histogram().values()) == sp.num_edges
 
@@ -112,11 +112,11 @@ class TestSimpleSparsification:
         n = 16
         edges = erdos_renyi_graph(n, 0.4, seed=10)
         st = churn_stream(n, edges, seed=11)
-        direct = SimpleSparsification(n, source=source.derive(7)).consume(st)
+        direct = SimpleSparsification(n, source=source.derive(7)).consume_batch(st.as_batch())
         merged = SimpleSparsification(n, source=source.derive(7))
         for part in st.partition(2, seed=12):
             merged.merge(
-                SimpleSparsification(n, source=source.derive(7)).consume(part)
+                SimpleSparsification(n, source=source.derive(7)).consume_batch(part.as_batch())
             )
         assert sorted(direct.sparsifier().graph.weighted_edges()) == sorted(
             merged.sparsifier().graph.weighted_edges()
@@ -134,7 +134,7 @@ class TestSparsification:
         g = Graph.from_edges(n, edges)
         sk = Sparsification(
             n, source=source.derive(8), c_k=0.4, c_rough=0.1, c_level=4.0
-        ).consume(churn_stream(n, edges, seed=14))
+        ).consume_batch(churn_stream(n, edges, seed=14).as_batch())
         sp = sk.sparsifier()
         rep = cut_approximation_report(g, sp, sample_cuts=150)
         assert rep.max_relative_error < 1.0
@@ -146,7 +146,7 @@ class TestSparsification:
         g = Graph.from_edges(n, edges)
         sk = Sparsification(
             n, source=source.derive(9), c_k=0.3, c_rough=0.1, c_level=4.0
-        ).consume(stream_from_edges(n, edges))
+        ).consume_batch(stream_from_edges(n, edges).as_batch())
         sp = sk.sparsifier()
         for (u, v), level in sp.edge_levels.items():
             assert g.has_edge(u, v)
@@ -170,10 +170,10 @@ class TestSparsification:
         n = 14
         edges = erdos_renyi_graph(n, 0.5, seed=16)
         st = churn_stream(n, edges, seed=17)
-        direct = Sparsification(n, source=source.derive(13)).consume(st)
+        direct = Sparsification(n, source=source.derive(13)).consume_batch(st.as_batch())
         merged = Sparsification(n, source=source.derive(13))
         for part in st.partition(2, seed=18):
-            merged.merge(Sparsification(n, source=source.derive(13)).consume(part))
+            merged.merge(Sparsification(n, source=source.derive(13)).consume_batch(part.as_batch()))
         assert sorted(direct.sparsifier().graph.weighted_edges()) == sorted(
             merged.sparsifier().graph.weighted_edges()
         )
@@ -196,7 +196,7 @@ class TestWeightedSparsification:
         g = Graph.from_multiplicities(n, st.multiplicities())
         sk = WeightedSparsification(
             n, max_weight=16, source=source.derive(14), c_k=0.5
-        ).consume(st)
+        ).consume_batch(st.as_batch())
         rep = cut_approximation_report(g, sk.sparsifier(), sample_cuts=150)
         assert rep.max_relative_error <= 0.75
 
@@ -206,7 +206,7 @@ class TestWeightedSparsification:
         st = weighted_churn_stream(n, wedges, seed=21)
         sk = WeightedSparsification(
             n, max_weight=16, source=source.derive(15), c_k=1.0
-        ).consume(st)
+        ).consume_batch(st.as_batch())
         sp = sk.sparsifier()
         g = Graph.from_multiplicities(n, st.multiplicities())
         rep = cut_approximation_report(g, sp, exhaustive_limit=10)
@@ -217,7 +217,7 @@ class TestWeightedSparsification:
         st = DynamicGraphStream(8)
         st.insert(0, 1, copies=9)
         with pytest.raises(ValueError):
-            sk.consume(st)
+            sk.consume_batch(st.as_batch())
 
     def test_class_count(self, source):
         sk = WeightedSparsification(8, max_weight=1, source=source.derive(17))

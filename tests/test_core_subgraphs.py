@@ -83,7 +83,7 @@ class TestSubgraphSketch:
     def test_complete_graph_all_triangles(self, source):
         n = 10
         sk = SubgraphSketch(n, order=3, samplers=48, source=source.derive(1))
-        sk.consume(stream_from_edges(n, complete_graph(n)))
+        sk.consume_batch(stream_from_edges(n, complete_graph(n)).as_batch())
         est = sk.estimate(TRIANGLE)
         assert est.gamma == 1.0
         assert est.invalid_encodings == 0
@@ -93,7 +93,7 @@ class TestSubgraphSketch:
         st = DynamicGraphStream(n)
         st.insert(0, 1)
         sk = SubgraphSketch(n, order=3, samplers=32, source=source.derive(2))
-        sk.consume(st)
+        sk.consume_batch(st.as_batch())
         # Every non-empty column is the single-edge pattern.
         assert sk.estimate(SINGLE_EDGE_3).gamma == 1.0
         assert sk.estimate(TRIANGLE).gamma == 0.0
@@ -103,7 +103,7 @@ class TestSubgraphSketch:
         edges = triangle_planted_graph(n, 0.15, 5, seed=3)
         g = Graph.from_edges(n, edges)
         sk = SubgraphSketch(n, order=3, samplers=160, source=source.derive(3))
-        sk.consume(churn_stream(n, edges, seed=4))
+        sk.consume_batch(churn_stream(n, edges, seed=4).as_batch())
         for pattern in (TRIANGLE, PATH_3, SINGLE_EDGE_3):
             est = sk.estimate(pattern)
             exact = gamma_exact(g, encoding_class(pattern), 3)
@@ -123,8 +123,8 @@ class TestSubgraphSketch:
         churny.delete(6, 7)
         a = SubgraphSketch(n, order=3, samplers=32, source=source.derive(4))
         b = SubgraphSketch(n, order=3, samplers=32, source=source.derive(4))
-        a.consume(clean)
-        b.consume(churny)
+        a.consume_batch(clean.as_batch())
+        b.consume_batch(churny.as_batch())
         assert (a.bank.bank.phi == b.bank.bank.phi).all()
         assert (a.bank.bank.fp1 == b.bank.bank.fp1).all()
 
@@ -133,24 +133,24 @@ class TestSubgraphSketch:
         edges = erdos_renyi_graph(n, 0.4, seed=5)
         st = churn_stream(n, edges, seed=6)
         direct = SubgraphSketch(n, order=3, samplers=24, source=source.derive(5))
-        direct.consume(st)
+        direct.consume_batch(st.as_batch())
         merged = SubgraphSketch(n, order=3, samplers=24, source=source.derive(5))
         for part in st.partition(3, seed=7):
             site = SubgraphSketch(n, order=3, samplers=24, source=source.derive(5))
-            merged.merge(site.consume(part))
+            merged.merge(site.consume_batch(part.as_batch()))
         assert (direct.bank.bank.phi == merged.bank.bank.phi).all()
 
     def test_order4_on_clique(self, source):
         n = 8
         sk = SubgraphSketch(n, order=4, samplers=24, source=source.derive(6))
-        sk.consume(stream_from_edges(n, complete_graph(n)))
+        sk.consume_batch(stream_from_edges(n, complete_graph(n)).as_batch())
         assert sk.estimate(CLIQUE_4).gamma == 1.0
 
     def test_estimate_many_shares_samples(self, source):
         n = 16
         edges = erdos_renyi_graph(n, 0.3, seed=8)
         sk = SubgraphSketch(n, order=3, samplers=40, source=source.derive(7))
-        sk.consume(stream_from_edges(n, edges))
+        sk.consume_batch(stream_from_edges(n, edges).as_batch())
         out = sk.estimate_many([TRIANGLE, PATH_3, SINGLE_EDGE_3, EMPTY_3])
         # Non-empty classes partition the samples: fractions sum to 1.
         total = out["triangle"].gamma + out["path3"].gamma + out["single-edge3"].gamma

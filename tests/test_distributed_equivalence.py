@@ -151,7 +151,7 @@ class TestShardCountInvariance:
         st = weighted_stream if weighted else stream
         case_index = [c[0] for c in SKETCH_CASES].index(name)
         factory = functools.partial(maker, 1000 + case_index)
-        reference = dump_sketch(factory().consume(st))
+        reference = dump_sketch(factory().consume_batch(st.as_batch()))
         for sites in SITE_COUNTS:
             report = ShardedSketchRunner(
                 factory, sites=sites, strategy=strategy, seed=3
@@ -219,7 +219,7 @@ class TestRandomizedPartitions:
             assert sum(len(s) for s in shards) == len(st)
 
             factory = functools.partial(_forest_n, n, 4000 + seed)
-            direct = dump_sketch(factory().consume(st))
+            direct = dump_sketch(factory().consume_batch(st.as_batch()))
             runner = ShardedSketchRunner(factory, sites=sites)
             merged = dump_sketch(runner.run_shards(shards).sketch)
             assert merged == direct, f"seed {seed} broke merge-invariance"
@@ -275,7 +275,7 @@ class TestProcessModeEquivalence:
         st = weighted_stream if weighted else stream
         case_index = [c[0] for c in SKETCH_CASES].index(name)
         factory = functools.partial(maker, 2000 + case_index)
-        reference = dump_sketch(factory().consume(st))
+        reference = dump_sketch(factory().consume_batch(st.as_batch()))
         with ShardedSketchRunner(
             factory, sites=3, seed=3, mode="process"
         ) as runner:

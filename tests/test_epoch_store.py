@@ -42,6 +42,7 @@ from repro.sketch import dump_sketch, peek_sketch_meta
 from repro.streams import DynamicGraphStream, churn_stream, erdos_renyi_graph
 from repro.temporal import EpochManager, materialise_window
 
+from blob_utils import repack_v2
 from strategies import streams_with_epochs
 from test_temporal_equivalence import (
     CHEAP_CASES,
@@ -266,12 +267,12 @@ class TestWindowExactness:
         budget = 48_000
         store = EpochStore.open(tmp_path / "s", cache_bytes=budget)
         for t1, t2 in [(0, 16), (4, 12), (8, 16), (0, 8), (2, 14)]:
-            store.window_sketch(t1, t2)
+            materialise_window(store, t1, t2)
         assert store.resident_bytes <= budget
         assert store.disk_loads > 0
         # A cache hit must not touch the disk again.
         loads = store.disk_loads
-        store.window_sketch(0, 16)
+        materialise_window(store, 0, 16)
         assert store.disk_loads == loads
 
 
@@ -391,7 +392,7 @@ class TestCorruptionFuzz:
         path = root / "segments" / entry.file
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(StoreCorruptionError, match="integrity"):
-            store.window_sketch(entry.start, entry.end)
+            materialise_window(store, entry.start, entry.end)
         # Undamaged epochs still answer; the store re-opens.
         assert EpochStore.open(root).epochs == GOLDEN_EPOCHS
 
@@ -413,7 +414,7 @@ class TestCorruptionFuzz:
         entry = self._live_span(store)
         (root / "segments" / entry.file).unlink()
         with pytest.raises(StoreCorruptionError, match="missing"):
-            store.window_sketch(entry.start, entry.end)
+            materialise_window(store, entry.start, entry.end)
         assert EpochStore.open(root).epochs == GOLDEN_EPOCHS
 
     def test_catalog_entry_pointing_at_wrong_span(self, tmp_path):
@@ -434,7 +435,7 @@ class TestCorruptionFuzz:
         _rewrite_catalog(root, swap)
         tampered = EpochStore.open(root)
         with pytest.raises(StoreCorruptionError, match="misplaced"):
-            tampered.window_sketch(a.start, a.end)
+            materialise_window(tampered, a.start, a.end)
 
     def test_mismatched_seed_segment(self, tmp_path):
         """A segment from an identically-shaped store with another seed
@@ -466,7 +467,31 @@ class TestCorruptionFuzz:
         _rewrite_catalog(root, reseal)
         tampered = EpochStore.open(root)
         with pytest.raises(StoreCorruptionError, match="seed"):
-            tampered.window_sketch(entry.start, entry.end)
+            materialise_window(tampered, entry.start, entry.end)
+
+    def test_unloadable_compacted_span_is_typed_on_the_engine_path(self, tmp_path):
+        """A compacted span whose header cell layout no longer matches its
+        parameters passes the resealed segment and catalog CRCs but fails
+        to load — a windowed engine query reports store corruption, not a
+        bare codec error."""
+        root = _copy_golden(tmp_path)
+        entry = next(e for e in EpochStore.open(root).spans() if e.length > 1)
+        path = root / "segments" / entry.file
+
+        def skew_cells(header, _payload):
+            header["cells"] = [cells + 1 for cells in header["cells"]]
+        data = repack_v2(path.read_bytes(), skew_cells)
+        path.write_bytes(data)
+
+        def reseal(doc):
+            for span in doc["spans"]:
+                if span["file"] == entry.file:
+                    span["bytes"] = len(data)
+                    span["crc32"] = zlib.crc32(data) & 0xFFFFFFFF
+        _rewrite_catalog(root, reseal)
+        engine = GraphSketchEngine.attach_store(root)
+        with pytest.raises(StoreCorruptionError, match="cell layout"):
+            engine.query(ConnectivityQuery(window=(entry.start, entry.end)))
 
     def test_bit_flipped_catalog(self, tmp_path):
         root = _copy_golden(tmp_path)

@@ -40,7 +40,7 @@ class TestExtremeChurn:
         for _ in range(1000):
             st.insert(0, 1)
             st.delete(0, 1)
-        sk = SpanningForestSketch(n, source.derive(1)).consume(st)
+        sk = SpanningForestSketch(n, source.derive(1)).consume_batch(st.as_batch())
         assert sk.spanning_forest() == []
         assert all(sk.bank.is_zero(0, v) for v in range(n))
 
@@ -54,7 +54,7 @@ class TestExtremeChurn:
             st.delete(u, v)
         for u, v in path_graph(n):
             st.insert(u, v)
-        sk = SpanningForestSketch(n, source.derive(2)).consume(st)
+        sk = SpanningForestSketch(n, source.derive(2)).consume_batch(st.as_batch())
         forest = sk.spanning_forest()
         assert len(forest) == n - 1
         path_edges = set(path_graph(n))
@@ -65,7 +65,7 @@ class TestExtremeChurn:
         st = DynamicGraphStream(n)
         st.insert(0, 1, copies=10**6)
         st.delete(0, 1, copies=10**6 - 1)
-        sk = SpanningForestSketch(n, source.derive(3)).consume(st)
+        sk = SpanningForestSketch(n, source.derive(3)).consume_batch(st.as_batch())
         assert sk.spanning_forest() == [(0, 1, 1)]
 
     def test_mincut_under_total_rebuild(self, source):
@@ -78,7 +78,7 @@ class TestExtremeChurn:
             st.delete(u, v)
         for u, v in star_graph(n):
             st.insert(u, v)
-        res = MinCutSketch(n, source=source.derive(4)).consume(st).estimate()
+        res = MinCutSketch(n, source=source.derive(4)).consume_batch(st.as_batch()).estimate()
         assert res.value == 1  # star has min cut 1
 
 
@@ -126,8 +126,8 @@ class TestHonestFailure:
 
     def test_cut_query_beyond_k_raises_not_truncates(self, source):
         n = 12
-        sk = CutEdgesSketch(n, k=2, source=source.derive(12)).consume(
-            stream_from_edges(n, star_graph(n))
+        sk = CutEdgesSketch(n, k=2, source=source.derive(12)).consume_batch(
+            stream_from_edges(n, star_graph(n)).as_batch()
         )
         # Centre cut crosses 11 > 2 edges.
         with pytest.raises(RecoveryFailed):
@@ -151,7 +151,7 @@ class TestPreconditionViolations:
         st = DynamicGraphStream(n)
         st.insert(6, 7, copies=2)  # every {w,6,7} column gets value 8
         sk = SubgraphSketch(n, order=3, samplers=64, source=source.derive(13))
-        sk.consume(st)
+        sk.consume_batch(st.as_batch())
         est = sk.estimate(TRIANGLE)
         assert est.invalid_encodings > 0
 
@@ -165,7 +165,7 @@ class TestPreconditionViolations:
             SubgraphSketch(10, order=3, samplers=4, source=source.derive(17)),
         ):
             with pytest.raises(ValueError):
-                sketch.consume(big)
+                sketch.consume_batch(big.as_batch())
 
 
 class TestSeedSensitivity:
@@ -179,7 +179,7 @@ class TestSeedSensitivity:
         want = len(connected_components(g))
         cells = []
         for seed in range(5):
-            sk = SpanningForestSketch(n, HashSource(seed)).consume(st)
+            sk = SpanningForestSketch(n, HashSource(seed)).consume_batch(st.as_batch())
             assert len(sk.connected_components()) == want
             cells.append(sk.bank.bank.phi.copy())
         # The cell contents must differ across seeds (different hashes).

@@ -21,9 +21,10 @@ import pathlib
 
 import pytest
 
+from repro.api import ConnectivityQuery, GraphSketchEngine, MinCutQuery
 from repro.distributed import forest_sketch, mincut_sketch
 from repro.sketch import dump_sketch, peek_sketch_meta
-from repro.temporal import EpochTimeline, TemporalQueryEngine
+from repro.temporal import EpochTimeline, materialise_window
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -32,6 +33,15 @@ FIXTURE_N = 10
 FIXTURE_TOKENS = 62
 FOREST_SEED = 424242
 MINCUT_SEED = 515151
+
+
+#: The windowed engine query each fixture's answers are pinned through.
+FIXTURE_QUERIES = {"forest_epochs": ConnectivityQuery, "mincut_epochs": MinCutQuery}
+
+
+def _engine(name: str) -> GraphSketchEngine:
+    """A temporal engine restored from a committed manifest fixture."""
+    return GraphSketchEngine.restore((FIXTURES / f"{name}.manifest").read_bytes())
 
 
 @pytest.fixture(scope="module")
@@ -58,25 +68,27 @@ class TestForestFixture:
             "epoch": 1, "tokens": 20, "cumulative_tokens": 20,
         }
 
-    def test_connectivity_answers_unchanged(self, forest_timeline):
-        engine = TemporalQueryEngine(forest_timeline)
+    def test_connectivity_answers_unchanged(self):
+        engine = _engine("forest_epochs_v1")
         for t in (1, 2, 3):
-            answer = engine.answer(0, t)
-            assert answer["components"] == 1, f"prefix [0,{t}) changed"
-            assert answer["forest_edges"] == 9
-        assert engine.answer(1, 3) == {
-            "sketch": "SpanningForestSketch",
-            "components": 7,
-            "forest_edges": 3,
-        }
-        assert engine.was_connected(0, 1, through_epoch=3)
+            answer = engine.query(ConnectivityQuery(u=0, v=1, window=(0, t)))
+            assert answer.components == 1, f"prefix [0,{t}) changed"
+            assert answer.forest_edges == 9
+        window = engine.query(ConnectivityQuery(window=(1, 3)))
+        assert (window.kind, window.components, window.forest_edges) == (
+            "spanning_forest", 7, 3,
+        )
+        assert engine.query(
+            ConnectivityQuery(u=0, v=1, window=(0, 3))
+        ).same_component
 
     def test_checkpoints_stay_subtractable_and_mergeable(self, forest_timeline):
         """Persisted checkpoints keep behaving like live sketches."""
-        engine = TemporalQueryEngine(forest_timeline)
-        window = engine.window_sketch(1, 3)
-        window.merge(engine.window_sketch(0, 1))
-        assert dump_sketch(window) == dump_sketch(engine.prefix_sketch(3))
+        window = materialise_window(forest_timeline, 1, 3)
+        window.merge(materialise_window(forest_timeline, 0, 1))
+        assert dump_sketch(window) == dump_sketch(
+            materialise_window(forest_timeline, 0, 3)
+        )
 
     def test_fresh_twin_is_byte_compatible(self, forest_timeline):
         """An empty identically-seeded sketch still merges with fixtures."""
@@ -103,14 +115,16 @@ class TestV2Fixtures:
         )
         assert v2.n == v1.n
         assert v2.boundaries == v1.boundaries
-        e1, e2 = TemporalQueryEngine(v1), TemporalQueryEngine(v2)
+        e1, e2 = _engine(f"{name}_v1"), _engine(f"{name}_v2")
         for t in range(1, v1.epochs + 1):
-            assert e2.answer(0, t) == e1.answer(0, t)
+            query = FIXTURE_QUERIES[name](window=(0, t))
+            assert e2.query(query).to_dict()["body"] == \
+                e1.query(query).to_dict()["body"]
         # Cross-version algebra: a v1 checkpoint merges into a sketch
         # loaded from the v2 fixture (same parameters and seed).
-        mixed = e2.prefix_sketch(1)
-        mixed.merge(e1.prefix_sketch(1))
-        assert dump_sketch(mixed) != dump_sketch(e2.prefix_sketch(1))
+        mixed = materialise_window(v2, 0, 1)
+        mixed.merge(materialise_window(v1, 0, 1))
+        assert dump_sketch(mixed) != dump_sketch(materialise_window(v2, 0, 1))
 
     @pytest.mark.parametrize("name", ["forest_epochs", "mincut_epochs"])
     def test_v1_payload_redumps_to_v2_fixture_state(self, name):
@@ -137,13 +151,13 @@ class TestMinCutFixture:
             mincut_timeline.checkpoint(2).payload
         )["seed"] == MINCUT_SEED
 
-    def test_mincut_answers_unchanged(self, mincut_timeline):
-        engine = TemporalQueryEngine(mincut_timeline)
+    def test_mincut_answers_unchanged(self):
+        engine = _engine("mincut_epochs_v1")
         expected = {1: 1.0, 2: 2.0, 3: 3.0}
         for t, value in expected.items():
-            answer = engine.answer(0, t)
-            assert answer["mincut"] == value, f"prefix [0,{t}) changed"
-            assert answer["stop_level"] == 0
+            answer = engine.query(MinCutQuery(window=(0, t)))
+            assert answer.value == value, f"prefix [0,{t}) changed"
+            assert answer.stop_level == 0
 
     def test_like_verification_against_wrong_seed(self, mincut_timeline):
         from repro.errors import SketchCompatibilityError

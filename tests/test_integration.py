@@ -42,8 +42,8 @@ class TestEndToEndPipelines:
         g = Graph.from_edges(n, edges)
         truth = global_min_cut_value(g)
         st = churn_stream(n, edges, seed=2)
-        res = MinCutSketch(n, epsilon=0.5, source=source.derive(1)).consume(
-            st
+        res = MinCutSketch(n, epsilon=0.5, source=source.derive(1)).consume_batch(
+            st.as_batch()
         ).estimate()
         assert res.value == pytest.approx(truth, rel=0.5)
 
@@ -55,7 +55,7 @@ class TestEndToEndPipelines:
         st = churn_stream(n, edges, seed=4)
         sp = SimpleSparsification(
             n, source=source.derive(2), c_k=0.4
-        ).consume(st).sparsifier()
+        ).consume_batch(st.as_batch()).sparsifier()
         lam_g = global_min_cut_value(g)
         lam_h = global_min_cut_value(sp.graph)
         assert lam_h == pytest.approx(lam_g, rel=0.6)
@@ -90,10 +90,10 @@ class TestEndToEndPipelines:
         n = 18
         edges = erdos_renyi_graph(n, 0.5, seed=7)
         st = churn_stream(n, edges, seed=8)
-        direct = Sparsification(n, source=source.derive(6)).consume(st)
+        direct = Sparsification(n, source=source.derive(6)).consume_batch(st.as_batch())
         merged = Sparsification(n, source=source.derive(6))
         for part in st.partition(3, seed=9):
-            merged.merge(Sparsification(n, source=source.derive(6)).consume(part))
+            merged.merge(Sparsification(n, source=source.derive(6)).consume_batch(part.as_batch()))
         assert sorted(direct.sparsifier().graph.weighted_edges()) == sorted(
             merged.sparsifier().graph.weighted_edges()
         )
@@ -115,7 +115,7 @@ class TestEndToEndPipelines:
         edges = dumbbell_graph(clique, bridges)
         st = churn_stream(n, edges, churn_fraction=0.8, decoy_fraction=1.0,
                           seed=12)
-        res = MinCutSketch(n, source=source.derive(8)).consume(st).estimate()
+        res = MinCutSketch(n, source=source.derive(8)).consume_batch(st.as_batch()).estimate()
         assert res.value == bridges
 
     def test_derandomised_l0_pipeline(self, source):
@@ -151,8 +151,8 @@ class TestEndToEndPipelines:
         st = churn_stream(n, edges, seed=14)
         a = SubgraphSketch(n, order=3, samplers=16, source=source.derive(10))
         b = SubgraphSketch(n, order=3, samplers=16, source=source.derive(10))
-        a.consume(st.shuffled(seed=15))
-        b.consume(st.sorted_by_edge())
+        a.consume_batch(st.shuffled(seed=15).as_batch())
+        b.consume_batch(st.sorted_by_edge().as_batch())
         assert (a.bank.bank.phi == b.bank.bank.phi).all()
         assert (a.bank.bank.fp1 == b.bank.bank.fp1).all()
 
@@ -172,5 +172,5 @@ class TestEndToEndPipelines:
         stream.insert(4, 5)
         stream.delete(4, 5)
         sketch = MinCutSketch(8, epsilon=0.5, source=HashSource(42))
-        sketch.consume(stream)
+        sketch.consume_batch(stream.as_batch())
         assert sketch.estimate().value == 0  # nodes 4..7 are isolated

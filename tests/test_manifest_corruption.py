@@ -1,22 +1,29 @@
-"""Fuzz/corruption tests for ``load_sketch`` and the epoch manifest.
+"""Fuzz/corruption tests for ``load_sketch``, the epoch manifest and
+the window reader.
 
 The storage contract: corrupted, truncated, tampered, or mismatched
 bytes must raise ``SketchCompatibilityError``/``ValueError`` — a load
 either returns a verified-compatible sketch or refuses; it never
-returns a silently wrong one.
+returns a silently wrong one.  ``materialise_window`` keeps that
+contract for timeline windows and types it for store windows: verified
+store segments that fail to load or combine raise
+``StoreCorruptionError``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import zlib
 
 import numpy as np
 import pytest
 from blob_utils import pack_v1_sketch, repack_v2
+from test_epoch_store import _rewrite_catalog
 
 from repro.core import SpanningForestSketch
 from repro.distributed import forest_sketch
-from repro.errors import SketchCompatibilityError
+from repro.errors import SketchCompatibilityError, StoreCorruptionError
 from repro.hashing import HashSource
 from repro.sketch import (
     dump_epoch_manifest,
@@ -25,7 +32,12 @@ from repro.sketch import (
     load_sketch,
 )
 from repro.streams import churn_stream, erdos_renyi_graph
-from repro.temporal import EpochManager, EpochTimeline
+from repro.temporal import (
+    EpochManager,
+    EpochStore,
+    EpochTimeline,
+    materialise_window,
+)
 
 N = 10
 
@@ -37,7 +49,7 @@ def stream():
 
 @pytest.fixture(scope="module")
 def blob(stream) -> bytes:
-    return dump_sketch(SpanningForestSketch(N, HashSource(31)).consume(stream))
+    return dump_sketch(SpanningForestSketch(N, HashSource(31)).consume_batch(stream.as_batch()))
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +62,11 @@ def timeline(stream) -> EpochTimeline:
 def _repack(blob: bytes, mutate) -> bytes:
     """Unpack a v2 blob, apply ``mutate(header, payload)``, reseal."""
     return repack_v2(blob, mutate)
+
+
+def _skew_cells(header, _payload) -> None:
+    """Grow every field's cell count past what the parameters give."""
+    header["cells"] = [cells + 1 for cells in header["cells"]]
 
 
 class TestLoadSketchFuzz:
@@ -95,7 +112,7 @@ class TestLoadSketchFuzz:
             load_sketch(bytes(corrupted))
 
     def test_mismatched_seed_against_reference_rejected(self, blob, stream):
-        other = SpanningForestSketch(N, HashSource(32)).consume(stream)
+        other = SpanningForestSketch(N, HashSource(32)).consume_batch(stream.as_batch())
         with pytest.raises(SketchCompatibilityError, match="seed"):
             load_sketch(blob, like=other)
 
@@ -155,8 +172,8 @@ class TestManifestCorruption:
 
     def test_mismatched_seed_inside_manifest_rejected(self, stream):
         """A checkpoint sealed under a different seed cannot hide."""
-        a = dump_sketch(SpanningForestSketch(N, HashSource(41)).consume(stream))
-        b = dump_sketch(SpanningForestSketch(N, HashSource(42)).consume(stream))
+        a = dump_sketch(SpanningForestSketch(N, HashSource(41)).consume_batch(stream.as_batch()))
+        b = dump_sketch(SpanningForestSketch(N, HashSource(42)).consume_batch(stream.as_batch()))
         with pytest.raises(SketchCompatibilityError, match="seed"):
             dump_epoch_manifest([a, b])
         # ... and a manifest whose header lies about the seed refuses on load.
@@ -172,10 +189,10 @@ class TestManifestCorruption:
         from repro.core import CutEdgesSketch
 
         forest = dump_sketch(
-            SpanningForestSketch(N, HashSource(41)).consume(stream)
+            SpanningForestSketch(N, HashSource(41)).consume_batch(stream.as_batch())
         )
         cut = dump_sketch(
-            CutEdgesSketch(N, k=4, source=HashSource(41)).consume(stream)
+            CutEdgesSketch(N, k=4, source=HashSource(41)).consume_batch(stream.as_batch())
         )
         with pytest.raises(SketchCompatibilityError, match="kind"):
             dump_epoch_manifest([forest, cut])
@@ -217,3 +234,59 @@ class TestManifestCorruption:
             EpochManager.consume(factory, stream, boundaries=[3])
         with pytest.raises(ValueError, match="at least one epoch"):
             EpochManager.consume(factory, stream, epochs=0)
+
+
+class TestWindowReaderErrors:
+    """One window reader, one bounds check, typed store corruption."""
+
+    @pytest.mark.parametrize("t1,t2", [(-1, 2), (2, 2), (3, 1), (0, 4)])
+    def test_invalid_window_is_the_same_value_error_for_both_sources(
+        self, timeline, tmp_path, t1, t2
+    ):
+        store = EpochStore.from_timeline(tmp_path / "store", timeline)
+        message = (
+            f"window [{t1}, {t2}) is not a valid epoch range within [0, 3]"
+        )
+        for source in (timeline, store):
+            with pytest.raises(ValueError) as excinfo:
+                materialise_window(source, t1, t2)
+            assert str(excinfo.value) == message
+            assert not isinstance(excinfo.value, StoreCorruptionError)
+
+    def test_store_merge_failure_is_store_corruption(self, timeline, tmp_path):
+        """The span merged onto the first one fails to combine after its
+        segment and catalog CRCs were resealed."""
+        root = tmp_path / "store"
+        store = EpochStore.from_timeline(root, timeline)
+        plan = store.plan_window(0, 3)
+        assert len(plan) > 1
+        entry = plan[-1]
+        path = root / "segments" / entry.file
+        data = _repack(path.read_bytes(), _skew_cells)
+        path.write_bytes(data)
+
+        def reseal(doc):
+            for span in doc["spans"]:
+                if span["file"] == entry.file:
+                    span["bytes"] = len(data)
+                    span["crc32"] = zlib.crc32(data) & 0xFFFFFFFF
+        _rewrite_catalog(root, reseal)
+        with pytest.raises(StoreCorruptionError, match="cell layout"):
+            materialise_window(EpochStore.open(root), 0, 3)
+
+    @pytest.mark.parametrize(
+        "t1,t2", [(1, 2), (2, 3)], ids=["load", "subtract"]
+    )
+    def test_timeline_window_keeps_the_codec_value_error(
+        self, timeline, t1, t2
+    ):
+        """Checkpoint 2 is loaded for ``[1, 2)`` and subtracted for
+        ``[2, 3)``; either way a timeline reports the codec's error."""
+        checkpoints = list(timeline.checkpoints)
+        checkpoints[1] = dataclasses.replace(
+            checkpoints[1], payload=_repack(checkpoints[1].payload, _skew_cells)
+        )
+        tampered = EpochTimeline(timeline.n, checkpoints)
+        with pytest.raises(ValueError, match="cell layout") as excinfo:
+            materialise_window(tampered, t1, t2)
+        assert not isinstance(excinfo.value, StoreCorruptionError)

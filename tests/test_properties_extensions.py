@@ -57,7 +57,7 @@ class TestBipartitenessProperty:
     def test_matches_two_coloring(self, edges, seed):
         n = 10
         st_ = DynamicGraphStream(n, (EdgeUpdate(u, v) for u, v in edges))
-        sk = BipartitenessSketch(n, HashSource(40 + seed)).consume(st_)
+        sk = BipartitenessSketch(n, HashSource(40 + seed)).consume_batch(st_.as_batch())
         assert sk.is_bipartite() == _is_bipartite_exact(n, edges)
 
 
@@ -82,7 +82,9 @@ class TestMSTProperty:
         stream = DynamicGraphStream(n)
         for (u, v), w in weights.items():
             stream.insert(u, v, copies=w)
-        sk = MSTWeightSketch(n, max_weight=7, source=HashSource(41)).consume(stream)
+        sk = MSTWeightSketch(n, max_weight=7, source=HashSource(41)).consume_batch(
+            stream.as_batch()
+        )
         uf = UnionFind(n)
         truth = 0.0
         for (u, v), w in sorted(weights.items(), key=lambda kv: kv[1]):
@@ -100,7 +102,7 @@ class TestCutQueryProperty:
         if not side or len(side) == n:
             return
         stream = DynamicGraphStream(n, (EdgeUpdate(u, v) for u, v in edges))
-        sk = CutEdgesSketch(n, k=30, source=HashSource(42)).consume(stream)
+        sk = CutEdgesSketch(n, k=30, source=HashSource(42)).consume_batch(stream.as_batch())
         exact = {
             (u, v): 1 for u, v in edges if (u in side) != (v in side)
         }

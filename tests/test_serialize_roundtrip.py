@@ -128,7 +128,7 @@ class TestRoundTrip:
     ):
         build, query, weighted = CASES[kind]
         st = weighted_stream if weighted else stream
-        original = build(2000).consume(st)
+        original = build(2000).consume_batch(st.as_batch())
         blob = dump_sketch(original)
         restored = load_sketch(blob)
         assert type(restored) is type(original)
@@ -143,14 +143,14 @@ class TestRoundTrip:
         half = len(st) // 2
         first = type(st)(st.n, list(st)[:half])
         second = type(st)(st.n, list(st)[half:])
-        whole = build(2001).consume(st)
-        resumed = load_sketch(dump_sketch(build(2001).consume(first)))
-        resumed.merge(build(2001).consume(second))
+        whole = build(2001).consume_batch(st.as_batch())
+        resumed = load_sketch(dump_sketch(build(2001).consume_batch(first.as_batch())))
+        resumed.merge(build(2001).consume_batch(second.as_batch()))
         assert dump_sketch(resumed) == dump_sketch(whole)
 
     def test_meta_peek(self, stream):
         blob = dump_sketch(
-            SpanningForestSketch(N, HashSource(2002)).consume(stream)
+            SpanningForestSketch(N, HashSource(2002)).consume_batch(stream.as_batch())
         )
         meta = peek_sketch_meta(blob)
         assert meta["__kind__"] == "sketch:spanning_forest"
@@ -216,8 +216,8 @@ class TestRefusals:
         assert isinstance(blob, bytes)  # the well-formed pack still works
 
     def test_mismatched_seed_refused_against_reference(self, stream):
-        ours = SpanningForestSketch(N, HashSource(41)).consume(stream)
-        theirs = SpanningForestSketch(N, HashSource(42)).consume(stream)
+        ours = SpanningForestSketch(N, HashSource(41)).consume_batch(stream.as_batch())
+        theirs = SpanningForestSketch(N, HashSource(42)).consume_batch(stream.as_batch())
         blob = dump_sketch(theirs)
         with pytest.raises(SketchCompatibilityError, match="seed"):
             load_sketch(blob, like=ours)

@@ -211,7 +211,7 @@ class TestStreamBatch:
         st.delete(1, 2)
         grown = st.as_batch()
         assert len(grown) == 4, "append must invalidate the cached batch"
-        resumed = SpanningForestSketch(6, HashSource(9)).consume(st)
+        resumed = SpanningForestSketch(6, HashSource(9)).consume_batch(st.as_batch())
         direct = SpanningForestSketch(6, HashSource(9))
         direct.consume_batch(
             DynamicGraphStream(6, list(st)).as_batch()

@@ -30,6 +30,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import (
+    ConnectivityQuery,
+    CutQuery,
+    GraphSketchEngine,
+    KEdgeConnectivityQuery,
+    MinCutQuery,
+    PropertiesQuery,
+    SparsifierQuery,
+    SubgraphCountQuery,
+    kind_of_sketch,
+)
 from repro.core import (
     BipartitenessSketch,
     CutEdgesSketch,
@@ -43,11 +54,16 @@ from repro.core import (
     WeightedSparsification,
 )
 from repro.distributed import PARTITION_STRATEGIES, ShardedSketchRunner
-from repro.errors import SketchCompatibilityError
+from repro.errors import NotSupportedError, SketchCompatibilityError
 from repro.hashing import HashSource
 from repro.sketch import dump_sketch
 from repro.streams import DynamicGraphStream
-from repro.temporal import EpochManager, EpochTimeline, TemporalQueryEngine
+from repro.temporal import (
+    EpochManager,
+    EpochTimeline,
+    materialise_window,
+    window_tokens,
+)
 
 from strategies import streams_with_epochs
 
@@ -186,7 +202,6 @@ def _check_window_equivalence(maker, name, data, shard):
     batch = stream.as_batch()
 
     timeline = EpochManager.consume(factory, stream, boundaries=boundaries)
-    engine = TemporalQueryEngine(timeline)
     sharded = ShardedSketchRunner(
         factory, sites=sites, strategy=strategy, seed=3
     ).run_epochs(stream, boundaries=boundaries)
@@ -198,7 +213,7 @@ def _check_window_equivalence(maker, name, data, shard):
         start = boundaries[t1 - 1] if t1 else 0
         direct = factory()
         direct.consume_batch(batch.slice(start, boundaries[t2 - 1]))
-        assert dump_sketch(engine.window_sketch(t1, t2)) == dump_sketch(
+        assert dump_sketch(materialise_window(timeline, t1, t2)) == dump_sketch(
             direct
         ), f"{name}: subtraction window [{t1},{t2}) differs from direct"
 
@@ -235,10 +250,9 @@ class TestWindowEquivalence:
         timeline = EpochManager.consume(factory, stream, boundaries=boundaries)
         restored = EpochTimeline.from_bytes(timeline.to_bytes())
         assert restored.boundaries == timeline.boundaries
-        engine = TemporalQueryEngine(restored)
         for t1, t2 in _window_pairs(timeline.epochs):
-            assert dump_sketch(engine.window_sketch(t1, t2)) == dump_sketch(
-                TemporalQueryEngine(timeline).window_sketch(t1, t2)
+            assert dump_sketch(materialise_window(restored, t1, t2)) == dump_sketch(
+                materialise_window(timeline, t1, t2)
             )
 
 
@@ -253,13 +267,13 @@ class TestSubtractAlgebra:
              (3, 5, 2), (0, 1, -1), (4, 6, 1)]
         )
         half = DynamicGraphStream(N, list(stream)[: len(stream) // 2])
-        whole = maker(61).consume(stream)
+        whole = maker(61).consume_batch(stream.as_batch())
         reference = dump_sketch(whole)
-        whole.subtract(maker(61).consume(half))
-        whole.merge(maker(61).consume(half))
+        whole.subtract(maker(61).consume_batch(half.as_batch()))
+        whole.merge(maker(61).consume_batch(half.as_batch()))
         assert dump_sketch(whole) == reference
-        zero = maker(61).consume(stream)
-        zero.subtract(maker(61).consume(stream))
+        zero = maker(61).consume_batch(stream.as_batch())
+        zero.subtract(maker(61).consume_batch(stream.as_batch()))
         assert dump_sketch(zero) == dump_sketch(maker(61))
 
     @pytest.mark.parametrize(
@@ -270,7 +284,7 @@ class TestSubtractAlgebra:
         stream.insert(0, 1)
         stream.insert(1, 2, 2)
         stream.delete(1, 2)
-        sketch = maker(62).consume(stream)
+        sketch = maker(62).consume_batch(stream.as_batch())
         reference = dump_sketch(sketch)
         sketch.negate()
         assert dump_sketch(sketch) != reference  # non-zero sketch flips
@@ -290,53 +304,72 @@ class TestSubtractAlgebra:
             a.subtract(b)
 
 
+#: One windowed query per kind, on that kind's own capability.
+WINDOW_QUERIES = {
+    "spanning_forest": ConnectivityQuery(window=(0, 1)),
+    "edge_connectivity": KEdgeConnectivityQuery(window=(0, 1)),
+    "mincut": MinCutQuery(window=(0, 1)),
+    "simple_sparsification": SparsifierQuery(window=(0, 1)),
+    "sparsification": SparsifierQuery(window=(0, 1)),
+    "weighted_sparsification": SparsifierQuery(window=(0, 1)),
+    "subgraph_count": SubgraphCountQuery(pattern="triangle", window=(0, 1)),
+    "cut_edges": CutQuery(side=frozenset({0}), window=(0, 1)),
+    "bipartiteness": PropertiesQuery(window=(0, 1)),
+    "mst_weight": PropertiesQuery(window=(0, 1)),
+}
+
+
 class TestQuerySurfaceRouting:
-    """Every sketch kind routes through window_answer / the engine."""
+    """Every sketch kind routes a windowed query through the engine."""
 
     @pytest.mark.parametrize(
         "name,maker", SKETCH_CASES, ids=[c[0] for c in SKETCH_CASES]
     )
-    def test_window_answer_has_kind_specific_metric(self, name, maker):
-        from repro.temporal import window_answer
-
+    def test_windowed_query_has_kind_specific_metric(self, name, maker):
         stream = _stream_from(
             [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (4, 5, 1),
              (1, 2, -1), (1, 2, 1)]
         )
-        answer = window_answer(maker(63).consume(stream))
-        assert answer["sketch"] == type(maker(63)).__name__
-        # Beyond the class name: a real metric or an honest FAIL.
-        assert len(answer) >= 2
+        timeline = EpochManager.consume(
+            functools.partial(maker, 63), stream, epochs=1
+        )
+        engine = GraphSketchEngine.restore(timeline.to_bytes())
+        answer = engine.query(WINDOW_QUERIES[name])
+        assert (answer.kind, answer.window) == (name, (0, 1))
+        # Beyond the kind: a kind-specific metric in the result body.
+        assert answer.to_dict()["body"]
 
-    def test_unregistered_sketch_gets_note(self):
-        from repro.temporal import window_answer
-
-        assert "note" in window_answer(object())
+    def test_unregistered_sketch_is_refused(self):
+        with pytest.raises(NotSupportedError, match="capability-registry"):
+            kind_of_sketch(object())
 
     def test_engine_surface(self):
         factory = functools.partial(_forest, 88)
         stream = _stream_from([(0, 1, 1), (1, 2, 1), (3, 4, 1)])
-        engine = TemporalQueryEngine(
-            EpochManager.consume(factory, stream, epochs=2)
+        timeline = EpochManager.consume(factory, stream, epochs=2)
+        engine = GraphSketchEngine.restore(timeline.to_bytes())
+        assert timeline.epochs == 2
+        assert window_tokens(timeline, 0, 2) == 3
+        assert dump_sketch(materialise_window(timeline, 0, 2)) == dump_sketch(
+            factory().consume_batch(stream.as_batch())
         )
-        assert engine.epochs == 2
-        assert engine.window_tokens(0, 2) == 3
-        assert dump_sketch(engine.prefix_sketch(2)) == dump_sketch(
-            engine.window_sketch(0, 2)
-        )
-        assert engine.was_connected(0, 2, through_epoch=2)
-        assert not engine.was_connected(0, 3, through_epoch=2)
+        assert engine.query(
+            ConnectivityQuery(u=0, v=2, window=(0, 2))
+        ).same_component
+        assert not engine.query(
+            ConnectivityQuery(u=0, v=3, window=(0, 2))
+        ).same_component
         with pytest.raises(ValueError, match="valid epoch range"):
-            engine.window_tokens(2, 2)
+            window_tokens(timeline, 2, 2)
 
     def test_was_connected_requires_connectivity_surface(self):
         factory = functools.partial(_cut_edges, 89)
         stream = _stream_from([(0, 1, 1)])
-        engine = TemporalQueryEngine(
-            EpochManager.consume(factory, stream, epochs=1)
+        engine = GraphSketchEngine.restore(
+            EpochManager.consume(factory, stream, epochs=1).to_bytes()
         )
-        with pytest.raises(TypeError, match="connectivity"):
-            engine.was_connected(0, 1, through_epoch=1)
+        with pytest.raises(NotSupportedError, match="connectivity"):
+            engine.query(ConnectivityQuery(u=0, v=1, window=(0, 1)))
 
     def test_manager_streaming_api(self):
         """extend/seal_epoch incrementally, matching the one-shot path."""
