@@ -14,6 +14,13 @@ measure two things per consumer:
   fixed per-call overhead, not scatter throughput, which is what the
   ``tokens_per_s`` gates pin.
 
+A third row times the **served shape**: the 64-edge batches that the
+end-to-end benchmark's ``serve_small_batches`` workload feeds one
+``n = 128`` spanning-forest tenant.  There the fixed per-call cost of
+the ``forest_scatter`` kernel, not scatter throughput, sets the pace, so
+the row reports the median seconds per ``consume_batch`` call and gates
+the rate it implies.
+
 Equivalence of the two paths is byte-for-byte (pinned by
 ``tests/test_batch_equivalence.py``), and every row records the active
 kernel backend so regressions can be attributed.
@@ -27,11 +34,11 @@ import numpy as np
 import pytest
 from conftest import print_table, write_bench_json
 
-from repro.core import EdgeConnectivitySketch, SimpleSparsification
+from repro.core import EdgeConnectivitySketch, SimpleSparsification, SpanningForestSketch
 from repro.eval import Table, make_workload
 from repro.hashing import HashSource
 from repro.kernels import backend_name
-from repro.streams import StreamBatch
+from repro.streams import StreamBatch, churn_stream
 
 GATE = 2.0
 #: Minimum tokens in the throughput-measurement stream.  The quick
@@ -46,7 +53,16 @@ THROUGHPUT_GATES = {
     "edge_connect": 100_000.0,
     "simple_sparsify": 4_528.0,
 }
+#: Served shape: node count and edges per ``consume_batch`` call.
+SERVED_N = 128
+SERVED_BATCH = 64
+#: Absolute served-shape floor in tokens/s: about half the median of
+#: five ``--quick`` runs on a 2-vCPU x86 VM (numpy reference backend),
+#: which measured 0.59-0.85 ms per 64-edge call, median 0.74 ms, or
+#: 86k tokens/s.
+SERVED_TOKENS_FLOOR = 43_000.0
 _ROWS: list = []
+_SERVED_ROWS: list = []
 
 
 def _time_once(fn) -> float:
@@ -136,7 +152,14 @@ def ingest_table(quick):
         "enforced": True,
         "pass": bool(row["floored_tokens"] >= TOKENS_FLOOR),
     } for row in _ROWS]
-    write_bench_json("ingest", rows=_ROWS, gates=gates, quick=quick)
+    gates += [{
+        "name": f"ingest_tokens_per_s_{row['consumer']}",
+        "value": round(row["tokens_per_s"], 1),
+        "threshold": SERVED_TOKENS_FLOOR,
+        "enforced": True,
+        "pass": bool(row["tokens_per_s"] >= SERVED_TOKENS_FLOOR),
+    } for row in _SERVED_ROWS]
+    write_bench_json("ingest", rows=_ROWS + _SERVED_ROWS, gates=gates, quick=quick)
 
 
 def _record(consumer: str, tokens: int, token_s: float, batched_s: float,
@@ -198,4 +221,59 @@ def test_bench_ingest_simple_sparsify(benchmark, seed, quick, ingest_table):
             n, epsilon=0.5, source=HashSource(seed + 2), c_k=0.3
         ).consume_batch(floored),
         rounds=1 if quick else 3, iterations=1,
+    )
+
+
+def _served_batches(seed: int) -> list[StreamBatch]:
+    """``SERVED_BATCH``-token slices of a churn stream over ``SERVED_N`` nodes.
+
+    Inserts, deletions and re-insertions of random pairs, so batches
+    carry repeated edges and cancelling updates as served traffic does.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = {
+        (int(min(u, v)), int(max(u, v)))
+        for u, v in rng.integers(0, SERVED_N, size=(1500, 2))
+        if u != v
+    }
+    batch = churn_stream(SERVED_N, sorted(pairs), seed=seed).as_batch()
+    return [
+        batch.slice(start, start + SERVED_BATCH)
+        for start in range(0, len(batch) - SERVED_BATCH + 1, SERVED_BATCH)
+    ]
+
+
+def test_bench_ingest_forest_served(benchmark, seed, quick, ingest_table):
+    batches = _served_batches(seed)
+    sketch = SpanningForestSketch(SERVED_N, HashSource(seed + 3))
+    # Untimed warm-up calls fill the fingerprint-power memo.
+    for batch in batches[:20]:
+        sketch.consume_batch(batch)
+    calls = 300 if quick else 2000
+    seconds = np.empty(calls)
+    for i in range(calls):
+        batch = batches[i % len(batches)]
+        t0 = time.perf_counter()
+        sketch.consume_batch(batch)
+        seconds[i] = time.perf_counter() - t0
+    call_s = float(np.median(seconds))
+    tokens_per_s = SERVED_BATCH / call_s
+    ingest_table.add_note(
+        f"served shape: SpanningForestSketch(n={SERVED_N}), {SERVED_BATCH}-edge "
+        f"calls, median {call_s * 1e3:.3f} ms per call over {calls} "
+        f"({tokens_per_s:,.0f} tokens/s)"
+    )
+    _SERVED_ROWS.append({
+        "consumer": "forest_served", "n": SERVED_N,
+        "batch_tokens": SERVED_BATCH, "calls": calls, "call_s": call_s,
+        "call_s_iqr": float(np.subtract(*np.percentile(seconds, [75, 25]))),
+        "tokens_per_s": tokens_per_s, "backend": backend_name(),
+    })
+    assert tokens_per_s >= SERVED_TOKENS_FLOOR, (
+        f"served-shape forest ingest only {tokens_per_s:,.0f} tokens/s "
+        f"({call_s * 1e3:.2f} ms per {SERVED_BATCH}-edge call)"
+    )
+    benchmark.pedantic(
+        lambda: sketch.consume_batch(batches[0]),
+        rounds=1 if quick else 20, iterations=1,
     )

@@ -91,20 +91,14 @@ class EdgeConnectivitySketch(ArenaBacked):
     ) -> None:
         """Vectorised bulk update of canonical edges.
 
-        The pair ranks and their unique/inverse dedup are computed once
-        and shared by every group's fused scatter — the groups differ
-        only in hash seeds, not in the payload.
+        The pair ranks are computed once and shared by every group's
+        fused scatter — the groups differ only in hash seeds, not in
+        the payload.
         """
         if items is None and len(self.groups) > 1:
             items = pair_rank_array(lo, hi, self.n)
-        pre = None
-        if items is not None and len(self.groups) > 1:
-            items = np.asarray(items, dtype=np.int64)
-            if items.size <= SpanningForestSketch._CHUNK:
-                uniq, inv = np.unique(items, return_inverse=True)
-                pre = (uniq, inv.reshape(items.shape))
         for group in self.groups:
-            group.update_edges(lo, hi, deltas, items=items, _pre=pre)
+            group.update_edges(lo, hi, deltas, items=items)
 
     def consume_batch(self, batch: StreamBatch) -> "EdgeConnectivitySketch":
         """Ingest one columnar batch into every group (no re-conversion)."""

@@ -107,7 +107,6 @@ class SpanningForestSketch(ArenaBacked):
         hi: np.ndarray,
         deltas: np.ndarray,
         items: np.ndarray | None = None,
-        _pre: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         """Vectorised bulk update of canonical edges ``(lo < hi)``.
 
@@ -116,11 +115,7 @@ class SpanningForestSketch(ArenaBacked):
         chunked so peak memory stays bounded for any batch size.
         ``items`` may carry the precomputed pair ranks (a
         :class:`StreamBatch` has them); when omitted they are derived
-        from the endpoints.  ``_pre`` optionally carries the items'
-        ``(unique, inverse)`` dedup so sibling sketches fed the same
-        payload (the ``k`` groups of a ``k-EDGECONNECT``) share the
-        sort; it must match ``items`` exactly and is ignored when the
-        batch needs chunking.
+        from the endpoints.
         """
         lo = np.asarray(lo, dtype=np.int64)
         hi = np.asarray(hi, dtype=np.int64)
@@ -131,15 +126,12 @@ class SpanningForestSketch(ArenaBacked):
             items = pair_rank_array(lo, hi, self.n)
         else:
             items = np.asarray(items, dtype=np.int64)
-        if lo.size > self._CHUNK:
-            for start in range(0, lo.size, self._CHUNK):
-                end = start + self._CHUNK
-                _K_FOREST_SCATTER(
-                    self.bank, lo[start:end], hi[start:end],
-                    deltas[start:end], items[start:end],
-                )
-            return
-        _K_FOREST_SCATTER(self.bank, lo, hi, deltas, items, pre=_pre)
+        for start in range(0, lo.size, self._CHUNK):
+            end = start + self._CHUNK
+            _K_FOREST_SCATTER(
+                self.bank, lo[start:end], hi[start:end],
+                deltas[start:end], items[start:end],
+            )
 
     def consume_batch(self, batch: StreamBatch) -> "SpanningForestSketch":
         """Ingest a columnar batch (shared across sketches/levels)."""

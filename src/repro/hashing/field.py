@@ -11,13 +11,19 @@ independent fingerprints (different generators), squaring the error.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = [
     "MERSENNE31",
     "mod_mersenne31",
     "mulmod",
+    "mulmod_canonical",
     "powmod",
+    "powmod_array",
+    "powmod_windowed",
+    "power_table",
     "horner_mod",
 ]
 
@@ -79,6 +85,94 @@ def powmod_array(base: int, exps: np.ndarray) -> np.ndarray:
     return result
 
 
+def mulmod_canonical(a: np.ndarray | int, b: np.ndarray | int) -> np.ndarray | int:
+    """Product of canonical residues (``0 <= a, b < p``), canonical result.
+
+    Two Mersenne folds and no ``p -> 0`` fix-up: the product is below
+    ``2^62``, so two folds leave a value in ``[0, p]`` congruent to it,
+    and that value is ``p`` only if the product is a non-zero multiple
+    of ``p`` — impossible in a field when both factors lie in
+    ``[1, p)``.  Elementwise on arrays.
+    """
+    x = a * b
+    x = (x & MERSENNE31) + (x >> 31)
+    return (x & MERSENNE31) + (x >> 31)
+
+
+#: Exponent bits per fingerprint-power window: each table holds
+#: ``2^8`` int64 powers (2 KiB, cache-resident), and any non-negative
+#: int64 exponent needs at most 8 windows.
+_WINDOW_BITS = 8
+_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
+#: Memo capacity in tables: at 2 KiB each the memo holds at most
+#: 4 MiB.  A forest sketch over ``n = 128`` nodes uses four tables (two
+#: generators, two windows each), so this covers 512 such banks.
+_TABLE_MEMO_MAX = 2048
+_TABLES: dict[tuple[int, int], np.ndarray] = {}
+_TABLES_LOCK = threading.Lock()
+
+
+def power_table(base: int, window: int) -> np.ndarray:
+    """Read-only ``T[j] = base^(j * 2^(8 * window)) mod p`` for ``j < 256``.
+
+    Memoised per ``(base mod p, window)``.  Every bank seeded alike has
+    the same generators, so sketches restored from checkpoint bytes
+    reuse the tables of their predecessors instead of rebuilding them.
+    The memo holds at most ``_TABLE_MEMO_MAX`` tables of 2 KiB — 4 MiB
+    — and evicts the oldest entry when full.  Lookups are single dict
+    reads and insertions happen under a lock, so concurrent callers
+    (the serve drainer threads) are safe; two threads that miss on the
+    same key build equal tables and keep the first.  Tables are a pure
+    function of their key, not sketch state: nothing serialises them.
+
+    A table is built in eight vectorised doubling steps — ``T[s:2s] =
+    T[:s] * g^s`` for ``s = 1, 2, 4, ...`` with ``g`` the window's
+    generator — and marked read-only, since every caller shares it.
+    """
+    base = int(base) % MERSENNE31
+    key = (base, window)
+    table = _TABLES.get(key)
+    if table is not None:
+        return table
+    step = pow(base, 1 << (_WINDOW_BITS * window), MERSENNE31)
+    table = np.empty(1 << _WINDOW_BITS, dtype=np.int64)
+    table[0] = 1
+    size = 1
+    for _ in range(_WINDOW_BITS):
+        table[size:2 * size] = mulmod_canonical(table[:size], step)
+        step = step * step % MERSENNE31
+        size *= 2
+    table.flags.writeable = False
+    with _TABLES_LOCK:
+        if len(_TABLES) >= _TABLE_MEMO_MAX:
+            del _TABLES[next(iter(_TABLES))]
+        return _TABLES.setdefault(key, table)
+
+
+def powmod_windowed(base: int, exps: np.ndarray) -> np.ndarray:
+    """Vectorised ``base ** exps mod (2^31 - 1)`` by windowed table lookup.
+
+    Byte-identical to :func:`powmod_array` for every non-negative int64
+    exponent.  Writing ``e = Σ_k d_k 2^(8k)`` with 8-bit digits ``d_k``
+    gives ``base^e = Π_k T_k[d_k]`` (see :func:`power_table`): one
+    gather per window and one :func:`mulmod_canonical` per window after
+    the first.  The window count comes from the largest exponent of the
+    call, so small exponents pay for one or two windows only.  Table
+    entries are canonical residues, so every product is canonical too.
+    """
+    exps = np.asarray(exps, dtype=np.int64)
+    if exps.size == 0:
+        return np.ones(exps.shape, dtype=np.int64)
+    if int(exps.min()) < 0:
+        raise ValueError("powmod_windowed needs non-negative exponents")
+    windows = max(1, -(-int(exps.max()).bit_length() // _WINDOW_BITS))
+    result = power_table(base, 0)[exps & _WINDOW_MASK]
+    for window in range(1, windows):
+        digits = (exps >> (_WINDOW_BITS * window)) & _WINDOW_MASK
+        result = mulmod_canonical(result, power_table(base, window)[digits])
+    return result
+
+
 def horner_mod(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate a polynomial at many points over ``GF(2^31 - 1)``.
 
@@ -92,5 +186,3 @@ def horner_mod(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         acc = mod_mersenne31(mulmod(acc, x) + (int(c) % MERSENNE31))
     return acc
 
-
-__all__.append("powmod_array")

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..util import trailing_zeros_array
+
 __all__ = ["splitmix64", "HashSource"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -125,16 +127,7 @@ class HashSource:
             h = int(h) | (1 << 63)  # guarantee a set bit
             return min((h & -h).bit_length() - 1, max_level)
         h = np.asarray(h, dtype=np.uint64) | np.uint64(1 << 63)
-        low = (h & (~h + np.uint64(1))).astype(np.uint64)
-        # log2 of an exact power of two: float conversion is exact below 2^53,
-        # and for larger powers the exponent arithmetic is still exact.
-        lev = np.zeros(low.shape, dtype=np.int64)
-        tmp = low.copy()
-        for shift in (32, 16, 8, 4, 2, 1):
-            big = tmp >= (np.uint64(1) << np.uint64(shift))
-            lev[big] += shift
-            tmp[big] >>= np.uint64(shift)
-        return np.minimum(lev, max_level)
+        return np.minimum(trailing_zeros_array(h), max_level)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HashSource(seed=0x{self.seed:016x})"

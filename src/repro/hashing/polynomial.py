@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..util import trailing_zeros_array
 from .field import MERSENNE31, horner_mod
 from .mix import HashSource
 
@@ -92,14 +93,7 @@ class KWiseHash:
         h = self.hash64(x)
         scalar = isinstance(h, (int, np.integer))
         arr = np.atleast_1d(np.asarray(h, dtype=np.int64)) | (1 << 30)
-        low = arr & -arr
-        lev = np.zeros(low.shape, dtype=np.int64)
-        tmp = low.copy()
-        for shift in (16, 8, 4, 2, 1):
-            big = tmp >= (1 << shift)
-            lev[big] += shift
-            tmp[big] >>= shift
-        lev = np.minimum(lev, max_level)
+        lev = np.minimum(trailing_zeros_array(arr), max_level)
         if scalar:
             return int(lev[0])
         return lev

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..util import trailing_zeros_array
 from .field import MERSENNE31, mulmod
 from .mix import HashSource
 
@@ -150,14 +151,7 @@ class NisanPRG:
         h = self.hash64(x)
         scalar = isinstance(h, (int, np.integer))
         arr = np.atleast_1d(np.asarray(h, dtype=np.uint64)) | np.uint64(1 << 61)
-        low = (arr & (~arr + np.uint64(1))).astype(np.uint64)
-        lev = np.zeros(low.shape, dtype=np.int64)
-        tmp = low.copy()
-        for shift in (32, 16, 8, 4, 2, 1):
-            big = tmp >= (np.uint64(1) << np.uint64(shift))
-            lev[big] += shift
-            tmp[big] >>= np.uint64(shift)
-        lev = np.minimum(lev, max_level)
+        lev = np.minimum(trailing_zeros_array(arr), max_level)
         if scalar:
             return int(lev[0])
         return lev

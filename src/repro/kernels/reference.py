@@ -6,18 +6,20 @@ bit (see ``docs/KERNELS.md``).  They are also heavily optimised in
 their own right — the reference backend is what the benchmark gates in
 ``BENCH_ingest.json`` are measured against:
 
-* fingerprint powers ``z^item`` are computed once per **unique** item
-  and gathered, instead of once per expanded scatter entry (a forest
-  scatter expands every edge ~``4 log n``-fold, so this removes the
-  dominant modular-exponentiation cost of ingest);
+* fingerprint powers ``z^item`` come from the memoised windowed power
+  tables of :func:`~repro.hashing.field.powmod_windowed` — one gather
+  per 8-bit exponent window — computed per scatter entry or decode
+  candidate, with no dedup sort;
 * scatters use ``np.add.at`` — buffered no longer since numpy 2.0's
   indexed-loop fast path, it folds int64 contributions at memory
   speed with no sort;
 * the Mersenne reduction of the fingerprint fields is deferred to one
-  pass per kernel call, over the whole bank for large payloads or the
-  sorted unique touched cells for small ones.  Both are exact:
-  untouched cells already hold canonical residues and the reduction
-  is idempotent;
+  pass per kernel call, over the whole bank (blocked and in place) for
+  large payloads or the touched cells, duplicates included, for small
+  ones.  Both are exact: untouched cells already hold canonical
+  residues, the reduction is idempotent, and every copy of a touched
+  cell is reduced from the same raw sum, so the repeated writes of a
+  fancy assignment all store the same canonical value;
 * the forest scatter's ragged level expansion is replaced, for large
   payloads, by one radix sort of the (edge, family) pairs by deepest
   level — each level's participants become a *prefix* of the sorted
@@ -30,9 +32,11 @@ Exactness arguments used throughout (and relied on by callers):
   reordering of scatter contributions yields identical cell values;
 * ``mod_mersenne31`` is canonical (``p`` maps to ``0``) and idempotent,
   so reducing a cell once at the end of a batch equals reducing it
-  after every contribution;
+  after every contribution — which also lets a contribution be any
+  representative in ``[0, p]`` of its residue, such as ``p - c`` for
+  the negation of ``c``;
 * intermediate fingerprint sums stay below ``2^62`` (each contribution
-  is ``< 2^31`` and a scatter block is capped well below ``2^31``
+  is ``<= p < 2^31`` and a scatter block is capped well below ``2^31``
   entries), the validity range of the two-fold reduction.
 """
 
@@ -41,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..hashing import MERSENNE31
-from ..hashing.field import mod_mersenne31, powmod_array
+from ..hashing.field import mulmod_canonical, powmod_windowed
 
 __all__ = ["KERNELS"]
 
@@ -54,33 +58,74 @@ def _kernel(fn):
     return fn
 
 
-def _unique_inverse(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(..., return_inverse=True)`` pinned to 1-D semantics."""
-    uniq, inv = np.unique(items.ravel(), return_inverse=True)
-    return uniq, inv.reshape(items.shape)
+#: Elements per fold block — 128k int64 = 1 MiB, sized so one block
+#: plus its single temporary stays cache-resident while the fold's
+#: multiple passes run.
+_FOLD_BLOCK = 1 << 17
+
+
+def _fold_mersenne31_inplace(f: np.ndarray) -> None:
+    """Reduce ``f`` (values in ``[0, 2p]``) mod ``p = 2^31 - 1`` in place.
+
+    One Mersenne fold suffices up to ``2p`` — the range of a sum or
+    difference-plus-modulus of two reduced fingerprints — and leaves at
+    most ``p``, which the canonical ``p -> 0`` fix-up clears.  Produces
+    exactly :func:`~repro.hashing.field.mod_mersenne31`'s residues with
+    fewer passes and a single block-sized temporary.
+    """
+    tmp = f >> 31
+    f &= MERSENNE31
+    f += tmp
+    f[f == MERSENNE31] = 0
+
+
+def _reduce_mersenne31_inplace(f: np.ndarray) -> None:
+    """Reduce ``f`` (values in ``[0, 2^62)``) mod ``p`` in place.
+
+    The first fold maps ``x = a 2^31 + b`` (``a, b <= p``) to ``a + b
+    <= 2p``, the input range of :func:`_fold_mersenne31_inplace`'s
+    single fold, which this repeats into the same temporary.
+    """
+    tmp = f >> 31
+    f &= MERSENNE31
+    f += tmp
+    np.right_shift(f, 31, out=tmp)
+    f &= MERSENNE31
+    f += tmp
+    f[f == MERSENNE31] = 0
+
+
+def _reduce_bank_fp(fp1: np.ndarray, fp2: np.ndarray) -> None:
+    """Reduce two whole fingerprint arrays in place, block by block."""
+    for fp in (fp1, fp2):
+        for start in range(0, fp.size, _FOLD_BLOCK):
+            _reduce_mersenne31_inplace(fp[start:start + _FOLD_BLOCK])
 
 
 def _reduce_fp(fp1: np.ndarray, fp2: np.ndarray, cell_arrays: list) -> None:
     """Canonically reduce fingerprint cells after raw accumulation.
 
-    Every cell named in ``cell_arrays`` holds a sum of canonical
-    residues; each contribution is ``< 2^31`` and a scatter call feeds
-    well under ``2^31`` entries, so the sums stay below ``2^62`` — the
-    validity range of the two-fold reduction.  Large payloads reduce
-    the whole bank instead of sorting the touched set: reducing an
-    untouched (canonical) cell is the identity, so both paths yield
-    identical bytes.
+    Every cell named in ``cell_arrays`` holds a sum of residues in
+    ``[0, p]``; a scatter call feeds well under ``2^31`` entries, so
+    the sums stay below ``2^62`` — the validity range of the two-fold
+    reduction.  Large payloads reduce the whole bank instead
+    (:func:`_reduce_bank_fp`): reducing an untouched (canonical) cell
+    is the identity.  Small ones gather the touched cells with their
+    duplicates, reduce the copy and scatter it back: the copies of a
+    cell all hold the same raw sum, so every write stores the same
+    canonical value.  Both paths yield identical bytes.
     """
     total = sum(c.size for c in cell_arrays)
     if total * 8 >= fp1.size:
-        fp1[:] = mod_mersenne31(fp1)
-        fp2[:] = mod_mersenne31(fp2)
+        _reduce_bank_fp(fp1, fp2)
         return
-    touched = np.unique(
+    touched = (
         cell_arrays[0] if len(cell_arrays) == 1 else np.concatenate(cell_arrays)
     )
-    fp1[touched] = mod_mersenne31(fp1[touched])
-    fp2[touched] = mod_mersenne31(fp2[touched])
+    for fp in (fp1, fp2):
+        cells = fp[touched]
+        _reduce_mersenne31_inplace(cells)
+        fp[touched] = cells
 
 
 def _scatter_add(
@@ -108,23 +153,21 @@ def _scatter_add(
 
 
 @_kernel
-def scatter_multi(bank, cells_per_row, items, deltas, pre=None):
+def scatter_multi(bank, cells_per_row, items, deltas):
     """Accumulate ``x[items] += deltas`` into a cell bank via row routings.
 
     ``bank`` is a :class:`~repro.sketch.bank.CellBank`; every array in
     ``cells_per_row`` routes the same ``(items, deltas)`` payload into
-    one hash-table row.  ``pre`` optionally carries a precomputed
-    ``(unique_items, inverse)`` pair so callers scattering one payload
-    into many identically-shaped banks share the dedup sort.
+    one hash-table row, so the fingerprint contributions are computed
+    once per entry and tiled across the rows.
     """
     items = np.asarray(items, dtype=np.int64)
     deltas = np.asarray(deltas, dtype=np.int64)
     if items.size == 0:
         return
-    uniq, inv = _unique_inverse(items) if pre is None else pre
     dmod = np.mod(deltas, MERSENNE31)
-    c1 = mod_mersenne31(dmod * powmod_array(bank.z1, uniq)[inv])
-    c2 = mod_mersenne31(dmod * powmod_array(bank.z2, uniq)[inv])
+    c1 = mulmod_canonical(dmod, powmod_windowed(bank.z1, items))
+    c2 = mulmod_canonical(dmod, powmod_windowed(bank.z2, items))
     weighted = items * deltas
     rows = [np.asarray(c, dtype=np.int64) for c in cells_per_row]
     r = len(rows)
@@ -142,12 +185,15 @@ def scatter_multi(bank, cells_per_row, items, deltas, pre=None):
 #: Expanded-entry budget below which ``forest_scatter`` uses the
 #: ragged per-entry expansion; larger payloads switch to the per-level
 #: prefix loop whose fixed cost (a few numpy calls per level and row)
-#: only amortises on big batches.
-_RAGGED_MAX = 8192
+#: only amortises on big batches.  Measured on a 2-vCPU x86 VM (numpy
+#: 2.4): the ragged path is 5-30% faster up to about 90k entries at
+#: n = 16, 128, 1024 and 4096, and 1.5-2x slower from 110k, where its
+#: full-length temporaries stop fitting in cache.
+_RAGGED_MAX = 1 << 16
 
 
 @_kernel
-def forest_scatter(bank, lo, hi, deltas, items, pre=None):
+def forest_scatter(bank, lo, hi, deltas, items):
     """Fused signed-incidence scatter for a spanning-forest sampler bank.
 
     ``bank`` is the forest's :class:`~repro.sketch.l0.L0SamplerBank`
@@ -158,13 +204,12 @@ def forest_scatter(bank, lo, hi, deltas, items, pre=None):
     participating subsampling levels ``0..top(item, family)`` and
     hashed into one bucket per row — the exact entry multiset of
     ``L0SamplerBank.update`` fed with the per-edge repeat expansion,
-    produced without materialising per-entry hash or power
-    recomputation:
+    produced without per-entry hash or power recomputation:
 
-    * fingerprint powers: once per unique item (both signs derived by
-      one extra modular multiply each);
-    * level hashes: once per (unique item, family) instead of per
-      expanded entry;
+    * fingerprint powers: once per edge, by table lookup; the ``-delta``
+      contribution is ``p - c`` for the ``+delta`` one's ``c``;
+    * level hashes: once per (edge, family) instead of per expanded
+      entry;
     * bucket hashes: once per (edge, family, level) entry, shared by
       the two signed endpoint rows.
 
@@ -185,24 +230,20 @@ def forest_scatter(bank, lo, hi, deltas, items, pre=None):
     lvl1 = bank.levels + 1
     rows = bank.rows
     buckets = bank.buckets
-    uniq, inv = _unique_inverse(items) if pre is None else pre
+    bb = bank.bank
     # Fingerprint contributions per edge, for both endpoint signs.
     dmod = np.mod(deltas, MERSENNE31)
-    ndmod = np.mod(-deltas, MERSENNE31)
-    g1 = powmod_array(bank.bank.z1, uniq)[inv]
-    g2 = powmod_array(bank.bank.z2, uniq)[inv]
-    c1p = mod_mersenne31(dmod * g1)
-    c1n = mod_mersenne31(ndmod * g1)
-    c2p = mod_mersenne31(dmod * g2)
-    c2n = mod_mersenne31(ndmod * g2)
+    c1p = mulmod_canonical(dmod, powmod_windowed(bb.z1, items))
+    c2p = mulmod_canonical(dmod, powmod_windowed(bb.z2, items))
+    c1n = MERSENNE31 - c1p
+    c2n = MERSENNE31 - c2p
     weighted = items * deltas
-    # Deepest participating level per (unique item, family), gathered
-    # back to the edge axis.
+    # Deepest participating level per (edge, family).
     fam = np.arange(fam_count, dtype=np.int64)
     top = np.asarray(
-        bank._level_source.levels(uniq[:, None] * fam_count + fam[None, :], bank.levels),
+        bank._level_source.levels(items[:, None] * fam_count + fam, bank.levels),
         dtype=np.int64,
-    )[inv]
+    )
     lengths = (top + 1).ravel()
     total = int(lengths.sum())
     if total * rows * 2 > _RAGGED_MAX:
@@ -236,7 +277,6 @@ def forest_scatter(bank, lo, hi, deltas, items, pre=None):
     vw = np.concatenate([w_e, -w_e] * rows)
     v1 = np.concatenate([c1p[e_idx], c1n[e_idx]] * rows)
     v2 = np.concatenate([c2p[e_idx], c2n[e_idx]] * rows)
-    bb = bank.bank
     _scatter_add(bb.phi, bb.iota, bb.fp1, bb.fp2, all_cells, vd, vw, v1, v2)
 
 
@@ -307,8 +347,7 @@ def _forest_scatter_levels(
                 touched.append(cl)
                 touched.append(ch)
     if dense:
-        fp1[:] = mod_mersenne31(fp1)
-        fp2[:] = mod_mersenne31(fp2)
+        _reduce_bank_fp(fp1, fp2)
     else:
         _reduce_fp(fp1, fp2, touched)
 
@@ -370,27 +409,32 @@ def _decode_slab(bank, family, member_starts, seg_offsets, status, items_out,
     starts = seg_offsets[:-1]
     phi = np.add.reduceat(bb.phi[idx], starts, axis=0)
     iota = np.add.reduceat(bb.iota[idx], starts, axis=0)
-    fp1 = mod_mersenne31(np.add.reduceat(bb.fp1[idx], starts, axis=0))
-    fp2 = mod_mersenne31(np.add.reduceat(bb.fp2[idx], starts, axis=0))
-    # Vectorised 1-sparse test with fingerprint verification (powers
-    # shared across the few distinct candidate indices).
+    fp1 = np.add.reduceat(bb.fp1[idx], starts, axis=0)
+    fp2 = np.add.reduceat(bb.fp2[idx], starts, axis=0)
+    _reduce_mersenne31_inplace(fp1)
+    _reduce_mersenne31_inplace(fp2)
+    zero = ~((phi != 0) | (iota != 0) | (fp1 != 0) | (fp2 != 0)).any(axis=1)
+    status[zero] = 1
+    # Vectorised 1-sparse test; the fingerprint check then runs on the
+    # candidate cells only, taken in row-major order like a mask.
     ok = phi != 0
     safe = np.where(ok, phi, 1)
     ok &= np.mod(iota, safe) == 0
     index = np.where(ok, iota // safe, 0)
     ok &= (index >= 0) & (index < bank.domain)
-    idxc = np.clip(index, 0, bank.domain - 1)
-    uniq, inv = _unique_inverse(idxc)
-    phimod = np.mod(phi, MERSENNE31)
-    ok &= fp1 == mod_mersenne31(phimod * powmod_array(bb.z1, uniq)[inv])
-    ok &= fp2 == mod_mersenne31(phimod * powmod_array(bb.z2, uniq)[inv])
-    zero = ~((phi != 0) | (iota != 0) | (fp1 != 0) | (fp2 != 0)).any(axis=1)
-    status[zero] = 1
-    comp_ids, _cells = np.nonzero(ok)
+    comp_ids, cells = np.nonzero(ok)
+    cand_idx = index[comp_ids, cells]
+    cand_val = phi[comp_ids, cells]
+    phimod = np.mod(cand_val, MERSENNE31)
+    good = fp1[comp_ids, cells] == mulmod_canonical(
+        phimod, powmod_windowed(bb.z1, cand_idx))
+    good &= fp2[comp_ids, cells] == mulmod_canonical(
+        phimod, powmod_windowed(bb.z2, cand_idx))
+    comp_ids = comp_ids[good]
     if comp_ids.size == 0:
         return
-    cand_idx = index[ok]
-    cand_val = phi[ok]
+    cand_idx = cand_idx[good]
+    cand_val = cand_val[good]
     keys = cand_idx * bank.families + family
     cand_lv = np.asarray(bank._level_source.levels(keys, bank.levels), dtype=np.int64)
     tiebreak = np.asarray(bank._level_source.hash64(keys), dtype=np.uint64)
@@ -404,27 +448,6 @@ def _decode_slab(bank, family, member_starts, seg_offsets, status, items_out,
     status[present] = 0
     items_out[present] = cand_idx[win]
     values_out[present] = cand_val[win]
-
-
-#: Elements per arena fold block — 128k int64 = 1 MiB, sized so one
-#: block plus its single temporary stays cache-resident while the
-#: fold's multiple passes run.
-_FOLD_BLOCK = 1 << 17
-
-
-def _fold_mersenne31_inplace(f: np.ndarray) -> None:
-    """Reduce ``f`` (values in ``[0, 2^32)``) mod ``2^31 - 1`` in place.
-
-    One Mersenne fold suffices below ``2^32`` — the range of a sum or
-    difference-plus-modulus of two reduced fingerprints — followed by
-    the canonical ``p -> 0`` fix-up.  Produces exactly
-    :func:`~repro.hashing.field.mod_mersenne31`'s residues with fewer
-    passes and a single block-sized temporary.
-    """
-    tmp = f >> 31
-    f &= MERSENNE31
-    f += tmp
-    f[f == MERSENNE31] = 0
 
 
 @_kernel

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import SketchCompatibilityError
 from ..hashing import MERSENNE31, HashSource
-from ..hashing.field import mod_mersenne31, powmod_array
+from ..hashing.field import mod_mersenne31, mulmod_canonical, powmod_windowed
 from ..kernels import get as _get_kernel
 
 __all__ = ["CellBank", "decode_cells"]
@@ -92,11 +92,12 @@ class CellBank:
         """Scatter one ``(items, deltas)`` payload through several routings.
 
         Equivalent to calling :meth:`scatter` once per entry of
-        ``cells_per_row``, but the fingerprint powers — the expensive
-        part of a scatter — are computed once per unique item and
+        ``cells_per_row``, but the fingerprint contributions are
+        computed once per entry (powers by lookup in the memoised
+        tables of :func:`~repro.hashing.field.powmod_windowed`) and
         shared across rows, and the modular reduction of the
-        fingerprint arrays touches only the scattered cells.  Routed
-        through the ``scatter_multi`` kernel of :mod:`repro.kernels`.
+        fingerprint arrays runs once per call.  Routed through the
+        ``scatter_multi`` kernel of :mod:`repro.kernels`.
         """
         _K_SCATTER(self, cells_per_row, items, deltas)
 
@@ -188,21 +189,12 @@ def decode_cells(
     phi = np.asarray(phi)
     iota = np.asarray(iota)
     ok = phi != 0
-    index = np.zeros_like(iota)
     safe_phi = np.where(ok, phi, 1)
-    divisible = np.mod(iota, safe_phi) == 0
-    ok &= divisible
+    ok &= np.mod(iota, safe_phi) == 0
     index = np.where(ok, iota // safe_phi, 0)
     ok &= (index >= 0) & (index < domain)
     idx_clipped = np.clip(index, 0, domain - 1)
     phimod = np.mod(phi, MERSENNE31)
-    # Powers only for the (few) distinct candidate indices.
-    uniq, inv = np.unique(idx_clipped.ravel(), return_inverse=True)
-    want1 = mod_mersenne31(
-        phimod * powmod_array(z1, uniq)[inv].reshape(idx_clipped.shape)
-    )
-    want2 = mod_mersenne31(
-        phimod * powmod_array(z2, uniq)[inv].reshape(idx_clipped.shape)
-    )
-    ok &= (fp1 == want1) & (fp2 == want2)
+    ok &= fp1 == mulmod_canonical(phimod, powmod_windowed(z1, idx_clipped))
+    ok &= fp2 == mulmod_canonical(phimod, powmod_windowed(z2, idx_clipped))
     return ok, index, phi

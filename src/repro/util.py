@@ -17,6 +17,7 @@ __all__ = [
     "ceil_log2",
     "floor_log2",
     "trailing_zeros",
+    "trailing_zeros_array",
     "comb",
     "pair_count",
     "pair_rank",
@@ -56,6 +57,21 @@ def trailing_zeros(x: int) -> int:
     if x <= 0:
         raise ValueError(f"trailing_zeros requires a positive integer, got {x}")
     return (x & -x).bit_length() - 1
+
+
+def trailing_zeros_array(x: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`trailing_zeros` of 64-bit values (int64 result).
+
+    Isolates each value's lowest set bit (``x & (~x + 1)`` in unsigned
+    arithmetic) and reads its exponent from the float64 bit pattern: a
+    power of two ``2^k`` converts to float64 exactly, with biased
+    exponent field ``k + 1023`` and a zero mantissa, so the result is
+    exact for all 64 bit positions.  Zero entries, which have no set
+    bit, give a negative value.
+    """
+    x = np.asarray(x).astype(np.uint64)
+    low = x & (~x + np.uint64(1))
+    return (low.astype(np.float64).view(np.int64) >> 52) - 1023
 
 
 def comb(n: int, k: int) -> int:

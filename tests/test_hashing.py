@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.hashing import (
     MERSENNE31,
+    HashSource,
     KWiseHash,
     NisanPRG,
     horner_mod,
@@ -15,7 +19,20 @@ from repro.hashing import (
     powmod,
     splitmix64,
 )
-from repro.hashing.field import powmod_array
+from repro.hashing import field
+from repro.hashing.field import (
+    mulmod_canonical,
+    power_table,
+    powmod_array,
+    powmod_windowed,
+)
+from repro.sketch.bank import CellBank
+
+#: Exponent bits per window of ``powmod_windowed``'s tables.
+WINDOW_BITS = 8
+#: Bases of the windowed-power checks: the smallest generators, the
+#: largest one a bank may draw, and a real bank's first generator.
+POWER_BASES = [2, 3, MERSENNE31 - 2, CellBank(4, 100, HashSource(11)).z1]
 
 
 class TestField:
@@ -59,6 +76,103 @@ class TestField:
                 for i, c in enumerate(coeffs)
             ) % MERSENNE31
             assert int(g) == want
+
+
+class TestWindowedPowers:
+    """``powmod_windowed`` is byte-identical to ``powmod_array``."""
+
+    @pytest.mark.parametrize("base", POWER_BASES)
+    def test_every_exponent_below_2_12(self, base):
+        exps = np.arange(1 << 12, dtype=np.int64)
+        assert exps[0] == 0
+        assert np.array_equal(powmod_windowed(base, exps), powmod_array(base, exps))
+
+    @pytest.mark.parametrize("base", POWER_BASES)
+    def test_window_boundaries(self, base):
+        edges = [1 << (WINDOW_BITS * k) for k in range(1, 8)]
+        exps = np.array(
+            [e + d for e in edges for d in (-1, 0, 1)] + [2**63 - 1],
+            dtype=np.int64,
+        )
+        assert np.array_equal(powmod_windowed(base, exps), powmod_array(base, exps))
+
+    @pytest.mark.parametrize("base", POWER_BASES)
+    def test_random_exponents_below_2_62(self, base):
+        rng = np.random.default_rng(base % 1000)
+        exps = np.append(
+            rng.integers(0, 2**62, size=100_000, dtype=np.int64), 2**63 - 1
+        )
+        assert np.array_equal(powmod_windowed(base, exps), powmod_array(base, exps))
+
+    def test_shape_is_kept(self):
+        exps = np.arange(12, dtype=np.int64).reshape(3, 4) * 1_000_003
+        got = powmod_windowed(5, exps)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got, powmod_array(5, exps))
+
+    def test_empty_array(self):
+        exps = np.empty(0, dtype=np.int64)
+        got = powmod_windowed(3, exps)
+        assert got.dtype == np.int64 and got.shape == (0,)
+        assert np.array_equal(got, powmod_array(3, exps))
+
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            powmod_windowed(3, np.array([4, -1], dtype=np.int64))
+
+    def test_tables_are_memoised_and_read_only(self):
+        table = power_table(3, 1)
+        assert power_table(3 + MERSENNE31, 1) is table
+        assert table[1] == pow(3, 1 << WINDOW_BITS, MERSENNE31)
+        with pytest.raises(ValueError):
+            table[0] = 5
+        assert table[0] == 1
+
+    def test_memo_is_safe_under_thread_contention(self, monkeypatch):
+        """Threads racing on a small memo keep it bounded and exact.
+
+        With the switch interval shortened, eight threads build, look up
+        and evict tables of overlapping bases at once; an unsynchronised
+        eviction would raise or overfill the memo.
+        """
+        monkeypatch.setattr(field, "_TABLES", {})
+        monkeypatch.setattr(field, "_TABLE_MEMO_MAX", 16)
+        exps = np.array([0, 1, 255, 256, 65_535, 1 << 40, 2**63 - 1], dtype=np.int64)
+        want = {b: powmod_array(b, exps) for b in range(2, 42)}
+        errors: list = []
+        sizes: list = []
+
+        def work(offset: int) -> None:
+            try:
+                for i in range(400):
+                    base = 2 + (offset + 7 * i) % 40
+                    if not np.array_equal(powmod_windowed(base, exps), want[base]):
+                        errors.append(("mismatch", base))
+                    sizes.append(len(field._TABLES))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(sizes) == 8 * 400
+        assert max(sizes) <= 16
+
+    def test_mulmod_canonical_matches_exact_product(self):
+        rng = np.random.default_rng(3)
+        a = np.append(rng.integers(0, MERSENNE31, size=1000), [0, 1, MERSENNE31 - 1])
+        b = np.append(rng.integers(0, MERSENNE31, size=1000), [MERSENNE31 - 1] * 3)
+        want = (a.astype(object) * b) % MERSENNE31
+        assert (mulmod_canonical(a, b) == want).all()
 
 
 class TestSplitmix:

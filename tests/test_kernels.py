@@ -33,6 +33,7 @@ from repro.core import SpanningForestSketch
 from repro.hashing import HashSource
 from repro.sketch import dump_sketch
 from repro.streams import DynamicGraphStream
+from repro.util import pair_rank_array
 
 N = 8
 
@@ -181,3 +182,95 @@ class TestCrossBackendParity:
         assert ingest() == reference, (
             f"backend {backend!r} drifted from the numpy reference"
         )
+
+
+def _forest_payload(n: int, m: int, seed: int):
+    """``m`` random canonical edges, then repeats and a cancelling pair.
+
+    Five edges come back with their own deltas (repeated edges fold
+    into the same cells), and the pair ``(0, n - 1)`` arrives as ``+3``
+    and then ``-3``, so its net contribution is exactly zero.
+    """
+    rng = np.random.default_rng(seed)
+    lo = rng.integers(0, n - 2, size=m)
+    hi = lo + 1 + rng.integers(0, n - 2 - lo)
+    delta = rng.choice(np.array([1, 2, -1]), size=m)
+    lo = np.concatenate([lo, lo[:5], [0, 0]]).astype(np.int64)
+    hi = np.concatenate([hi, hi[:5], [n - 1, n - 1]]).astype(np.int64)
+    delta = np.concatenate([delta, delta[:5], [3, -3]]).astype(np.int64)
+    return lo, hi, delta, pair_rank_array(lo, hi, n)
+
+
+def _expected_branch(sketch: SpanningForestSketch, items: np.ndarray) -> str:
+    """The ``forest_scatter`` branch a payload takes, from its sizes."""
+    bank = sketch.bank
+    fam = np.arange(bank.families, dtype=np.int64)
+    top = bank._level_source.levels(items[:, None] * bank.families + fam, bank.levels)
+    entries = int((np.asarray(top) + 1).sum()) * bank.rows * 2
+    if entries <= kernels.reference._RAGGED_MAX:
+        return "ragged"
+    if entries * 8 < bank.bank.fp1.size:
+        return "levels-touched"
+    return "levels-whole-bank"
+
+
+class TestForestScatterBranches:
+    """Every ``forest_scatter`` branch equals the generic sampler update.
+
+    The reference is ``L0SamplerBank.update`` fed the explicit signed
+    expansion — ``(family, lo, item, +delta)`` and ``(family, hi, item,
+    -delta)`` for every edge and family — which reaches the cells
+    through ``scatter_multi`` instead.
+    """
+
+    @pytest.mark.parametrize(
+        "n,m,kwargs,branch",
+        [
+            (128, 64, {}, "ragged"),
+            (512, 4000, {"rounds": 3, "buckets": 16}, "levels-touched"),
+            (128, 2048, {}, "levels-whole-bank"),
+        ],
+    )
+    def test_branch_matches_expanded_sampler_update(
+        self, monkeypatch, n, m, kwargs, branch
+    ):
+        kernels.use("numpy")
+        lo, hi, delta, items = _forest_payload(n, m, seed=n + m)
+        fused = SpanningForestSketch(n, HashSource(5), **kwargs)
+        assert _expected_branch(fused, items) == branch
+        taken = []
+        for name in ("_forest_scatter_levels", "_reduce_bank_fp"):
+            original = getattr(kernels.reference, name)
+
+            def spy(*args, _name=name, _original=original):
+                taken.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(kernels.reference, name, spy)
+        fused.update_edges(lo, hi, delta, items=items)
+        monkeypatch.undo()
+        assert ("_forest_scatter_levels" in taken) == (branch != "ragged")
+        assert ("_reduce_bank_fp" in taken) == (branch == "levels-whole-bank")
+
+        expanded = SpanningForestSketch(n, HashSource(5), **kwargs)
+        families = expanded.bank.families
+        fam = np.tile(np.arange(families, dtype=np.int64), lo.size)
+        expanded.bank.update(
+            np.concatenate([fam, fam]),
+            np.concatenate([np.repeat(lo, families), np.repeat(hi, families)]),
+            np.concatenate([np.repeat(items, families)] * 2),
+            np.concatenate(
+                [np.repeat(delta, families), -np.repeat(delta, families)]
+            ),
+        )
+        assert dump_sketch(fused) == dump_sketch(expanded)
+
+    def test_cancelling_pair_leaves_the_empty_sketch(self):
+        n = 128
+        lo = np.array([0, 0, 5], dtype=np.int64)
+        hi = np.array([n - 1, n - 1, 9], dtype=np.int64)
+        delta = np.array([3, -3, 1], dtype=np.int64)
+        sketch = SpanningForestSketch(n, HashSource(5))
+        sketch.update_edges(lo, hi, delta)
+        sketch.update_edges(lo[2:], hi[2:], -delta[2:])
+        assert dump_sketch(sketch) == dump_sketch(SpanningForestSketch(n, HashSource(5)))

@@ -19,6 +19,7 @@ from repro.util import (
     subset_rank,
     subset_unrank,
     trailing_zeros,
+    trailing_zeros_array,
 )
 
 
@@ -52,6 +53,20 @@ class TestLogHelpers:
     def test_trailing_zeros_rejects_zero(self):
         with pytest.raises(ValueError):
             trailing_zeros(0)
+
+    def test_trailing_zeros_array_exact_for_every_bit(self):
+        powers = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        assert trailing_zeros_array(powers).tolist() == list(range(64))
+        above = powers | (powers << np.uint64(1))
+        assert trailing_zeros_array(above).tolist() == list(range(64))
+
+    def test_trailing_zeros_array_matches_scalar(self):
+        rng = np.random.default_rng(4)
+        x = rng.integers(1, 2**63, size=5000, dtype=np.int64)
+        got = trailing_zeros_array(x)
+        assert got.dtype == np.int64
+        assert got.tolist() == [trailing_zeros(int(v)) for v in x]
+        assert (trailing_zeros_array(np.zeros(2, dtype=np.uint64)) < 0).all()
 
 
 class TestComb:
