@@ -11,7 +11,7 @@ independent fingerprints (different generators), squaring the error.
 
 from __future__ import annotations
 
-import threading
+import functools
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "MERSENNE31",
     "mod_mersenne31",
     "mulmod",
-    "mulmod_canonical",
     "powmod",
     "powmod_array",
     "powmod_windowed",
@@ -85,68 +84,58 @@ def powmod_array(base: int, exps: np.ndarray) -> np.ndarray:
     return result
 
 
-def mulmod_canonical(a: np.ndarray | int, b: np.ndarray | int) -> np.ndarray | int:
-    """Product of canonical residues (``0 <= a, b < p``), canonical result.
-
-    Two Mersenne folds and no ``p -> 0`` fix-up: the product is below
-    ``2^62``, so two folds leave a value in ``[0, p]`` congruent to it,
-    and that value is ``p`` only if the product is a non-zero multiple
-    of ``p`` — impossible in a field when both factors lie in
-    ``[1, p)``.  Elementwise on arrays.
-    """
-    x = a * b
-    x = (x & MERSENNE31) + (x >> 31)
-    return (x & MERSENNE31) + (x >> 31)
-
-
 #: Exponent bits per fingerprint-power window: each table holds
 #: ``2^8`` int64 powers (2 KiB, cache-resident), and any non-negative
 #: int64 exponent needs at most 8 windows.
 _WINDOW_BITS = 8
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
-#: Memo capacity in tables: at 2 KiB each the memo holds at most
-#: 4 MiB.  A forest sketch over ``n = 128`` nodes uses four tables (two
-#: generators, two windows each), so this covers 512 such banks.
-_TABLE_MEMO_MAX = 2048
-_TABLES: dict[tuple[int, int], np.ndarray] = {}
-_TABLES_LOCK = threading.Lock()
+#: Memo capacity in tables of 2 KiB: at most 16 MiB.  Every bank has
+#: its own two generators, and the pair ranks of ``n <= 362`` nodes fit
+#: in two windows, so a sketch needs four tables per bank.  Counted per
+#: kind at ``n = 128``: spanning forest 4, k-edge-connectivity ``4k``,
+#: mincut 1,680, simple and two-pass sparsifier 5,880 and 5,884.  The
+#: capacity covers the largest of these with a mincut tenant besides.
+_TABLE_MEMO_MAX = 8192
 
 
 def power_table(base: int, window: int) -> np.ndarray:
     """Read-only ``T[j] = base^(j * 2^(8 * window)) mod p`` for ``j < 256``.
 
-    Memoised per ``(base mod p, window)``.  Every bank seeded alike has
-    the same generators, so sketches restored from checkpoint bytes
+    Memoised per ``(base mod p, window)`` in a least-recently-used memo
+    of ``_TABLE_MEMO_MAX`` tables (16 MiB).  Every bank seeded alike
+    has the same generators, so sketches restored from checkpoint bytes
     reuse the tables of their predecessors instead of rebuilding them.
-    The memo holds at most ``_TABLE_MEMO_MAX`` tables of 2 KiB — 4 MiB
-    — and evicts the oldest entry when full.  Lookups are single dict
-    reads and insertions happen under a lock, so concurrent callers
-    (the serve drainer threads) are safe; two threads that miss on the
-    same key build equal tables and keep the first.  Tables are a pure
+    A working set larger than the memo — a weighted sparsifier at
+    ``n = 128`` needs 5,880 tables per weight class, and larger ``n``
+    needs more banks — cycles through it and rebuilds every table it
+    uses; rebuilding a generator's two tables still costs less than the
+    square-and-multiply they replace (see ``docs/KERNELS.md``).
+    ``functools.lru_cache`` keeps the memo coherent under concurrent
+    callers (the serve drainer threads); two threads that miss on one
+    key both build it, and the tables are equal.  Tables are a pure
     function of their key, not sketch state: nothing serialises them.
-
-    A table is built in eight vectorised doubling steps — ``T[s:2s] =
-    T[:s] * g^s`` for ``s = 1, 2, 4, ...`` with ``g`` the window's
-    generator — and marked read-only, since every caller shares it.
     """
-    base = int(base) % MERSENNE31
-    key = (base, window)
-    table = _TABLES.get(key)
-    if table is not None:
-        return table
+    return _power_table(int(base) % MERSENNE31, window)
+
+
+@functools.lru_cache(maxsize=_TABLE_MEMO_MAX)
+def _power_table(base: int, window: int) -> np.ndarray:
+    """Build one table in eight vectorised doubling steps.
+
+    ``T[s:2s] = T[:s] * g^s`` for ``s = 1, 2, 4, ...`` with ``g`` the
+    window's generator; the table is marked read-only, since every
+    caller shares it.
+    """
     step = pow(base, 1 << (_WINDOW_BITS * window), MERSENNE31)
     table = np.empty(1 << _WINDOW_BITS, dtype=np.int64)
     table[0] = 1
     size = 1
     for _ in range(_WINDOW_BITS):
-        table[size:2 * size] = mulmod_canonical(table[:size], step)
+        table[size:2 * size] = mulmod(table[:size], step)
         step = step * step % MERSENNE31
         size *= 2
     table.flags.writeable = False
-    with _TABLES_LOCK:
-        if len(_TABLES) >= _TABLE_MEMO_MAX:
-            del _TABLES[next(iter(_TABLES))]
-        return _TABLES.setdefault(key, table)
+    return table
 
 
 def powmod_windowed(base: int, exps: np.ndarray) -> np.ndarray:
@@ -155,10 +144,9 @@ def powmod_windowed(base: int, exps: np.ndarray) -> np.ndarray:
     Byte-identical to :func:`powmod_array` for every non-negative int64
     exponent.  Writing ``e = Σ_k d_k 2^(8k)`` with 8-bit digits ``d_k``
     gives ``base^e = Π_k T_k[d_k]`` (see :func:`power_table`): one
-    gather per window and one :func:`mulmod_canonical` per window after
-    the first.  The window count comes from the largest exponent of the
-    call, so small exponents pay for one or two windows only.  Table
-    entries are canonical residues, so every product is canonical too.
+    gather per window and one :func:`mulmod` per window after the
+    first.  The window count comes from the largest exponent of the
+    call, so small exponents pay for one or two windows only.
     """
     exps = np.asarray(exps, dtype=np.int64)
     if exps.size == 0:
@@ -169,7 +157,7 @@ def powmod_windowed(base: int, exps: np.ndarray) -> np.ndarray:
     result = power_table(base, 0)[exps & _WINDOW_MASK]
     for window in range(1, windows):
         digits = (exps >> (_WINDOW_BITS * window)) & _WINDOW_MASK
-        result = mulmod_canonical(result, power_table(base, window)[digits])
+        result = mulmod(result, power_table(base, window)[digits])
     return result
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..hashing import MERSENNE31
-from ..hashing.field import mulmod_canonical, powmod_windowed
+from ..hashing.field import mulmod, powmod_windowed
 
 __all__ = ["KERNELS"]
 
@@ -95,6 +95,18 @@ def _reduce_mersenne31_inplace(f: np.ndarray) -> None:
     f[f == MERSENNE31] = 0
 
 
+#: A fingerprint reduction covers the whole bank once its payload
+#: names at least ``cells / _DENSE_RATIO`` entries, and only the
+#: touched cells below that.  The break-even ratio grows with the bank,
+#: since the touched path's random gathers miss cache sooner: measured
+#: on a 2-vCPU x86 VM (numpy 2.4, default forest banks), about 3 at
+#: n = 32 and 64 (21k and 57k cells), 3.7 at n = 128 (147k), 5.8 at
+#: n = 256 (369k) and 10 at n = 512 (901k).  Over that sweep, 5 keeps
+#: the chosen path within 1.55x of the faster one at every size, where
+#: 8 would cost up to 2.3x (n = 128) and 4 up to 2.0x (n = 512).
+_DENSE_RATIO = 5
+
+
 def _reduce_bank_fp(fp1: np.ndarray, fp2: np.ndarray) -> None:
     """Reduce two whole fingerprint arrays in place, block by block."""
     for fp in (fp1, fp2):
@@ -108,15 +120,16 @@ def _reduce_fp(fp1: np.ndarray, fp2: np.ndarray, cell_arrays: list) -> None:
     Every cell named in ``cell_arrays`` holds a sum of residues in
     ``[0, p]``; a scatter call feeds well under ``2^31`` entries, so
     the sums stay below ``2^62`` — the validity range of the two-fold
-    reduction.  Large payloads reduce the whole bank instead
-    (:func:`_reduce_bank_fp`): reducing an untouched (canonical) cell
-    is the identity.  Small ones gather the touched cells with their
-    duplicates, reduce the copy and scatter it back: the copies of a
-    cell all hold the same raw sum, so every write stores the same
-    canonical value.  Both paths yield identical bytes.
+    reduction.  Payloads of at least ``cells / _DENSE_RATIO`` entries
+    reduce the whole bank instead (:func:`_reduce_bank_fp`): reducing
+    an untouched (canonical) cell is the identity.  Smaller ones gather
+    the touched cells with their duplicates, reduce the copy and
+    scatter it back: the copies of a cell all hold the same raw sum, so
+    every write stores the same canonical value.  Both paths yield
+    identical bytes.
     """
     total = sum(c.size for c in cell_arrays)
-    if total * 8 >= fp1.size:
+    if total * _DENSE_RATIO >= fp1.size:
         _reduce_bank_fp(fp1, fp2)
         return
     touched = (
@@ -166,8 +179,8 @@ def scatter_multi(bank, cells_per_row, items, deltas):
     if items.size == 0:
         return
     dmod = np.mod(deltas, MERSENNE31)
-    c1 = mulmod_canonical(dmod, powmod_windowed(bank.z1, items))
-    c2 = mulmod_canonical(dmod, powmod_windowed(bank.z2, items))
+    c1 = mulmod(dmod, powmod_windowed(bank.z1, items))
+    c2 = mulmod(dmod, powmod_windowed(bank.z2, items))
     weighted = items * deltas
     rows = [np.asarray(c, dtype=np.int64) for c in cells_per_row]
     r = len(rows)
@@ -233,8 +246,8 @@ def forest_scatter(bank, lo, hi, deltas, items):
     bb = bank.bank
     # Fingerprint contributions per edge, for both endpoint signs.
     dmod = np.mod(deltas, MERSENNE31)
-    c1p = mulmod_canonical(dmod, powmod_windowed(bb.z1, items))
-    c2p = mulmod_canonical(dmod, powmod_windowed(bb.z2, items))
+    c1p = mulmod(dmod, powmod_windowed(bb.z1, items))
+    c2p = mulmod(dmod, powmod_windowed(bb.z2, items))
     c1n = MERSENNE31 - c1p
     c2n = MERSENNE31 - c2p
     weighted = items * deltas
@@ -321,7 +334,7 @@ def _forest_scatter_levels(
     bb = bank.bank
     phi, iota, fp1, fp2 = bb.phi, bb.iota, bb.fp1, bb.fp2
     bsrc = bank._bucket_source
-    dense = total * rows * 2 * 8 >= fp1.size
+    dense = total * rows * 2 * _DENSE_RATIO >= fp1.size
     touched: list = []
     for lv in range(lvl1):
         n = int(srv[lv])
@@ -426,9 +439,9 @@ def _decode_slab(bank, family, member_starts, seg_offsets, status, items_out,
     cand_idx = index[comp_ids, cells]
     cand_val = phi[comp_ids, cells]
     phimod = np.mod(cand_val, MERSENNE31)
-    good = fp1[comp_ids, cells] == mulmod_canonical(
+    good = fp1[comp_ids, cells] == mulmod(
         phimod, powmod_windowed(bb.z1, cand_idx))
-    good &= fp2[comp_ids, cells] == mulmod_canonical(
+    good &= fp2[comp_ids, cells] == mulmod(
         phimod, powmod_windowed(bb.z2, cand_idx))
     comp_ids = comp_ids[good]
     if comp_ids.size == 0:

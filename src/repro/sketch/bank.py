@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import SketchCompatibilityError
 from ..hashing import MERSENNE31, HashSource
-from ..hashing.field import mod_mersenne31, mulmod_canonical, powmod_windowed
+from ..hashing.field import mod_mersenne31, mulmod, powmod_windowed
 from ..kernels import get as _get_kernel
 
 __all__ = ["CellBank", "decode_cells"]
@@ -195,6 +195,6 @@ def decode_cells(
     ok &= (index >= 0) & (index < domain)
     idx_clipped = np.clip(index, 0, domain - 1)
     phimod = np.mod(phi, MERSENNE31)
-    ok &= fp1 == mulmod_canonical(phimod, powmod_windowed(z1, idx_clipped))
-    ok &= fp2 == mulmod_canonical(phimod, powmod_windowed(z2, idx_clipped))
+    ok &= fp1 == mulmod(phimod, powmod_windowed(z1, idx_clipped))
+    ok &= fp2 == mulmod(phimod, powmod_windowed(z2, idx_clipped))
     return ok, index, phi

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -20,12 +17,7 @@ from repro.hashing import (
     splitmix64,
 )
 from repro.hashing import field
-from repro.hashing.field import (
-    mulmod_canonical,
-    power_table,
-    powmod_array,
-    powmod_windowed,
-)
+from repro.hashing.field import power_table, powmod_array, powmod_windowed
 from repro.sketch.bank import CellBank
 
 #: Exponent bits per window of ``powmod_windowed``'s tables.
@@ -128,51 +120,14 @@ class TestWindowedPowers:
             table[0] = 5
         assert table[0] == 1
 
-    def test_memo_is_safe_under_thread_contention(self, monkeypatch):
-        """Threads racing on a small memo keep it bounded and exact.
-
-        With the switch interval shortened, eight threads build, look up
-        and evict tables of overlapping bases at once; an unsynchronised
-        eviction would raise or overfill the memo.
-        """
-        monkeypatch.setattr(field, "_TABLES", {})
-        monkeypatch.setattr(field, "_TABLE_MEMO_MAX", 16)
-        exps = np.array([0, 1, 255, 256, 65_535, 1 << 40, 2**63 - 1], dtype=np.int64)
-        want = {b: powmod_array(b, exps) for b in range(2, 42)}
-        errors: list = []
-        sizes: list = []
-
-        def work(offset: int) -> None:
-            try:
-                for i in range(400):
-                    base = 2 + (offset + 7 * i) % 40
-                    if not np.array_equal(powmod_windowed(base, exps), want[base]):
-                        errors.append(("mismatch", base))
-                    sizes.append(len(field._TABLES))
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert len(sizes) == 8 * 400
-        assert max(sizes) <= 16
-
-    def test_mulmod_canonical_matches_exact_product(self):
-        rng = np.random.default_rng(3)
-        a = np.append(rng.integers(0, MERSENNE31, size=1000), [0, 1, MERSENNE31 - 1])
-        b = np.append(rng.integers(0, MERSENNE31, size=1000), [MERSENNE31 - 1] * 3)
-        want = (a.astype(object) * b) % MERSENNE31
-        assert (mulmod_canonical(a, b) == want).all()
+    def test_memo_is_bounded_and_reused(self):
+        memo = field._power_table
+        assert memo.cache_info().maxsize == field._TABLE_MEMO_MAX
+        power_table(5, 2)
+        hits = memo.cache_info().hits
+        assert power_table(5 + 2 * MERSENNE31, 2) is power_table(5, 2)
+        assert memo.cache_info().hits == hits + 2
+        assert memo.cache_info().currsize <= field._TABLE_MEMO_MAX
 
 
 class TestSplitmix:

@@ -209,7 +209,7 @@ def _expected_branch(sketch: SpanningForestSketch, items: np.ndarray) -> str:
     entries = int((np.asarray(top) + 1).sum()) * bank.rows * 2
     if entries <= kernels.reference._RAGGED_MAX:
         return "ragged"
-    if entries * 8 < bank.bank.fp1.size:
+    if entries * kernels.reference._DENSE_RATIO < bank.bank.fp1.size:
         return "levels-touched"
     return "levels-whole-bank"
 
