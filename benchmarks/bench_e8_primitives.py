@@ -14,7 +14,7 @@ import pytest
 from conftest import run_table_once
 
 from repro.hashing import HashSource, KWiseHash, NisanPRG
-from repro.sketch import L0SamplerBank, SparseRecovery
+from repro.sketch import L0SamplerBank, SparseRecoveryBank
 
 
 def test_e8_table(benchmark, seed):
@@ -54,11 +54,12 @@ def test_bench_l0_sample(benchmark, seed):
 
 
 def test_bench_sparse_recovery_decode(benchmark, seed):
-    sr = SparseRecovery(1_000_000, k=32, source=HashSource(seed))
+    sr = SparseRecoveryBank(1, 1, 1_000_000, k=32, source=HashSource(seed))
     rng = np.random.default_rng(seed)
     items = rng.choice(1_000_000, size=32, replace=False)
-    sr.update_many(items, np.ones(32, dtype=int))
-    benchmark(sr.decode)
+    zero = np.zeros_like(items)
+    sr.update(zero, zero, items, np.ones(32, dtype=int))
+    benchmark(sr.decode, 0, 0)
 
 
 @pytest.mark.parametrize(

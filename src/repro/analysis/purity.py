@@ -14,8 +14,7 @@ REP-P001
     mentioning ``updates``/``stream``/``tokens``) whose body feeds the
     loop variable to ``.update()`` or ``.consume()`` — the per-token
     anti-pattern.  Applies to the hot-path directories (``sketch/``,
-    ``core/``, ``distributed/``, ``temporal/``, ``api/``); the scalar
-    reference fallback in ``sketch/base.py`` is exempt by design.
+    ``core/``, ``distributed/``, ``temporal/``, ``api/``).
 REP-P002
     ``pickle``/``cPickle``/``dill`` imported or used outside the
     sanctioned process-spawn seam (``distributed/coordinator.py``,
@@ -29,7 +28,7 @@ REP-P003
     the kernel subsystem exists to own — vectorised call sites pass
     whole index arrays, they never walk cells one at a time.  Whole-
     array slice assignments (``bank.phi[:] = ...``) are fine.  The
-    pre-kernel scalar decoders in ``sketch/sparse_recovery.py`` are
+    peeling decoder ``_peel`` in ``sketch/sparse_recovery.py`` is
     tolerated via the baseline ratchet (shrink-only); new per-cell
     loops are not (see ``docs/KERNELS.md``).
 """
@@ -49,9 +48,6 @@ HOT_PATH_DIRS = ("sketch/", "core/", "distributed/", "temporal/", "api/")
 
 #: Files allowed to touch pickle (the multiprocessing spawn seam).
 PICKLE_SEAMS = ("distributed/coordinator.py", "distributed/factories.py")
-
-#: Files exempt from REP-P001 (documented scalar reference fallbacks).
-_P001_EXEMPT = ("sketch/base.py",)
 
 _PICKLE_MODULES = frozenset({"pickle", "cPickle", "dill"})
 
@@ -101,9 +97,7 @@ def check_module(
     relpath: str, tree: ast.Module, imports: ImportMap
 ) -> Iterator[Finding]:
     """Run both purity rules over one parsed module."""
-    in_hot_path = relpath.startswith(HOT_PATH_DIRS) and not relpath.startswith(
-        _P001_EXEMPT
-    )
+    in_hot_path = relpath.startswith(HOT_PATH_DIRS)
     pickle_allowed = relpath.startswith(PICKLE_SEAMS)
     cell_loops_allowed = relpath.startswith(_P003_KERNEL_DIR)
     p003_lines: set[int] = set()

@@ -256,22 +256,6 @@ class GraphSketchEngine:
         self._start_method = start_method
         return self
 
-    def kernels(self, backend: str = "auto") -> "GraphSketchEngine":
-        """Select the compiled-kernel backend for the sketch hot loops.
-
-        Thin fluent wrapper over :func:`repro.kernels.use`.  The
-        selection is process-wide (kernels are stateless pure
-        functions) and safe to change at any point: every backend
-        produces byte-identical sketch state, pinned by the parity
-        harness — see ``docs/KERNELS.md``.  ``"auto"`` prefers the
-        fastest available backend; requesting an unavailable one warns
-        and falls back to the numpy reference.
-        """
-        from .. import kernels as _kernels
-
-        _kernels.use(backend)
-        return self
-
     def kernel_stats(self) -> list[dict]:
         """Per-kernel call-count/seconds telemetry (process-wide)."""
         from .. import kernels as _kernels

@@ -515,11 +515,6 @@ def main(argv: list[str] | None = None) -> int:
         description="Graph sketches (Ahn-Guha-McGregor, PODS 2012) — "
         "experiments and demos.",
     )
-    parser.add_argument(
-        "--kernels", default=None, choices=["auto", "numpy", "numba"],
-        help="compiled-kernel backend for the sketch hot loops (default: "
-             "the REPRO_KERNELS env var, or auto; every backend is "
-             "byte-identical — see docs/KERNELS.md)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="list experiments and workloads")
@@ -624,10 +619,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.set_defaults(func=_cmd_serve)
 
     args = parser.parse_args(argv)
-    if args.kernels is not None:
-        from . import kernels as _kernels
-
-        _kernels.use(args.kernels)
     return args.func(args)
 
 

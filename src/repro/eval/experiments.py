@@ -49,7 +49,7 @@ from ..graphs import (
     triangle_count,
 )
 from ..hashing import HashSource, KWiseHash, NisanPRG
-from ..sketch import L0Sampler, L0SamplerBank, SparseRecovery
+from ..sketch import L0SamplerBank, SparseRecoveryBank
 from ..streams import stream_from_edges
 from .metrics import relative_error, summarize
 from .tables import Table
@@ -342,21 +342,23 @@ def run_e8_primitives(quick: bool = True, seed: int = 0) -> Table:
     runs = 20 if quick else 100
     rng = np.random.default_rng(seed)
     for r in range(runs):
-        sr = SparseRecovery(domain, k=k, source=src.derive(2, r))
+        sr = SparseRecoveryBank(1, 1, domain, k, src.derive(2, r))
         items = rng.choice(domain, size=k, replace=False)
-        sr.update_many(items, np.ones(k, dtype=np.int64))
+        zero = np.zeros_like(items)
+        sr.update(zero, zero, items, np.ones_like(items))
         try:
-            if sr.decode() == {int(i): 1 for i in items}:
+            if sr.decode(0, 0) == {int(i): 1 for i in items}:
                 ok_below += 1
         except RecoveryFailed:
             fail_below += 1
     fail_above = 0
     for r in range(runs):
-        sr = SparseRecovery(domain, k=k, source=src.derive(3, r))
+        sr = SparseRecoveryBank(1, 1, domain, k, src.derive(3, r))
         items = rng.choice(domain, size=4 * k, replace=False)
-        sr.update_many(items, np.ones(4 * k, dtype=np.int64))
+        zero = np.zeros_like(items)
+        sr.update(zero, zero, items, np.ones_like(items))
         try:
-            sr.decode()
+            sr.decode(0, 0)
         except RecoveryFailed:
             fail_above += 1
     table.add_row("k-recovery", f"k={k}, support=k", "exact-decode rate",
@@ -366,17 +368,16 @@ def run_e8_primitives(quick: bool = True, seed: int = 0) -> Table:
     table.add_row("k-recovery", f"k={k}, support=4k", "honest-FAIL rate",
                   fail_above / runs)
 
-    # (c) Hash backends driving the same scalar sampler.
+    # (c) Hash backends driving the same one-sampler bank.
     for name, backend in (
         ("splitmix-oracle", src.derive(4)),
         ("4-wise polynomial", KWiseHash(4, src.derive(5))),
         ("nisan-prg", NisanPRG(18, src.derive(6))),
     ):
-        sampler = L0Sampler(domain, _as_source(backend, src.derive(7)))
-        for i in support:
-            sampler.update(i, 1)
+        sampler = L0SamplerBank(1, 1, domain, _as_source(backend, src.derive(7)))
+        sampler.update(zeros, zeros, arr, ones)
         try:
-            item, _v = sampler.sample()
+            item, _v = sampler.sample(0, 0)
             outcome = f"sampled {item} ∈ support" if item in support else "WRONG"
         except SamplerFailed:
             outcome = "FAIL"
@@ -411,7 +412,7 @@ def run_e8_primitives(quick: bool = True, seed: int = 0) -> Table:
 
 
 def _as_source(backend, fallback: HashSource):
-    """Adapt a hash backend into the HashSource protocol L0Sampler needs."""
+    """Adapt a hash backend into the HashSource protocol the banks need."""
     if isinstance(backend, HashSource):
         return backend
 

@@ -1,53 +1,27 @@
-"""Pluggable compiled-kernel backends for the sketch hot loops.
+"""Named kernels for the sketch hot loops.
 
 Every numeric hot loop of the sketch layer — the columnar cell scatter,
 the whole-bank one-sparse decode, the arena fold/negate vector ops, and
 the per-level sparsifier routing — is owned by a named *kernel* in this
 package instead of being inlined at its call site.  A kernel is a plain
-function; a *backend* is a mapping from kernel names to implementations.
+numpy function in :mod:`repro.kernels.reference`; call sites bind a
+handle to it once, at import time, with :func:`get`.
 
-Two backends exist:
-
-* ``numpy`` — the pure-numpy **reference backend**
-  (:mod:`repro.kernels.reference`).  Always available; defines the
-  byte-exact contract every other backend must reproduce.
-* ``numba`` — optional ``njit``-compiled loops
-  (:mod:`repro.kernels.numba_backend`), detected at import time.  When
-  numba (or a working JIT toolchain) is absent the backend is simply
-  unregistered and selection falls back to numpy.  A backend may
-  override any subset of kernels; names it does not provide inherit the
-  reference implementation.
-
-Selection
----------
-The active backend is chosen at import from the ``REPRO_KERNELS``
-environment variable (``auto`` | ``numpy`` | ``numba``, default
-``auto`` = numba when available else numpy) and can be switched at
-runtime with :func:`use` — also reachable through
-``GraphSketchEngine.kernels()`` and the CLI ``--kernels`` flag.
-Requesting an unavailable backend warns and falls back to numpy rather
-than failing: backend choice is a performance knob, never a
-correctness knob.
-
-Parity contract
----------------
-Backends must be **byte-identical**: for every kernel, all backends
-produce exactly the same array contents (including canonical Mersenne
-residues — ``p`` is always stored as ``0``).  The hypothesis
-equivalence harness (``tests/test_temporal_equivalence.py``) runs once
-per available backend to pin this; see ``docs/KERNELS.md``.
+There is one backend, ``numpy``.  :func:`use`, :func:`backend_name` and
+:func:`available_backends` stay so that code naming a backend keeps
+working: ``auto`` and ``numpy`` select it, and any other name warns
+(``RuntimeWarning``) and selects it too.
 
 Telemetry
 ---------
-Every call through :func:`get` records a per-kernel call count and
-wall-clock seconds, keyed by the backend that implemented the call;
-:func:`kernel_stats` exposes the counters and ``repro.serve`` renders
-them on ``/metrics``.
+Every call through a handle records a per-kernel call count and
+wall-clock seconds; :func:`kernel_stats` exposes the counters, one row
+per kernel with its ``backend``, and ``repro.serve`` renders them on
+``/metrics``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from typing import Any, Callable
@@ -56,7 +30,6 @@ from . import reference
 
 __all__ = [
     "KERNEL_NAMES",
-    "UNAVAILABLE",
     "available_backends",
     "backend_name",
     "get",
@@ -65,120 +38,74 @@ __all__ = [
     "use",
 ]
 
-#: Kernel names every backend resolves (via reference fallback if partial).
+#: Every registered kernel name.
 KERNEL_NAMES: tuple[str, ...] = tuple(sorted(reference.KERNELS))
 
-_BACKENDS: dict[str, dict[str, Callable[..., Any]]] = {
-    "numpy": dict(reference.KERNELS),
-}
-#: For each selectable backend, which backend implements each kernel —
-#: partial backends inherit reference kernels, and telemetry attributes
-#: those calls to ``numpy``, not to the selected backend.
-_IMPLEMENTED_BY: dict[str, dict[str, str]] = {
-    "numpy": {name: "numpy" for name in KERNEL_NAMES},
-}
-#: Import-failure reason per optional backend (diagnostics and tests).
-UNAVAILABLE: dict[str, str] = {}
-
-try:
-    from . import numba_backend as _numba_backend
-except Exception as exc:  # noqa: BLE001 - any import/JIT failure disables it
-    UNAVAILABLE["numba"] = f"{type(exc).__name__}: {exc}"
-else:  # pragma: no cover - exercised only where numba is installed
-    _BACKENDS["numba"] = {**reference.KERNELS, **_numba_backend.KERNELS}
-    _IMPLEMENTED_BY["numba"] = {
-        name: ("numba" if name in _numba_backend.KERNELS else "numpy")
-        for name in KERNEL_NAMES
-    }
+_BACKEND = "numpy"
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names of the backends that imported successfully."""
-    return tuple(sorted(_BACKENDS))
-
-
-def _resolve(requested: str) -> str:
-    """Map a requested backend name to an available one (warn on fallback)."""
-    requested = (requested or "auto").strip().lower()
-    if requested == "auto":
-        return "numba" if "numba" in _BACKENDS else "numpy"
-    if requested in _BACKENDS:
-        return requested
-    if requested == "numba":
-        warnings.warn(
-            "REPRO_KERNELS=numba requested but the numba backend is "
-            f"unavailable ({UNAVAILABLE.get('numba', 'not importable')}); "
-            "falling back to the numpy reference backend",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return "numpy"
-    warnings.warn(
-        f"unknown kernel backend {requested!r} "
-        f"(available: {', '.join(available_backends())}); using auto selection",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return _resolve("auto")
-
-
-_active_name: str = _resolve(os.environ.get("REPRO_KERNELS", "auto"))
+    """Names of the selectable backends: always ``("numpy",)``."""
+    return (_BACKEND,)
 
 
 def use(backend: str) -> str:
-    """Switch the process-wide active backend; returns the effective name.
+    """Select a backend by name; returns the effective one, ``"numpy"``.
 
-    ``backend`` is ``auto``, ``numpy`` or ``numba``.  Unavailable or
-    unknown names warn and fall back (see :func:`_resolve`) — outputs
-    are byte-identical across backends, so the switch is always safe.
+    ``auto`` and ``numpy`` (any case, surrounding blanks ignored) select
+    it silently; any other name warns and selects it as well.
     """
-    global _active_name
-    _active_name = _resolve(backend)
-    return _active_name
+    requested = (backend or "auto").strip().lower()
+    if requested not in ("auto", _BACKEND):
+        warnings.warn(
+            f"unknown kernel backend {requested!r} "
+            f"(available: {_BACKEND}); using {_BACKEND}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return _BACKEND
 
 
 def backend_name() -> str:
-    """Name of the currently active backend."""
-    return _active_name
+    """Name of the active backend, ``"numpy"``."""
+    return _BACKEND
 
 
-#: ``(kernel, implementing backend) -> [calls, seconds]``.
-_STATS: dict[tuple[str, str], list[float]] = {}
+#: ``kernel -> [calls, seconds]``.
+_STATS: dict[str, list[float]] = {}
 
 
 class Kernel:
     """Callable handle for one named kernel.
 
-    Dispatches each call through the *currently* active backend (so a
-    cached handle follows :func:`use` switches) and records call-count
-    and seconds telemetry against the implementing backend.
+    Calls the implementation and records call-count and seconds
+    telemetry under the kernel's name.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_fn")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, fn: Callable[..., Any]):
         self.name = name
+        self._fn = fn
 
     @property
     def backend(self) -> str:
-        """Backend that would implement the next call."""
-        return _IMPLEMENTED_BY[_active_name][self.name]
+        """Backend that implements the calls."""
+        return _BACKEND
 
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
-        fn = _BACKENDS[_active_name][self.name]
-        key = (self.name, _IMPLEMENTED_BY[_active_name][self.name])
         t0 = time.perf_counter()
         try:
-            return fn(*args, **kwargs)
+            return self._fn(*args, **kwargs)
         finally:
-            stat = _STATS.get(key)
+            stat = _STATS.get(self.name)
             if stat is None:
-                _STATS[key] = stat = [0, 0.0]
+                _STATS[self.name] = stat = [0, 0.0]
             stat[0] += 1
             stat[1] += time.perf_counter() - t0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Kernel({self.name!r}, backend={self.backend!r})"
+        return f"Kernel({self.name!r})"
 
 
 _HANDLES: dict[str, Kernel] = {}
@@ -187,8 +114,8 @@ _HANDLES: dict[str, Kernel] = {}
 def get(name: str) -> Kernel:
     """The named kernel as a telemetry-recording callable.
 
-    Raises ``KeyError`` for names no backend registers; the handle is
-    cached, so call sites may bind it once at import time.
+    Raises ``KeyError`` for unregistered names; the handle is cached, so
+    call sites may bind it once at import time.
     """
     handle = _HANDLES.get(name)
     if handle is None:
@@ -196,15 +123,15 @@ def get(name: str) -> Kernel:
             raise KeyError(
                 f"unknown kernel {name!r} (registered: {', '.join(KERNEL_NAMES)})"
             )
-        _HANDLES[name] = handle = Kernel(name)
+        _HANDLES[name] = handle = Kernel(name, reference.KERNELS[name])
     return handle
 
 
 def kernel_stats() -> list[dict[str, Any]]:
     """Per-kernel telemetry rows: kernel, backend, calls, seconds."""
     return [
-        {"kernel": k, "backend": b, "calls": int(c), "seconds": float(s)}
-        for (k, b), (c, s) in sorted(_STATS.items())
+        {"kernel": k, "backend": _BACKEND, "calls": int(c), "seconds": float(s)}
+        for k, (c, s) in sorted(_STATS.items())
     ]
 
 

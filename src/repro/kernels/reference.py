@@ -1,10 +1,9 @@
-"""Pure-numpy reference backend — the parity anchor for every kernel.
+"""Pure-numpy implementations of every kernel.
 
-These implementations define the byte-exact contract of the kernel
-registry: any alternative backend must reproduce their outputs bit for
-bit (see ``docs/KERNELS.md``).  They are also heavily optimised in
-their own right — the reference backend is what the benchmark gates in
-``BENCH_ingest.json`` are measured against:
+These functions are the kernels :func:`repro.kernels.get` hands out,
+and they define the byte-exact contract that the equivalence harnesses
+pin (see ``docs/KERNELS.md``).  They are heavily optimised — the
+benchmark gates in ``BENCH_ingest.json`` measure them:
 
 * fingerprint powers ``z^item`` come from the memoised windowed power
   tables of :func:`~repro.hashing.field.powmod_windowed` — one gather
@@ -49,7 +48,7 @@ from ..hashing.field import mulmod, powmod_windowed
 
 __all__ = ["KERNELS"]
 
-#: Name -> implementation for this backend (complete by definition).
+#: Name -> implementation of every kernel.
 KERNELS: dict = {}
 
 
@@ -452,8 +451,9 @@ def _decode_slab(bank, family, member_starts, seg_offsets, status, items_out,
     cand_lv = np.asarray(bank._level_source.levels(keys, bank.levels), dtype=np.int64)
     tiebreak = np.asarray(bank._level_source.hash64(keys), dtype=np.uint64)
     # Per component: deepest level wins, ties by hash, then by last
-    # cell position — exactly ``lexsort((tiebreak, level))[-1]`` of the
-    # scalar path, batched via a component-major stable lexsort.
+    # cell position — exactly ``lexsort((tiebreak, level))[-1]`` of
+    # ``L0SamplerBank._sample_from``, batched via a component-major
+    # stable lexsort.
     order = np.lexsort((tiebreak, cand_lv, comp_ids))
     sorted_comps = comp_ids[order]
     present = np.unique(comp_ids)

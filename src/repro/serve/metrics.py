@@ -127,14 +127,14 @@ def render_metrics(app: "ServeApp") -> str:
 
     family(
         "repro_kernel_backend_info", "gauge",
-        "Active compiled-kernel backend (value is always 1).",
+        "Active kernel backend (value is always 1).",
     )
     out.append(_line(
         "repro_kernel_backend_info", 1, {"backend": kernels.backend_name()},
     ))
     family(
         "repro_kernel_calls_total", "counter",
-        "Kernel invocations, per kernel and implementing backend.",
+        "Kernel invocations, per kernel and backend.",
     )
     stats = kernels.kernel_stats()
     for row in stats:

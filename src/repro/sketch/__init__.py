@@ -1,14 +1,13 @@
 """Linear sketch primitives: 1-sparse cells, ℓ₀ samplers, k-RECOVERY.
 
-The building blocks of Section 2.3, each in scalar (reference) and
-numpy-bank (production) form, plus the squash encoding of Section 4.
+The building blocks of Section 2.3 as numpy banks of 1-sparse cells (a
+one-row bank is a single cell, sampler or recovery structure), plus the
+squash encoding of Section 4.
 """
 
 from .arena import ArenaBacked, SketchArena, ensure_arena
 from .bank import CellBank, decode_cells
-from .base import LinearSketch
-from .l0 import L0Sampler, L0SamplerBank
-from .onesparse import OneSparseCell
+from .l0 import L0SamplerBank
 from .serialize import (
     SketchCodec,
     dump_epoch_manifest,
@@ -26,7 +25,7 @@ from .serialize import (
     sketch_kind_of,
     subtract_sketch_bytes,
 )
-from .sparse_recovery import SparseRecovery, SparseRecoveryBank, bucket_count_for
+from .sparse_recovery import SparseRecoveryBank, bucket_count_for
 from .squash import (
     is_valid_encoding,
     pair_position_in_subset,
@@ -41,11 +40,7 @@ __all__ = [
     "CellBank",
     "SketchArena",
     "ensure_arena",
-    "L0Sampler",
     "L0SamplerBank",
-    "LinearSketch",
-    "OneSparseCell",
-    "SparseRecovery",
     "SparseRecoveryBank",
     "SketchCodec",
     "bucket_count_for",

@@ -47,7 +47,6 @@ import numpy as np
 
 from ..errors import SketchCompatibilityError
 from ..kernels import get as _get_kernel
-from ..kernels.reference import _fold_mersenne31_inplace  # noqa: F401  (re-export)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .bank import CellBank

@@ -12,9 +12,12 @@ bank in four contiguous ``int64`` arrays —
 
 and applies updates with ``np.add.at`` scatter operations, touching all
 affected (sampler, level, row) cells of a batch in a handful of numpy
-calls.  Decoding is likewise vectorised: the 1-sparseness test of
-:mod:`repro.sketch.onesparse` is evaluated for whole cell blocks at
-once.
+calls.  A cell whose vector has one non-zero entry ``x_i = v`` holds
+``phi = v`` and ``iota = i·v``, so ``i = iota / phi``, and both
+fingerprints equal ``v·z^i mod p``; a vector that only looks 1-sparse
+passes a fingerprint with probability below ``N/p``.  Decoding is
+vectorised like updates: :func:`decode_cells` runs this test for whole
+cell blocks at once.
 
 The four field arrays are always views into one contiguous ``int64``
 buffer: a bank is born with its own field-major block, and a

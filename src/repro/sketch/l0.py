@@ -14,16 +14,12 @@ hash) — that index is the argmax of a uniform hash over the support,
 hence a uniform sample, whenever it is isolated in some cell at its
 level, which happens with constant probability per level grid.
 
-Two implementations:
-
-* :class:`L0Sampler` — scalar, one vector, easy to read; used in tests
-  and small tools.
-* :class:`L0SamplerBank` — the vectorised work-horse: ``families ×
-  samplers`` independent samplers stored in one :class:`~repro.sketch.
-  bank.CellBank`.  All samplers of one *family* share hash functions,
-  so they can be summed (the AGM supernode trick); distinct families
-  are independent (fresh randomness per Borůvka round / per estimator
-  repetition).
+:class:`L0SamplerBank` stores ``families × samplers`` samplers in one
+:class:`~repro.sketch.bank.CellBank`; ``L0SamplerBank(1, 1, N, source)``
+is a single sampler.  All samplers of one *family* share hash
+functions, so they can be summed (the AGM supernode trick); distinct
+families are independent (fresh randomness per Borůvka round / per
+estimator repetition).
 """
 
 from __future__ import annotations
@@ -38,10 +34,8 @@ from ..kernels import get as _get_kernel
 from ..util import ceil_log2
 from .arena import ArenaBacked
 from .bank import CellBank, decode_cells
-from .base import LinearSketch
-from .onesparse import OneSparseCell
 
-__all__ = ["L0Sampler", "L0SamplerBank"]
+__all__ = ["L0SamplerBank"]
 
 _K_DECODE_ALL = _get_kernel("decode_all")
 
@@ -49,118 +43,6 @@ _K_DECODE_ALL = _get_kernel("decode_all")
 def _default_levels(domain: int) -> int:
     """Number of subsampling levels: enough to isolate any support size."""
     return ceil_log2(max(domain, 2)) + 2
-
-
-class L0Sampler(LinearSketch):
-    """Scalar reference ℓ₀ sampler over ``[0, domain)``.
-
-    Parameters
-    ----------
-    domain:
-        Universe size ``N``.
-    source:
-        Seed source (level hash, bucket hashes, fingerprints).
-    rows, buckets:
-        Grid dimensions of 1-sparse cells per level.
-    """
-
-    def __init__(
-        self,
-        domain: int,
-        source: HashSource,
-        rows: int = 2,
-        buckets: int = 4,
-    ):
-        if rows < 1 or buckets < 1:
-            raise ValueError("rows and buckets must be positive")
-        self.domain = domain
-        self.rows = rows
-        self.buckets = buckets
-        self.levels = _default_levels(domain)
-        self._level_source = source.derive(0xA)
-        self._bucket_source = source.derive(0xB)
-        self._cells = [
-            [
-                [OneSparseCell(domain, source.derive(0xC, lv, r, b)) for b in range(buckets)]
-                for r in range(rows)
-            ]
-            for lv in range(self.levels + 1)
-        ]
-
-    def level_of(self, index: int) -> int:
-        """Deepest level index ``index`` participates in."""
-        return int(self._level_source.levels(index, self.levels))
-
-    def _bucket_of(self, index: int, level: int, row: int) -> int:
-        key = (index * (self.levels + 1) + level) * self.rows + row
-        return int(self._bucket_source.bucket(key, self.buckets))
-
-    def update(self, index: int, delta: int) -> None:
-        """Apply ``x[index] += delta``."""
-        if not 0 <= index < self.domain:
-            raise ValueError(f"index {index} outside domain [0, {self.domain})")
-        top = self.level_of(index)
-        for lv in range(top + 1):
-            for r in range(self.rows):
-                b = self._bucket_of(index, lv, r)
-                self._cells[lv][r][b].update(index, delta)
-
-    def merge(self, other: "LinearSketch") -> None:
-        """Add a sampler with identical seed and shape."""
-        if not isinstance(other, L0Sampler) or other.domain != self.domain:
-            raise SketchCompatibilityError(
-                "can only merge L0Samplers over the same domain"
-            )
-        for lv in range(self.levels + 1):
-            for r in range(self.rows):
-                for b in range(self.buckets):
-                    self._cells[lv][r][b].merge(other._cells[lv][r][b])
-
-    def sample(self) -> tuple[int, int]:
-        """Return ``(index, value)`` for a (near-)uniform support element.
-
-        The returned index is the argmax of ``(level_of(i), hash(i))``
-        over every decodable cell — the same selection rule (including
-        the hash tie-break) as :meth:`L0SamplerBank._sample_from`, so a
-        scalar sampler and a one-family bank sharing a seed agree.
-
-        Raises
-        ------
-        SamplerFailed
-            With ``vector_is_zero=True`` when every cell is empty (the
-            sketched vector is zero w.h.p.), else a recovery failure.
-        """
-        # (level_of(i), tiebreak hash, i, value); an item decoded at a
-        # shallow grid level can still carry a deep level_of, so every
-        # cell must be inspected before the argmax is known.
-        best: tuple[int, int, int, int] | None = None
-        any_nonzero = False
-        for lv in range(self.levels, -1, -1):
-            for r in range(self.rows):
-                for b in range(self.buckets):
-                    cell = self._cells[lv][r][b]
-                    if cell.is_zero():
-                        continue
-                    any_nonzero = True
-                    decoded = cell.try_decode()
-                    if decoded is None:
-                        continue
-                    i, v = decoded
-                    cand = (
-                        self.level_of(i),
-                        int(self._level_source.hash64(i)),
-                        i,
-                        v,
-                    )
-                    if best is None or cand[:2] > best[:2]:
-                        best = cand
-        if best is not None:
-            return best[2], best[3]
-        err = SamplerFailed(
-            "l0 sample failed" if any_nonzero else "sketched vector is zero"
-        )
-        err.vector_is_zero = not any_nonzero
-        raise err
 
 
 class L0SamplerBank(ArenaBacked):
@@ -320,7 +202,18 @@ class L0SamplerBank(ArenaBacked):
         return np.arange(start, start + self._cells_per_sampler, dtype=np.int64)
 
     def sample(self, family: int, sampler: int) -> tuple[int, int]:
-        """Sample from a single sampler; see :meth:`L0Sampler.sample`."""
+        """Return ``(index, value)`` for a (near-)uniform support element.
+
+        The returned index is the argmax of ``(level(i), hash(i))``
+        over the items that decode from sampler ``(family, sampler)``'s
+        cells.
+
+        Raises
+        ------
+        SamplerFailed
+            With ``vector_is_zero=True`` when every cell is empty (the
+            sketched vector is zero w.h.p.), else a recovery failure.
+        """
         idx = self._sampler_cells(family, sampler)
         return self._sample_from(family, self.bank.cells_view(idx))
 

@@ -13,10 +13,10 @@ when the support exceeds ``k`` the peeling gets stuck and we raise
 semantics.  The two fingerprints per cell make a *wrong* successful
 decode astronomically unlikely.
 
-:class:`SparseRecovery` is a single structure; :class:`SparseRecoveryBank`
-packs ``groups × instances`` structures into one numpy bank (one
-instance per node per subsampling level in the SPARSIFICATION
-algorithm) and supports decoding the *sum* of instances — the
+:class:`SparseRecoveryBank` packs ``groups × instances`` structures
+into one numpy bank (one instance per node per subsampling level in the
+SPARSIFICATION algorithm; ``SparseRecoveryBank(1, 1, N, k, source)`` is
+a single structure) and supports decoding the *sum* of instances — the
 ``Σ_{u∈A} x^{u,j}`` trick of Fig. 3, step 4(c).
 """
 
@@ -28,122 +28,15 @@ import numpy as np
 
 from ..errors import RecoveryFailed, SketchCompatibilityError, incompatible
 from ..hashing import MERSENNE31, HashSource, powmod
-from ..hashing.field import mod_mersenne31, powmod_array
 from .arena import ArenaBacked
 from .bank import CellBank
-from .base import LinearSketch
 
-__all__ = ["SparseRecovery", "SparseRecoveryBank", "bucket_count_for"]
+__all__ = ["SparseRecoveryBank", "bucket_count_for"]
 
 
 def bucket_count_for(k: int) -> int:
     """Buckets per row for capacity ``k`` (IBLT load factor ~1.4)."""
     return max(2, int(np.ceil(1.4 * k)) + 1)
-
-
-class SparseRecovery(LinearSketch):
-    """Exact recovery of a ``≤ k``-sparse vector over ``[0, domain)``.
-
-    Parameters
-    ----------
-    domain:
-        Universe size ``N``.
-    k:
-        Recovery capacity (`k-RECOVERY`'s ``k``).
-    source:
-        Seed source (bucket hashes and fingerprints).
-    rows:
-        Number of hash tables; 3 gives the classic IBLT guarantee.
-    """
-
-    def __init__(self, domain: int, k: int, source: HashSource, rows: int = 3):
-        if k < 1:
-            raise ValueError(f"capacity k must be >= 1, got {k}")
-        if rows < 2:
-            raise ValueError(f"need >= 2 rows for peeling, got {rows}")
-        self.domain = domain
-        self.k = k
-        self.rows = rows
-        self.buckets = bucket_count_for(k)
-        self._bucket_source = source.derive(0xB)
-        self.z1 = 2 + int(source.derive(1).hash64(0)) % (MERSENNE31 - 2)
-        self.z2 = 2 + int(source.derive(2).hash64(0)) % (MERSENNE31 - 2)
-        size = rows * self.buckets
-        self.phi = np.zeros(size, dtype=np.int64)
-        self.iota = np.zeros(size, dtype=np.int64)
-        self.fp1 = np.zeros(size, dtype=np.int64)
-        self.fp2 = np.zeros(size, dtype=np.int64)
-
-    def _bucket_of(self, index: int, row: int) -> int:
-        return int(self._bucket_source.bucket(index * self.rows + row, self.buckets))
-
-    def update(self, index: int, delta: int) -> None:
-        """Apply ``x[index] += delta``."""
-        if not 0 <= index < self.domain:
-            raise ValueError(f"index {index} outside domain [0, {self.domain})")
-        f1 = delta % MERSENNE31 * powmod(self.z1, index) % MERSENNE31
-        f2 = delta % MERSENNE31 * powmod(self.z2, index) % MERSENNE31
-        for r in range(self.rows):
-            c = r * self.buckets + self._bucket_of(index, r)
-            self.phi[c] += delta
-            self.iota[c] += index * delta
-            self.fp1[c] = (self.fp1[c] + f1) % MERSENNE31
-            self.fp2[c] = (self.fp2[c] + f2) % MERSENNE31
-
-    def update_many(self, indices, deltas) -> None:
-        """Vectorised bulk update."""
-        indices = np.asarray(indices, dtype=np.int64)
-        deltas = np.asarray(deltas, dtype=np.int64)
-        if indices.size == 0:
-            return
-        dmod = np.mod(deltas, MERSENNE31)
-        c1 = mod_mersenne31(dmod * powmod_array(self.z1, indices))
-        c2 = mod_mersenne31(dmod * powmod_array(self.z2, indices))
-        for r in range(self.rows):
-            bucket = np.asarray(
-                self._bucket_source.bucket(indices * self.rows + r, self.buckets),
-                dtype=np.int64,
-            )
-            cells = r * self.buckets + bucket
-            np.add.at(self.phi, cells, deltas)
-            np.add.at(self.iota, cells, indices * deltas)
-            np.add.at(self.fp1, cells, c1)
-            np.add.at(self.fp2, cells, c2)
-        self.fp1 = mod_mersenne31(self.fp1)
-        self.fp2 = mod_mersenne31(self.fp2)
-
-    def merge(self, other: "LinearSketch") -> None:
-        """Add an identically-seeded structure (distributed sum)."""
-        if (
-            not isinstance(other, SparseRecovery)
-            or other.domain != self.domain
-            or other.k != self.k
-            or other.rows != self.rows
-            or other.z1 != self.z1
-        ):
-            raise SketchCompatibilityError(
-                "can only merge identically-seeded SparseRecovery"
-            )
-        self.phi += other.phi
-        self.iota += other.iota
-        self.fp1 = mod_mersenne31(self.fp1 + other.fp1)
-        self.fp2 = mod_mersenne31(self.fp2 + other.fp2)
-
-    def decode(self) -> dict[int, int]:
-        """Recover ``{index: value}`` exactly, or raise :class:`RecoveryFailed`."""
-        return _peel(
-            self.phi.copy(),
-            self.iota.copy(),
-            self.fp1.copy(),
-            self.fp2.copy(),
-            self.rows,
-            self.buckets,
-            self.domain,
-            self.z1,
-            self.z2,
-            self._bucket_of,
-            self.k,
-        )
 
 
 class SparseRecoveryBank(ArenaBacked):
@@ -181,6 +74,8 @@ class SparseRecoveryBank(ArenaBacked):
             raise ValueError("groups and instances must be positive")
         if k < 1:
             raise ValueError(f"capacity k must be >= 1, got {k}")
+        if rows < 2:
+            raise ValueError(f"need >= 2 rows for peeling, got {rows}")
         self.groups = groups
         self.instances = instances
         self.domain = domain
@@ -271,7 +166,11 @@ class SparseRecoveryBank(ArenaBacked):
         return np.arange(start, start + self._cells_per_instance, dtype=np.int64)
 
     def decode(self, group: int, instance: int) -> dict[int, int]:
-        """Decode one instance; see :meth:`SparseRecovery.decode`."""
+        """Recover instance ``(group, instance)`` as ``{index: value}``.
+
+        Exact whenever the vector has at most ``k`` non-zeros (w.h.p.);
+        raises :class:`~repro.errors.RecoveryFailed` otherwise.
+        """
         return self.decode_sum(group, [instance])
 
     def decode_sum(self, group: int, instance_ids: list[int]) -> dict[int, int]:
@@ -328,7 +227,6 @@ def _peel(
     update time so recovered entries can be subtracted from all rows.
     """
     recovered: dict[int, int] = {}
-    queue_scan = True
     max_iter = 4 * (rows * buckets + k + 8)
     for _ in range(max_iter):
         if not ((phi != 0) | (iota != 0) | (fp1 != 0) | (fp2 != 0)).any():
@@ -368,5 +266,4 @@ def _peel(
             break
         if not progressed:
             raise RecoveryFailed("peeling stuck: vector has more than k non-zeros")
-        queue_scan = not queue_scan
     raise RecoveryFailed("peeling did not converge")

@@ -1,7 +1,8 @@
 """Snapshot of the public API surface.
 
-``repro.__all__``, ``repro.api.__all__``, ``repro.temporal.__all__``
-and ``repro.distributed.__all__`` are pinned name for name: an
+``repro.__all__``, ``repro.api.__all__``, ``repro.temporal.__all__``,
+``repro.distributed.__all__``, ``repro.sketch.__all__`` and
+``repro.kernels.__all__`` are pinned name for name: an
 accidental removal, rename, or silent addition fails here before it
 reaches a caller.  Growing the API deliberately means updating the
 snapshot in the same change — which is the point.  Ingestion has one
@@ -17,6 +18,8 @@ import repro
 import repro.api
 import repro.distributed
 import repro.errors
+import repro.kernels
+import repro.sketch
 import repro.temporal
 
 pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
@@ -130,6 +133,48 @@ EXPECTED_DISTRIBUTED = frozenset({
     "sparsifier_sketch",
 })
 
+EXPECTED_SKETCH = frozenset({
+    "ArenaBacked",
+    "CellBank",
+    "L0SamplerBank",
+    "SketchArena",
+    "SketchCodec",
+    "SparseRecoveryBank",
+    "bucket_count_for",
+    "decode_cells",
+    "dump_epoch_manifest",
+    "dump_l0_bank",
+    "dump_recovery_bank",
+    "dump_sketch",
+    "ensure_arena",
+    "is_valid_encoding",
+    "load_epoch_manifest",
+    "load_l0_bank",
+    "load_recovery_bank",
+    "load_sketch",
+    "merge_sketch_bytes",
+    "pair_position_in_subset",
+    "pair_positions_k3",
+    "peek_sketch_meta",
+    "register_sketch_codec",
+    "rows_for_order",
+    "serializable_sketch_kinds",
+    "sketch_kind_of",
+    "squash_matrix",
+    "subtract_sketch_bytes",
+    "unsquash_value",
+})
+
+EXPECTED_KERNELS = frozenset({
+    "KERNEL_NAMES",
+    "available_backends",
+    "backend_name",
+    "get",
+    "kernel_stats",
+    "reset_kernel_stats",
+    "use",
+})
+
 EXPECTED_TOP_LEVEL = (
     EXPECTED_API
     | EXPECTED_SKETCH_CLASSES
@@ -191,7 +236,9 @@ class TestSubpackageSurfaces:
     @pytest.mark.parametrize("module, expected", [
         (repro.temporal, EXPECTED_TEMPORAL),
         (repro.distributed, EXPECTED_DISTRIBUTED),
-    ], ids=["temporal", "distributed"])
+        (repro.sketch, EXPECTED_SKETCH),
+        (repro.kernels, EXPECTED_KERNELS),
+    ], ids=["temporal", "distributed", "sketch", "kernels"])
     def test_all_matches_snapshot(self, module, expected):
         assert frozenset(module.__all__) == expected
         for name in module.__all__:

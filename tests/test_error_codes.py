@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import re
 
-import pytest
-
 import repro
 import repro.errors
 from repro.cli import main

@@ -21,7 +21,7 @@ from repro.core import (
 from repro.errors import RecoveryFailed, SamplerFailed
 from repro.graphs import Graph
 from repro.hashing import HashSource
-from repro.sketch import L0SamplerBank, SparseRecovery
+from repro.sketch import L0SamplerBank, SparseRecoveryBank
 from repro.streams import (
     DynamicGraphStream,
     complete_graph,
@@ -112,11 +112,12 @@ class TestHonestFailure:
         wrong = 0
         failed = 0
         for trial in range(50):
-            sr = SparseRecovery(10_000, k=2, source=source.derive(11, trial))
+            sr = SparseRecoveryBank(1, 1, 10_000, k=2, source=source.derive(11, trial))
             items = np.arange(trial * 7, trial * 7 + 20)
-            sr.update_many(items, np.ones(20, dtype=int))
+            zero = np.zeros_like(items)
+            sr.update(zero, zero, items, np.ones(20, dtype=int))
             try:
-                decoded = sr.decode()
+                decoded = sr.decode(0, 0)
                 if decoded != {int(i): 1 for i in items}:
                     wrong += 1
             except RecoveryFailed:

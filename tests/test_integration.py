@@ -7,6 +7,7 @@ distributed and derandomised deployment stories of Sections 1.1 / 3.4.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -26,7 +27,7 @@ from repro.graphs import (
     measure_stretch,
 )
 from repro.hashing import HashSource, NisanPRG
-from repro.sketch import L0Sampler
+from repro.sketch import L0SamplerBank
 from repro.streams import (
     churn_stream,
     dumbbell_graph,
@@ -137,11 +138,11 @@ class TestEndToEndPipelines:
 
             seed = 0
 
-        sampler = L0Sampler(500, PrgSource())
+        sampler = L0SamplerBank(1, 1, 500, PrgSource())
         support = {10: 1, 200: 2, 499: 3}
         for i, v in support.items():
-            sampler.update(i, v)
-        i, v = sampler.sample()
+            sampler.update(np.array([0]), np.array([0]), np.array([i]), np.array([v]))
+        i, v = sampler.sample(0, 0)
         assert support[i] == v
 
     def test_order_invariance_of_full_pipeline(self, source):

@@ -1,25 +1,21 @@
-"""The kernel registry: selection, fallback, telemetry, and parity.
+"""The kernel registry: lookup, backend naming, telemetry, and branches.
 
-:mod:`repro.kernels` is a performance knob, never a correctness knob —
-this module pins the knob's contract:
+:mod:`repro.kernels` hands out one numpy implementation per kernel name;
+this module pins its contract:
 
 * the registry resolves every published kernel name and nothing else;
-* backend selection degrades loudly-but-safely (unavailable ``numba``
-  and unknown names warn ``RuntimeWarning`` and land on an available
-  backend, so ``REPRO_KERNELS`` can never break an install);
-* on a numba-less interpreter the fallback is *clean*: the package
-  imports, records why numba is out, and serves numpy — proven here
-  without numba ever being importable;
-* telemetry counts calls and seconds per (kernel, implementing
-  backend) and resets to empty;
-* every available backend is byte-identical on the scatter kernel for
-  a deterministic workload (the deep cross-backend sweep is the
-  hypothesis harness in ``tests/test_temporal_equivalence.py``).
+* ``numpy`` is the only backend: ``auto`` and ``numpy`` select it, other
+  names warn ``RuntimeWarning`` and select it too, and the backend
+  environment variable of earlier releases is ignored;
+* telemetry counts calls and seconds per kernel and resets to empty;
+* ingest is byte-identical under every advertised backend name (the
+  deep sweep is the hypothesis harness in
+  ``tests/test_temporal_equivalence.py``);
+* every ``forest_scatter`` branch equals the generic sampler update.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import pathlib
 import subprocess
@@ -79,11 +75,8 @@ class TestSelection:
         assert kernels.use("numpy") == "numpy"
         assert kernels.backend_name() == "numpy"
 
-    def test_auto_prefers_numba_when_available(self):
-        expected = (
-            "numba" if "numba" in kernels.available_backends() else "numpy"
-        )
-        assert kernels.use("auto") == expected
+    def test_auto_selects_numpy(self):
+        assert kernels.use("auto") == "numpy"
 
     def test_unknown_backend_warns_and_falls_back(self):
         with pytest.warns(RuntimeWarning, match="unknown kernel backend"):
@@ -93,53 +86,25 @@ class TestSelection:
     def test_case_and_whitespace_insensitive(self):
         assert kernels.use("  NumPy ") == "numpy"
 
-    @pytest.mark.skipif(
-        "numba" in kernels.available_backends(),
-        reason="numba importable here; the fallback path cannot trigger",
-    )
-    def test_numba_unavailable_warns_and_serves_numpy(self):
-        """The documented degradation: request numba, get numpy + warning."""
-        assert "numba" in kernels.UNAVAILABLE
-        with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
-            assert kernels.use("numba") == "numpy"
-        # auto on this interpreter is numpy, silently.
-        assert kernels.use("auto") == "numpy"
-
-
-class TestNumbaAbsentImport:
-    @pytest.mark.skipif(
-        importlib.util.find_spec("numba") is not None,
-        reason="numba is installed; absence cannot be proven in-process",
-    )
-    def test_package_imports_cleanly_without_numba(self):
-        """A fresh interpreter without numba imports the package warning-
-        free, records the import failure, and selects numpy."""
+    def test_environment_variable_is_ignored(self):
+        """A fresh interpreter with the removed backend variable still
+        set imports the package warning-free and serves numpy."""
         code = (
             "import warnings\n"
-            "with warnings.catch_warnings():\n"
-            "    warnings.simplefilter('error')\n"
-            "    from repro import kernels\n"
+            "warnings.simplefilter('error')\n"
+            "from repro import kernels\n"
             "assert kernels.backend_name() == 'numpy'\n"
             "assert kernels.available_backends() == ('numpy',)\n"
-            "assert 'numba' in kernels.UNAVAILABLE\n"
-            "print('fallback-ok')\n"
+            "print('numpy-ok')\n"
         )
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = {
-            k: v for k, v in os.environ.items() if k != "REPRO_KERNELS"
-        }
-        env["PYTHONPATH"] = src
+        env = {**os.environ, "PYTHONPATH": src, "REPRO_KERNELS": "numba"}
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "fallback-ok" in proc.stdout
-
-    def test_unavailable_reason_is_a_string(self):
-        for backend, reason in kernels.UNAVAILABLE.items():
-            assert isinstance(backend, str) and isinstance(reason, str)
-            assert reason  # an empty diagnosis helps nobody
+        assert "numpy-ok" in proc.stdout
 
 
 class TestTelemetry:

@@ -25,34 +25,28 @@ from repro.core import (
 )
 from repro.errors import ReproError, SketchCompatibilityError
 from repro.hashing import HashSource
-from repro.sketch import (
-    L0Sampler,
-    L0SamplerBank,
-    OneSparseCell,
-    SparseRecovery,
-    SparseRecoveryBank,
-)
+from repro.sketch import CellBank, L0SamplerBank, SparseRecoveryBank
 
 SRC = HashSource(0xA11CE)
 
 
 #: (name, a-builder, incompatible-b-builder) — one mismatch per class.
 MISMATCH_CASES = [
-    ("one_sparse_cell",
-     lambda: OneSparseCell(50, SRC.derive(1)),
-     lambda: OneSparseCell(50, SRC.derive(2))),
-    ("l0_sampler",
-     lambda: L0Sampler(100, SRC.derive(3)),
-     lambda: L0Sampler(200, SRC.derive(3))),
+    ("cell_bank_seed",
+     lambda: CellBank(1, 50, SRC.derive(1)),
+     lambda: CellBank(1, 50, SRC.derive(2))),
+    ("l0_bank_domain",
+     lambda: L0SamplerBank(1, 1, 100, SRC.derive(3)),
+     lambda: L0SamplerBank(1, 1, 200, SRC.derive(3))),
     ("l0_bank_shape",
      lambda: L0SamplerBank(2, 3, 100, SRC.derive(4)),
      lambda: L0SamplerBank(2, 4, 100, SRC.derive(4))),
     ("l0_bank_seed",
      lambda: L0SamplerBank(2, 3, 100, SRC.derive(5)),
      lambda: L0SamplerBank(2, 3, 100, SRC.derive(6))),
-    ("sparse_recovery",
-     lambda: SparseRecovery(100, k=4, source=SRC.derive(7)),
-     lambda: SparseRecovery(100, k=5, source=SRC.derive(7))),
+    ("recovery_bank_k",
+     lambda: SparseRecoveryBank(1, 1, 100, k=4, source=SRC.derive(7)),
+     lambda: SparseRecoveryBank(1, 1, 100, k=5, source=SRC.derive(7))),
     ("recovery_bank_shape",
      lambda: SparseRecoveryBank(2, 3, 100, k=4, source=SRC.derive(8)),
      lambda: SparseRecoveryBank(3, 3, 100, k=4, source=SRC.derive(8))),
@@ -91,6 +85,12 @@ MISMATCH_CASES = [
      lambda: MSTWeightSketch(10, max_weight=6, source=SRC.derive(20))),
 ]
 
+#: Cases whose ``a`` side is merged with a twin of itself, by name.
+COMPATIBLE_CASES = [
+    c for c in MISMATCH_CASES
+    if c[0] in ("cell_bank_seed", "l0_bank_domain", "l0_bank_shape")
+]
+
 
 class TestSketchCompatibilityError:
     def test_is_value_error_and_repro_error(self):
@@ -112,8 +112,8 @@ class TestSketchCompatibilityError:
             a.merge(b)
 
     @pytest.mark.parametrize(
-        "name,build_a,build_b", MISMATCH_CASES[:3],
-        ids=[c[0] for c in MISMATCH_CASES[:3]],
+        "name,build_a,build_b", COMPATIBLE_CASES,
+        ids=[c[0] for c in COMPATIBLE_CASES],
     )
     def test_compatible_merge_still_fine(self, name, build_a, build_b):
         build_a().merge(build_a())
@@ -134,15 +134,6 @@ class TestSketchCompatibilityError:
             a.merge(b)
 
 
-#: Mismatch cases whose classes implement subtract() (the arena-backed
-#: banks and every registry sketch class; the scalar reference sketches
-#: OneSparseCell / L0Sampler / SparseRecovery deliberately do not).
-SUBTRACTABLE_CASES = [
-    c for c in MISMATCH_CASES
-    if c[0] not in ("one_sparse_cell", "l0_sampler", "sparse_recovery")
-]
-
-
 class TestOperationNaming:
     """The compatibility message names the operation that was refused.
 
@@ -160,8 +151,8 @@ class TestOperationNaming:
             build_a().merge(build_b())
 
     @pytest.mark.parametrize(
-        "name,build_a,build_b", SUBTRACTABLE_CASES,
-        ids=[c[0] for c in SUBTRACTABLE_CASES],
+        "name,build_a,build_b", MISMATCH_CASES,
+        ids=[c[0] for c in MISMATCH_CASES],
     )
     def test_subtract_message_names_subtract(self, name, build_a, build_b):
         with pytest.raises(SketchCompatibilityError) as err:

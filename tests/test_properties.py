@@ -7,6 +7,7 @@ exactness, Gomory–Hu agreement — under adversarially generated inputs.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from repro.graphs import (
     stoer_wagner,
 )
 from repro.hashing import HashSource
-from repro.sketch import L0Sampler, OneSparseCell, SparseRecovery
+from repro.sketch import CellBank, L0SamplerBank, SparseRecoveryBank, decode_cells
 from repro.streams import DynamicGraphStream, EdgeUpdate
 from repro.util import pair_rank, pair_unrank, subset_rank, subset_unrank
 
@@ -48,20 +49,40 @@ def _vector_of(updates: list[tuple[int, int]]) -> dict[int, int]:
     return acc
 
 
+def _apply(bank, updates: list[tuple[int, int]]) -> None:
+    """Feed ``(index, delta)`` updates one at a time into a one-row bank."""
+    zero = np.zeros(1, dtype=np.int64)
+    for i, d in updates:
+        bank.update(zero, zero, np.array([i]), np.array([d]))
+
+
+def _cells(sampler: L0SamplerBank) -> tuple[list[int], ...]:
+    cells = sampler.bank
+    return (
+        cells.phi.tolist(), cells.iota.tolist(),
+        cells.fp1.tolist(), cells.fp2.tolist(),
+    )
+
+
 class TestSketchProperties:
     @common_settings
     @given(updates=updates_strategy)
     def test_onesparse_decodes_iff_one_sparse(self, updates):
-        cell = OneSparseCell(200, HashSource(1).derive(7))
+        cell = CellBank(1, 200, HashSource(1).derive(7))
         for i, d in updates:
-            cell.update(i, d)
+            cell.scatter(np.array([0]), np.array([i]), np.array([d]))
         truth = _vector_of(updates)
-        decoded = cell.try_decode()
+        ok, index, value = decode_cells(
+            cell.phi, cell.iota, cell.fp1, cell.fp2, 200, cell.z1, cell.z2
+        )
+        decoded = (int(index[0]), int(value[0])) if ok[0] else None
         if len(truth) == 1:
             ((i, v),) = truth.items()
             assert decoded == (i, v)
         elif len(truth) == 0:
-            assert decoded is None and cell.is_zero()
+            assert decoded is None
+            assert not (cell.phi.any() or cell.iota.any()
+                        or cell.fp1.any() or cell.fp2.any())
         else:
             # Fingerprints make false accepts essentially impossible.
             assert decoded is None
@@ -69,12 +90,11 @@ class TestSketchProperties:
     @common_settings
     @given(updates=updates_strategy)
     def test_l0_sample_is_support_member(self, updates):
-        s = L0Sampler(200, HashSource(2).derive(3))
-        for i, d in updates:
-            s.update(i, d)
+        s = L0SamplerBank(1, 1, 200, HashSource(2).derive(3))
+        _apply(s, updates)
         truth = _vector_of(updates)
         try:
-            i, v = s.sample()
+            i, v = s.sample(0, 0)
         except SamplerFailed as exc:
             if not truth:
                 assert exc.vector_is_zero
@@ -84,42 +104,24 @@ class TestSketchProperties:
     @common_settings
     @given(updates=updates_strategy, split=st.integers(0, 60))
     def test_l0_linearity_merge_equals_concat(self, updates, split):
-        a = L0Sampler(200, HashSource(3).derive(1))
-        b = L0Sampler(200, HashSource(3).derive(1))
-        c = L0Sampler(200, HashSource(3).derive(1))
-        for i, d in updates[:split]:
-            a.update(i, d)
-        for i, d in updates[split:]:
-            b.update(i, d)
-        for i, d in updates:
-            c.update(i, d)
+        a = L0SamplerBank(1, 1, 200, HashSource(3).derive(1))
+        b = L0SamplerBank(1, 1, 200, HashSource(3).derive(1))
+        c = L0SamplerBank(1, 1, 200, HashSource(3).derive(1))
+        _apply(a, updates[:split])
+        _apply(b, updates[split:])
+        _apply(c, updates)
         a.merge(b)
         # Compare every cell of the merged and direct sketches.
-        for lv in range(a.levels + 1):
-            for r in range(a.rows):
-                for bkt in range(a.buckets):
-                    ca = a._cells[lv][r][bkt]
-                    cc = c._cells[lv][r][bkt]
-                    assert (ca.phi, ca.iota, ca.fp1, ca.fp2) == (
-                        cc.phi, cc.iota, cc.fp1, cc.fp2,
-                    )
+        assert _cells(a) == _cells(c)
 
     @common_settings
     @given(updates=updates_strategy)
     def test_l0_order_invariance(self, updates):
-        a = L0Sampler(200, HashSource(4).derive(1))
-        b = L0Sampler(200, HashSource(4).derive(1))
-        for i, d in updates:
-            a.update(i, d)
-        for i, d in reversed(updates):
-            b.update(i, d)
-        for lv in range(a.levels + 1):
-            for r in range(a.rows):
-                for bkt in range(a.buckets):
-                    ca, cb = a._cells[lv][r][bkt], b._cells[lv][r][bkt]
-                    assert (ca.phi, ca.iota, ca.fp1, ca.fp2) == (
-                        cb.phi, cb.iota, cb.fp1, cb.fp2,
-                    )
+        a = L0SamplerBank(1, 1, 200, HashSource(4).derive(1))
+        b = L0SamplerBank(1, 1, 200, HashSource(4).derive(1))
+        _apply(a, updates)
+        _apply(b, list(reversed(updates)))
+        assert _cells(a) == _cells(b)
 
     @common_settings
     @given(updates=updates_strategy)
@@ -134,11 +136,12 @@ class TestSketchProperties:
         truth = _vector_of(updates)
         failures = 0
         for attempt in range(4):
-            sr = SparseRecovery(200, k=12, source=HashSource(5).derive(2, attempt))
-            for i, d in updates:
-                sr.update(i, d)
+            sr = SparseRecoveryBank(
+                1, 1, 200, 12, HashSource(5).derive(2, attempt)
+            )
+            _apply(sr, updates)
             try:
-                decoded = sr.decode()
+                decoded = sr.decode(0, 0)
             except RecoveryFailed:
                 failures += 1
                 continue

@@ -1,4 +1,4 @@
-"""Tests for ℓ₀ samplers (Theorem 2.1): scalar and bank forms."""
+"""Tests for ℓ₀ samplers (Theorem 2.1): one sampler and whole banks."""
 
 from __future__ import annotations
 
@@ -9,87 +9,88 @@ import pytest
 
 from repro.errors import SamplerFailed
 from repro.hashing import HashSource
-from repro.sketch import L0Sampler, L0SamplerBank
+from repro.sketch import L0SamplerBank
 
 
-class TestL0SamplerScalar:
+def _sampler(domain: int, source, **kwargs) -> L0SamplerBank:
+    """A single ℓ₀ sampler: a one-family, one-sampler bank."""
+    return L0SamplerBank(1, 1, domain, source, **kwargs)
+
+
+def _update(sampler: L0SamplerBank, index: int, delta: int) -> None:
+    zero = np.zeros(1, dtype=np.int64)
+    sampler.update(zero, zero, np.array([index]), np.array([delta]))
+
+
+class TestOneSampler:
     def test_sample_from_singleton(self, source):
-        s = L0Sampler(500, source.derive(1))
-        s.update(123, 9)
-        assert s.sample() == (123, 9)
+        s = _sampler(500, source.derive(1))
+        _update(s, 123, 9)
+        assert s.sample(0, 0) == (123, 9)
 
     def test_sample_in_support(self, source):
-        s = L0Sampler(500, source.derive(2))
+        s = _sampler(500, source.derive(2))
         support = {3: 1, 99: 2, 400: -1}
         for i, v in support.items():
-            s.update(i, v)
-        i, v = s.sample()
+            _update(s, i, v)
+        i, v = s.sample(0, 0)
         assert support[i] == v
 
     def test_deletions_cancel(self, source):
-        s = L0Sampler(500, source.derive(3))
-        s.update(7, 1)
-        s.update(300, 1)
-        s.update(300, -1)
-        assert s.sample() == (7, 1)
+        s = _sampler(500, source.derive(3))
+        _update(s, 7, 1)
+        _update(s, 300, 1)
+        _update(s, 300, -1)
+        assert s.sample(0, 0) == (7, 1)
 
     def test_zero_vector_flagged(self, source):
-        s = L0Sampler(500, source.derive(4))
-        s.update(5, 1)
-        s.update(5, -1)
+        s = _sampler(500, source.derive(4))
+        _update(s, 5, 1)
+        _update(s, 5, -1)
         with pytest.raises(SamplerFailed) as info:
-            s.sample()
+            s.sample(0, 0)
         assert info.value.vector_is_zero
 
-    def test_update_out_of_domain(self, source):
-        s = L0Sampler(100, source.derive(5))
-        with pytest.raises(ValueError):
-            s.update(100, 1)
-
     def test_merge_equals_combined(self, source):
-        a = L0Sampler(200, source.derive(6))
-        b = L0Sampler(200, source.derive(6))
-        a.update(10, 1)
-        b.update(10, -1)
-        b.update(50, 2)
+        a = _sampler(200, source.derive(6))
+        b = _sampler(200, source.derive(6))
+        _update(a, 10, 1)
+        _update(b, 10, -1)
+        _update(b, 50, 2)
         a.merge(b)
-        assert a.sample() == (50, 2)
+        assert a.sample(0, 0) == (50, 2)
 
     def test_merge_domain_mismatch(self, source):
-        a = L0Sampler(200, source.derive(7))
-        b = L0Sampler(300, source.derive(7))
+        a = _sampler(200, source.derive(7))
+        b = _sampler(300, source.derive(7))
         with pytest.raises(ValueError):
             a.merge(b)
 
     def test_moderate_support_recoverable(self, source):
-        s = L0Sampler(10_000, source.derive(8), rows=2, buckets=8)
+        s = _sampler(10_000, source.derive(8), rows=2, buckets=8)
         support = {i * 37 + 1: 1 for i in range(50)}
         for i, v in support.items():
-            s.update(i, v)
-        i, v = s.sample()
+            _update(s, i, v)
+        i, v = s.sample(0, 0)
         assert i in support
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_parity_with_one_family_bank(self, seed):
-        """Scalar and bank samplers share the selection rule, tie-break included.
+    def test_sample_agrees_with_batched_decode(self, seed):
+        """``sample`` and the ``decode_all`` kernel share the selection rule.
 
-        Both derive the level/bucket hashes from the same labels, so a
-        scalar sampler and a one-family single-sampler bank built from
-        the same source place items in the same cells; the sample must
-        then agree because both pick the argmax of ``(level, hash(i))``
-        over decodable cells.  Before the tie-break fix the scalar
-        sampler kept the *first* candidate of the deepest level instead.
+        ``sample`` decodes one sampler's cells with ``decode_cells``;
+        ``sample_sum`` goes through the batched ``decode_all`` kernel.
+        Both must pick the argmax of ``(level, hash(i))`` over the
+        decodable cells, tie-break included, so they return the same
+        sample — or both FAIL.
         """
         src = HashSource(0xA11CE + seed)
         domain = 2_000
-        scalar = L0Sampler(domain, src)
-        bank = L0SamplerBank(families=1, samplers=1, domain=domain, source=src)
+        bank = _sampler(domain, src)
         support = {(j * 131 + 17 * seed) % domain: 1 + (j % 3) for j in range(24)}
         support.pop(0, None)
         items = np.fromiter(support, dtype=np.int64)
         values = np.fromiter(support.values(), dtype=np.int64)
-        for i, v in support.items():
-            scalar.update(i, v)
         bank.update(
             np.zeros(items.size, dtype=np.int64),
             np.zeros(items.size, dtype=np.int64),
@@ -100,9 +101,9 @@ class TestL0SamplerScalar:
             expected = bank.sample(0, 0)
         except SamplerFailed:
             with pytest.raises(SamplerFailed):
-                scalar.sample()
+                bank.sample_sum(0, [0])
             return
-        assert scalar.sample() == expected
+        assert bank.sample_sum(0, [0]) == expected
 
 
 class TestL0SamplerBank:

@@ -26,9 +26,7 @@ from repro.api import (
     SketchSpec,
     WIRE_VERSION,
     query_from_dict,
-    query_to_dict,
     result_from_dict,
-    result_to_dict,
 )
 from repro.api.wire import blob_from_wire, blob_to_wire
 from repro.core import named_patterns
