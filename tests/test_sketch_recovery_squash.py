@@ -64,6 +64,20 @@ class TestSparseRecovery:
         with pytest.raises(RecoveryFailed):
             sr.decode(0, 0)
 
+    def test_update_many_matches_scalar(self, source):
+        """One batched update leaves the same cells as one update per item."""
+        a = _recovery(1000, 5, source.derive(6))
+        b = _recovery(1000, 5, source.derive(6))
+        items = [3, 700, 41, 900]
+        vals = [1, -2, 3, 4]
+        for i, v in zip(items, vals):
+            _update(a, i, v)
+        _update_many(b, items, vals)
+        assert (a.bank.phi == b.bank.phi).all()
+        assert (a.bank.iota == b.bank.iota).all()
+        assert (a.bank.fp1 == b.bank.fp1).all()
+        assert (a.bank.fp2 == b.bank.fp2).all()
+
     def test_merge_linearity(self, source):
         a = _recovery(500, 4, source.derive(7))
         b = _recovery(500, 4, source.derive(7))
