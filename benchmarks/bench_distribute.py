@@ -1,20 +1,26 @@
 """Sharded sketching — communication accounting and parallel speed-up.
 
 Times the :class:`~repro.distributed.ShardedSketchRunner` on the
-standard workloads at ``K = 4`` sites: once with in-process sequential
-site execution and once on the persistent shared-memory worker pool.
-Both modes produce bit-identical coordinator sketches (pinned by
-``tests/test_distributed_equivalence.py``); here we check the *systems*
+standard workloads at ``K = 4`` sites: once on a fresh runner with
+in-process sequential site execution and once on the persistent
+shared-memory worker pool.  Both modes run the same site step — fold
+the shard into a slot, check the site sketch's kind, parameters and
+seed, fold the slot at the coordinator — so they produce bit-identical
+coordinator sketches (pinned by
+``tests/test_distributed_equivalence.py``) and the same byte counts
+(``max_payload_bytes``/``total_payload_bytes``: 16 bytes per nonzero
+slot entry, or 32 per cell when dense).  Here we check the *systems*
 claims:
 
 * ``process_cold_s`` pays pool spawn + segment creation (first run);
   ``process_s`` is the warm steady state every subsequent
   ``run()``/``run_epochs()`` on the same runner sees — that is the
   number the gates judge, because a deployment amortises startup.
-* ``parallel_not_slower_*`` — warm process mode must beat sequential
-  even on one core: workers fold deltas in place and ship ``(site,
-  nbytes, seconds)`` handles, skipping sequential's per-site
-  serialise → verify → inflate round-trip entirely.
+* ``parallel_not_slower_*`` — warm process mode must not lose to
+  sequential: the work per site is the same, so the pool must at
+  least pay for its dispatch, and the warm workers skip the site
+  sketch, buffers and first-call warm-ups a fresh sequential runner
+  pays.
 * ``scaling_k4_*`` — warm speed-up at K=4 must reach ``0.7 × min(K,
   cores)``: the ≥0.7×K scaling claim on machines with ≥K cores,
   degrading honestly to 0.7 on a 1-core runner.  K=2 and K=8 rows are

@@ -8,7 +8,9 @@ Two operational claims:
 
 * The batch endpoint sustains a floor of updates/sec end-to-end
   (admit → drain → applied), so the asyncio plumbing is not the
-  bottleneck in front of the sketch kernels.
+  bottleneck in front of the sketch kernels.  The batch and NDJSON
+  stream rows each report the median of ``INGEST_REPEATS`` timed
+  repeats after a warm-up, with the rate's interquartile range.
 * Query latency stays bounded while ingest runs concurrently: the
   per-tenant lock serialises engine access, so p99 reflects honest
   queueing, not corruption — and it must stay under a generous ceiling.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import statistics
 import time
 
 from conftest import write_bench_json
@@ -45,6 +48,10 @@ QUERY_P99_CEILING_S = 1.5        # p99 connectivity query under ingest load
 #: read at index int(0.99·N), so 1,100 samples leave ten above it and
 #: the figure is not the maximum of a small sample.
 QUERY_SAMPLES = 1_100
+#: Timed repeats of each ingest row after its warm-up: one timing of
+#: 0.04–0.1 s swings 2–3× between runs on one host, so a row reports
+#: the median rate over the repeats, with its interquartile range.
+INGEST_REPEATS = 5
 
 
 def _updates(count: int, offset: int = 0) -> "list[list[int]]":
@@ -85,6 +92,27 @@ async def _ingest_batches(client: AsgiClient, name: str,
     return time.perf_counter() - t0
 
 
+async def _ingest_stream(client: AsgiClient, name: str, body: bytes) -> float:
+    """Stream one NDJSON body and flush it; return elapsed seconds."""
+    t0 = time.perf_counter()
+    r = await client.post(f"/v1/tenants/{name}/stream", body=body)
+    assert r.status == 202, r.text
+    await client.post(f"/v1/tenants/{name}/flush")
+    return time.perf_counter() - t0
+
+
+def _rate_row(path: str, updates: int, seconds: "list[float]") -> dict:
+    """A row of median updates/sec over repeats, with its IQR."""
+    rates = [updates / s for s in seconds]
+    q1, _, q3 = statistics.quantiles(rates, n=4)
+    return {
+        "path": path, "updates": updates, "repeats": len(seconds),
+        "seconds": round(statistics.median(seconds), 4),
+        "updates_per_sec": round(statistics.median(rates), 1),
+        "updates_per_sec_iqr": round(q3 - q1, 1),
+    }
+
+
 def test_serve_load(quick, enforce):
     batches = 40 if quick else 200
     stream_updates = 2_000 if quick else 10_000
@@ -99,30 +127,23 @@ def test_serve_load(quick, enforce):
             # -- sustained batch ingest ---------------------------------
             await _make_tenant(client, "ingest")
             await _ingest_batches(client, "ingest", batches=4)  # warm-up
-            seconds = await _ingest_batches(client, "ingest", batches)
-            batch_ups = batches * BATCH_UPDATES / seconds
-            rows.append({
-                "path": "batches", "updates": batches * BATCH_UPDATES,
-                "seconds": round(seconds, 4),
-                "updates_per_sec": round(batch_ups, 1),
-            })
+            rows.append(_rate_row("batches", batches * BATCH_UPDATES, [
+                await _ingest_batches(client, "ingest", batches)
+                for _ in range(INGEST_REPEATS)
+            ]))
+            batch_ups = rows[-1]["updates_per_sec"]
 
             # -- sustained NDJSON streaming ingest ----------------------
             body = b"".join(
                 json.dumps(update).encode() + b"\n"
                 for update in _updates(stream_updates)
             )
-            t0 = time.perf_counter()
-            r = await client.post("/v1/tenants/ingest/stream", body=body)
-            assert r.status == 202, r.text
-            await client.post("/v1/tenants/ingest/flush")
-            stream_seconds = time.perf_counter() - t0
-            stream_ups = stream_updates / stream_seconds
-            rows.append({
-                "path": "stream", "updates": stream_updates,
-                "seconds": round(stream_seconds, 4),
-                "updates_per_sec": round(stream_ups, 1),
-            })
+            await _ingest_stream(client, "ingest", body)  # warm-up
+            rows.append(_rate_row("stream", stream_updates, [
+                await _ingest_stream(client, "ingest", body)
+                for _ in range(INGEST_REPEATS)
+            ]))
+            stream_ups = rows[-1]["updates_per_sec"]
 
             # -- query latency under concurrent ingest ------------------
             await _make_tenant(client, "query")

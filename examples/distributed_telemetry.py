@@ -9,9 +9,12 @@ sketches — the result is bit-identical to sketching the union stream.
 
 With the engine API the whole deployment is one fluent chain:
 ``GraphSketchEngine.for_spec(spec).sharded(sites=4).ingest(stream)``
-partitions, consumes per site through the columnar path, ships
-serialised bytes, and merges with parameter/seed verification — and
-``query()`` then answers exactly as a local engine would.
+partitions, folds each site's sub-stream into a slot of sketch cells
+through the columnar path, checks every site sketch's kind, parameters
+and seed against the coordinator's, and adds the slots — and
+``query()`` then answers exactly as a local engine would.  The bytes
+printed per site are that slot as the coordinator reads it: 16 per
+nonzero cell entry, or 32 per cell once the slot is dense.
 
 Run:  python examples/distributed_telemetry.py [--quick]
 """

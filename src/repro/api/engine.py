@@ -151,8 +151,13 @@ class GraphSketchEngine:
 
         ``strategy`` picks the deterministic partition; ``seed`` feeds
         the hash-based strategies.  Ingested streams are partitioned,
-        consumed per site, shipped as serialised bytes, and merged at
-        the coordinator — answers are byte-identical to a local run.
+        each site folds its shard into a result slot, and the
+        coordinator checks each site sketch's kind, parameters and seed
+        and adds the slots into its own sketch — answers are
+        byte-identical to a local run.  Sites run one after another in
+        this process unless :meth:`workers` picks ``"process"``; either
+        way the path and the byte figure (:attr:`shipped_bytes`) are
+        the same.
         """
         self._require_unstarted("sharding")
         if strategy not in PARTITION_STRATEGIES:
@@ -311,7 +316,16 @@ class GraphSketchEngine:
 
     @property
     def shipped_bytes(self) -> int:
-        """Serialised bytes shipped site → coordinator across all ingests."""
+        """Bytes the coordinator read from site slots across all ingests.
+
+        Per site and round: 16 per nonzero ``(index, value)`` entry, or
+        32 per cell when the slot is dense (see
+        :class:`~repro.distributed.SiteReport`); an epoch-grid ingest
+        counts each epoch's delta.  Both execution modes report it.  An
+        adaptive spanner, which runs its own round protocol instead of
+        the sharded runner, counts the codec bytes of the site banks it
+        ships.
+        """
         return self._shipped_bytes
 
     @property
@@ -346,9 +360,11 @@ class GraphSketchEngine:
         return self._runner_obj
 
     def close(self) -> None:
-        """Release process-mode resources (worker pool, shared segments).
+        """Release the sharded runner: its worker pool and shared
+        segments in process mode, its warm site sketch and buffers in
+        either mode.
 
-        Safe on any engine (a no-op outside process mode) and
+        Safe on any engine (a no-op when nothing is sharded) and
         idempotent; the engine stays queryable — only the execution
         resources are torn down, to be lazily rebuilt if needed.
         """

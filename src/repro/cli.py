@@ -10,7 +10,7 @@ Sub-commands:
   :class:`~repro.api.GraphSketchEngine` per spec;
 * ``distribute --sites K`` — the Section 1.1 multi-site deployment:
   the same specs, deployed with ``.sharded(sites=K)`` — partition,
-  consume locally, ship serialised sketches, merge, answer;
+  consume locally, ship each site's sketch cells, merge, answer;
 * ``epochs --epochs E`` — temporal checkpointing: the same spec with
   ``.epochs(...)``, sealing immutable cumulative checkpoints
   (optionally per-site with ``--sites K``), manifest written with
@@ -332,7 +332,7 @@ def _cmd_epochs(args: argparse.Namespace) -> int:
         report = engine.last_report
         print(
             f"sharded across {args.sites} sites: "
-            f"{report.total_payload_bytes} checkpoint bytes shipped, "
+            f"{report.total_payload_bytes} epoch-delta bytes shipped, "
             f"wall={report.wall_seconds:.2f}s"
         )
     if args.store is not None:
@@ -560,8 +560,8 @@ def main(argv: list[str] | None = None) -> int:
                                "comma-separated non-decreasing list ending "
                                "at the stream length (overrides --epochs)")
     p_epochs.add_argument("--sites", type=int, default=1,
-                          help="simulate K sites (per-site checkpoints "
-                               "merged across sites; default 1)")
+                          help="simulate K sites (per-epoch site deltas "
+                               "merged at the coordinator; default 1)")
     p_epochs.add_argument("--out", default=None,
                           help="write the epoch manifest (or store pointer, "
                                "with --store) to this file")

@@ -19,8 +19,10 @@ This package is that model made executable:
 * :mod:`repro.distributed.coordinator` — the
   :class:`~repro.distributed.coordinator.ShardedSketchRunner`: fan a
   workload out to ``K`` simulated sites (in-process or via a
-  ``multiprocessing`` pool), serialise each site's sketch to bytes,
-  and merge at the coordinator with parameter/seed verification.
+  ``multiprocessing`` pool, one code path either way), fold each
+  site's shard into a result slot, and merge the slots at the
+  coordinator after checking each site sketch's kind, parameters and
+  seed.
 
 The cross-shard equivalence harness
 (``tests/test_distributed_equivalence.py``) pins the model's promise

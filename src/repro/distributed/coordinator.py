@@ -3,25 +3,32 @@
 :class:`ShardedSketchRunner` simulates the Section 1.1 deployment end
 to end: partition the stream, let each of ``K`` sites consume its shard
 through the columnar path, ship the site state to the coordinator, and
-linearly merge there.  Either execution mode produces a byte-identical
-coordinator sketch — pinned by ``tests/test_distributed_equivalence.py``.
+linearly merge there.
 
-Execution modes:
+Both execution modes run one path.  Each site keeps a warm,
+identically-seeded sketch; per task it re-points that sketch's cell
+banks (:meth:`SketchArena.adopt_external`) at its zeroed slot of a
+result buffer, folds its shard slice in place, and hands the slot over
+as a ``(site, tokens, nbytes, seconds, header)`` report.  The
+coordinator checks each site sketch's kind, parameters and seed
+(``header``) against its own, refusing a mismatch
+(:class:`~repro.errors.SketchCompatibilityError`) before any slot of
+the round is folded, then folds the slots into its arena — ``O(nnz)``
+for lightly-loaded sites.  ``mode`` only chooses where the site step
+runs:
 
-* ``"sequential"`` — sites run in-process, one after another.  Each
-  site serialises its sketch through codec v2 (the only thing that
-  crosses the site → coordinator boundary), so the measured payload is
-  exactly what a networked deployment would ship.  Zero setup cost;
-  the default for tests and small workloads.
-* ``"process"`` — sites run concurrently on a **persistent** worker
-  pool over **shared memory** (see :mod:`repro.distributed.shm`).  The
-  partitioned stream columns are published once into a shared input
-  segment; each worker keeps a warm, identically-seeded sketch whose
-  cell banks are re-pointed (:meth:`SketchArena.adopt_external`) at its
-  site's slot of a shared result segment, folds its shard in place, and
-  returns only a ``(site, tokens, nbytes, seconds)`` handle.  The
-  coordinator merges slots through arena views — ``O(nnz)`` for
-  lightly-loaded sites — with no serialise/verify/inflate round-trip.
+* ``"sequential"`` — in this process, one site after another, over
+  plain numpy buffers: no pool and no shared memory, and one slot that
+  each site hands over before the next runs.  Zero setup cost; the
+  default for tests and small workloads.
+* ``"process"`` — concurrently on a **persistent** worker pool over
+  **shared memory** (see :mod:`repro.distributed.shm`): the shard
+  columns are published once into a shared input segment, and the
+  slots live in a shared result segment.
+
+Either mode produces a byte-identical coordinator sketch — pinned by
+``tests/test_distributed_equivalence.py`` — and the same per-site byte
+figure (:class:`SiteReport`).
 
 The pool is created lazily on the first process-mode run and reused by
 every subsequent ``run()``/``run_epochs()`` on the same runner; the
@@ -43,7 +50,7 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from types import TracebackType
 from typing import TYPE_CHECKING
@@ -52,14 +59,9 @@ import numpy as np
 
 from ..errors import SketchCompatibilityError, StreamError
 from ..sketch.arena import SketchArena, ensure_arena
-from ..sketch.serialize import dump_sketch, merge_sketch_bytes
+from ..sketch.serialize import _sketch_header, _verify_header, dump_sketch
 from ..streams import DynamicGraphStream, StreamBatch
-from ..temporal.epochs import (
-    EpochCheckpoint,
-    EpochManager,
-    EpochTimeline,
-    normalize_boundaries,
-)
+from ..temporal.epochs import EpochCheckpoint, EpochTimeline, normalize_boundaries
 from .partition import partition_batch, shard_assignment
 from .shm import SegmentRegistry, reset_worker_cache, worker_view
 
@@ -104,11 +106,11 @@ class SiteReport:
     """What one site did and shipped.
 
     ``payload_bytes`` is the per-site communication cost, *independent
-    of* ``tokens`` (the point of the model).  In sequential mode it is
-    the codec-v2 serialised sketch size; in process mode it is the
-    bytes the coordinator reads from the site's shared slot — the
-    sparse ``(index, value)`` pairs for a lightly-loaded site, the
-    dense cell buffer otherwise.
+    of* ``tokens`` (the point of the model): the bytes the coordinator
+    reads from the site's slot — 16 per nonzero ``(index, value)``
+    pair for a lightly-loaded site, 32 per cell for the dense cell
+    buffer otherwise.  Both execution modes report this one figure; an
+    epoch run sums it over the site's per-epoch deltas.
     """
 
     site: int
@@ -163,8 +165,8 @@ class ShardedEpochReport:
         have sealed, so every epoch-window query gives the single-site
         answer exactly.
     sites:
-        Per-site reports; ``payload_bytes`` totals all of a site's
-        epoch shipments (one per epoch).
+        Per-site reports; ``payload_bytes`` totals a site's per-epoch
+        delta slots (one per epoch).
     """
 
     timeline: EpochTimeline
@@ -180,71 +182,97 @@ class ShardedEpochReport:
 
     @property
     def total_payload_bytes(self) -> int:
-        """Total checkpoint bytes shipped from all sites."""
+        """Total per-epoch delta bytes shipped from all sites."""
         return sum(s.payload_bytes for s in self.sites)
 
 
-# -- sequential-mode site workers ----------------------------------------------
+# -- the site step ------------------------------------------------------------
 
 
-def _consume_shard_epochs(args: tuple) -> tuple[int, list[bytes], int, float]:
-    """Site worker for sequential temporal runs: one checkpoint per epoch.
+class _SiteWorker:
+    """A site's warm sketch, refolded onto a zeroed result slot per task.
 
-    The site's epoch boundaries arrive pre-translated into shard-local
-    positions.
+    Built from the runner's factory once per runner (sequential mode)
+    or once per pool worker (process mode), so a steady-state run
+    builds no sketch.  Consuming onto a zeroed slot yields exactly the
+    task's delta sketch (linearity).
     """
-    site, factory, n, lo, hi, delta, ranks, site_bounds = args
-    t0 = time.perf_counter()
-    manager = EpochManager(factory)
-    batch = StreamBatch(n, lo, hi, delta, ranks=ranks)
-    start = 0
-    payloads: list[bytes] = []
-    for end in site_bounds:
-        manager.extend(batch.slice(start, int(end)))
-        payloads.append(manager.seal_epoch().payload)
-        start = int(end)
-    return site, payloads, len(batch), time.perf_counter() - t0
 
+    __slots__ = ("sketch", "banks", "cells")
 
-def _consume_shard(args: tuple) -> tuple[int, bytes, int, float]:
-    """Sequential site worker: build the sketch, consume, serialise."""
-    site, factory, n, lo, hi, delta, ranks = args
-    t0 = time.perf_counter()
-    sketch = factory()
-    batch = StreamBatch(n, lo, hi, delta, ranks=ranks)
-    if hasattr(sketch, "consume_batch"):
-        sketch.consume_batch(batch)
-    else:  # pragma: no cover - every shipped sketch has the columnar path
-        raise TypeError(
-            f"{type(sketch).__name__} has no consume_batch; the sharded "
-            "runner requires the columnar ingestion path"
+    def __init__(self, factory: Callable[[], object]):
+        sketch = factory()
+        if not hasattr(sketch, "_cell_banks") or \
+                not hasattr(sketch, "consume_batch"):
+            raise TypeError(
+                f"{type(sketch).__name__} is not arena-backed; the sharded "
+                "runner needs _cell_banks() and consume_batch() (every "
+                "registry sketch class qualifies)"
+            )
+        self.sketch = sketch
+        self.banks = tuple(sketch._cell_banks())
+        self.cells = sum(b.size for b in self.banks)
+
+    def fold(
+        self, inp: np.ndarray, res: np.ndarray, task: tuple
+    ) -> tuple[int, int, int, float, dict]:
+        """Fold one shard slice into the site's result slot.
+
+        ``task`` is ``(site, n, col_base, ntok, start, stop, slot)``:
+        view the four shard columns ``[start, stop)`` in ``inp``, zero
+        the slot in ``res``, re-point the banks at it, consume in
+        place, and publish the slot's nonzero index (when sparse
+        enough) so the coordinator can fold in ``O(nnz)``.  Returns
+        ``(site, tokens, payload_bytes, seconds, header)``, ``header``
+        being the sketch's kind, parameters and seed for the
+        coordinator to check.
+        """
+        site, n, col_base, ntok, start, stop, slot = task
+        t0 = time.perf_counter()
+        cells = self.cells
+        dense = res[slot:slot + 4 * cells]
+        head = slot + 4 * cells
+        dense[:] = 0
+        self.sketch._arena = SketchArena.adopt_external(self.banks, dense)
+        lo, hi, delta, ranks = (
+            inp[col_base + f * ntok + start:col_base + f * ntok + stop]
+            for f in range(4)
         )
-    payload = dump_sketch(sketch)
-    return site, payload, len(batch), time.perf_counter() - t0
+        self.sketch.consume_batch(
+            StreamBatch._from_owned(n, lo, hi, delta, ranks)
+        )
+        idx = np.flatnonzero(dense)
+        if 2 * idx.size <= 4 * cells:
+            # Sparse handoff: the coordinator reads nnz (index, value)
+            # pairs instead of scanning the whole slot.
+            res[head + 1:head + 1 + idx.size] = idx
+            res[head] = idx.size
+            shipped = 16 * idx.size
+        else:
+            res[head] = -1
+            shipped = 8 * (4 * cells)
+        return (site, stop - start, int(shipped), time.perf_counter() - t0,
+                _sketch_header(self.sketch))
 
 
-# -- process-mode site workers (shared memory) ---------------------------------
+def _checked(report: tuple, like: object) -> tuple[int, int, int, float]:
+    """``report`` without its header, once the header names ``like``'s
+    kind, parameters and seed (:class:`SketchCompatibilityError`
+    otherwise)."""
+    _verify_header(report[-1], like)
+    return report[:-1]
 
-#: Per-worker warm state installed by :func:`_shm_worker_init`: one
-#: identically-seeded sketch whose banks get re-pointed at whichever
-#: site slot this worker serves next.  Module-level because pool
-#: workers have no other per-process home.
+
+# -- process-mode pool workers (shared memory) ---------------------------------
+
+#: Per-worker warm state installed by :func:`_shm_worker_init`.
+#: Module-level because pool workers have no other per-process home.
 _WORKER: dict = {}
 
 
 def _shm_worker_init(factory: Callable[[], object]) -> None:
-    """Pool initializer: build this worker's warm sketch exactly once.
-
-    Runs in the child process.  The factory is the same one the
-    coordinator uses, so bank layout and seeds match by construction;
-    consuming onto a zeroed shared slot then yields exactly the site's
-    delta sketch (linearity).
-    """
-    sketch = factory()
-    banks = tuple(sketch._cell_banks())
-    _WORKER["sketch"] = sketch
-    _WORKER["banks"] = banks
-    _WORKER["cells"] = sum(b.size for b in banks)
+    """Pool initializer: build this worker's warm site sketch once."""
+    _WORKER["site"] = _SiteWorker(factory)
 
 
 def _reset_worker_state() -> None:
@@ -253,44 +281,14 @@ def _reset_worker_state() -> None:
     reset_worker_cache()
 
 
-def _shm_consume_task(task: tuple) -> tuple[int, int, int, float]:
-    """Fold one site-shard slice into the site's shared result slot.
-
-    ``task`` is ``(site, n, input_name, col_base, ntok, start, stop,
-    result_name, slot)``: map the input segment, view the four shard
-    columns ``[start, stop)``, zero the slot, re-point the warm
-    sketch's banks at it, consume in place, and publish the slot's
-    nonzero index (when sparse enough) so the coordinator can fold in
-    ``O(nnz)``.  Returns ``(site, tokens, payload_bytes, seconds)`` —
-    the entire inter-process result traffic.
-    """
-    site, n, in_name, col_base, ntok, start, stop, res_name, slot = task
-    t0 = time.perf_counter()
-    sketch = _WORKER["sketch"]
-    banks = _WORKER["banks"]
-    cells = _WORKER["cells"]
-    res = worker_view("result", res_name)
-    dense = res[slot:slot + 4 * cells]
-    head = slot + 4 * cells
-    dense[:] = 0
-    sketch._arena = SketchArena.adopt_external(banks, dense)
-    inp = worker_view("input", in_name)
-    lo, hi, delta, ranks = (
-        inp[col_base + f * ntok + start:col_base + f * ntok + stop]
-        for f in range(4)
+def _shm_consume_task(task: tuple) -> tuple[int, int, int, float, dict]:
+    """Pool task ``(input_name, result_name, site_task)``: map the two
+    shared segments and run :meth:`_SiteWorker.fold` on them."""
+    in_name, res_name, site_task = task
+    return _WORKER["site"].fold(
+        worker_view("input", in_name), worker_view("result", res_name),
+        site_task,
     )
-    sketch.consume_batch(StreamBatch._from_owned(n, lo, hi, delta, ranks))
-    idx = np.flatnonzero(dense)
-    if 2 * idx.size <= 4 * cells:
-        # Sparse handoff: the coordinator reads nnz (index, value)
-        # pairs instead of scanning the whole slot.
-        res[head + 1:head + 1 + idx.size] = idx
-        res[head] = idx.size
-        shipped = 16 * idx.size
-    else:
-        res[head] = -1
-        shipped = 8 * (4 * cells)
-    return site, stop - start, int(shipped), time.perf_counter() - t0
 
 
 class ShardedSketchRunner:
@@ -299,12 +297,15 @@ class ShardedSketchRunner:
     Parameters
     ----------
     factory:
-        Zero-argument callable returning a fresh sketch.  Every site
-        (and the coordinator) calls it, so it must produce
-        *identically-seeded* sketches — linearity demands it.  For
-        ``mode="process"`` it must be picklable (module-level
-        factories / ``functools.partial`` qualify) and its sketches
-        arena-backed (every registry sketch is).
+        Zero-argument callable returning a fresh, arena-backed sketch
+        of a registered kind (every registry sketch qualifies).  Every
+        site (and the coordinator) calls it, so it must produce
+        *identically-seeded* sketches — linearity demands it, and a
+        run refuses site sketches whose kind, parameters or seed differ
+        from the coordinator's (:class:`~repro.errors.
+        SketchCompatibilityError`).  For ``mode="process"`` it must
+        also be picklable (module-level factories /
+        ``functools.partial`` qualify).
     sites:
         Number of simulated sites ``K >= 1``.
     strategy:
@@ -327,9 +328,12 @@ class ShardedSketchRunner:
 
     A runner with ``mode="process"`` holds two kinds of resources once
     it has run: the persistent worker pool and its shared-memory
-    segments.  Release them deterministically with :meth:`close` or a
-    ``with`` block; a garbage-collected runner is cleaned up by
-    finalizers, and a hard coordinator crash by the resource tracker.
+    segments (a sequential runner holds only memory: its warm site
+    sketch and local buffers).  Release them deterministically with
+    :meth:`close` or a ``with`` block; a garbage-collected runner is
+    cleaned up by finalizers, and a hard coordinator crash by the
+    resource tracker.  Runs reuse these resources, so a runner serves
+    one run at a time in either mode.
     """
 
     def __init__(
@@ -369,7 +373,8 @@ class ShardedSketchRunner:
         self.start_method = start_method
         self._pool: multiprocessing.pool.Pool | None = None
         self._registry: SegmentRegistry | None = None
-        self._slot_cells: int | None = None
+        self._local: dict[str, np.ndarray] = {}
+        self._site: _SiteWorker | None = None
         self._closed = False
 
     # -- lifecycle --------------------------------------------------------------
@@ -380,10 +385,13 @@ class ShardedSketchRunner:
         Idempotent, and safe whatever state a run left behind —
         ``terminate()`` (not a graceful ``close()``) so a wedged or
         crashed worker cannot block shutdown; site state lives in the
-        segments, which are unlinked here regardless.  After ``close``
-        the runner refuses further process-mode runs.
+        segments, which are unlinked here regardless.  The warm site
+        sketch and local buffers are dropped too.  After ``close`` the
+        runner refuses further runs.
         """
         self._closed = True
+        self._local.clear()
+        self._site = None
         pool, self._pool = self._pool, None
         registry, self._registry = self._registry, None
         if pool is not None:
@@ -432,45 +440,45 @@ class ShardedSketchRunner:
             )
         return self._pool
 
-    def _ensure_result(self) -> tuple[str, np.ndarray, int]:
-        """The shared result segment: one ``8*cells + 1`` slot per site.
+    def _site_worker(self) -> _SiteWorker:
+        """This runner's warm site sketch, built on first use.
 
-        Each slot is ``[dense cells | header | sparse index]``: the
-        site's full 4-field cell buffer, then one header cell (nnz, or
-        -1 for "read the dense region"), then room for the nonzero
-        index.  Also validates — in the parent, before any pool is
-        spawned — that the factory's sketches support the arena path.
+        Sequential mode folds every site through it; in process mode it
+        sizes the result slots and validates the factory in the parent,
+        before any pool is spawned.
         """
         self._require_open()
-        if self._slot_cells is None:
-            template = self.factory()
-            if not hasattr(template, "_cell_banks") or \
-                    not hasattr(template, "consume_batch"):
-                raise TypeError(
-                    f"{type(template).__name__} is not arena-backed; "
-                    "mode='process' needs _cell_banks() and consume_batch() "
-                    "(every registry sketch class qualifies)"
-                )
-            self._slot_cells = sum(b.size for b in template._cell_banks())
-        if self._registry is None:
-            self._registry = SegmentRegistry()
-        stride = 8 * self._slot_cells + 1
-        view = self._registry.ensure("result", self.sites * stride)
-        return self._registry.name("result"), view, self._slot_cells
+        if self._site is None:
+            self._site = _SiteWorker(self.factory)
+        return self._site
+
+    def _buffer(self, role: str, elements: int) -> np.ndarray:
+        """An ``int64`` buffer of ``elements`` cells for ``role``.
+
+        A shared segment in process mode, a plain local array otherwise;
+        either is reused across runs and grown by replacement.  Callers
+        overwrite the region they use.
+        """
+        if self._use_processes():
+            if self._registry is None:
+                self._registry = SegmentRegistry()
+            return self._registry.ensure(role, elements)
+        local = self._local.get(role)
+        if local is None or local.size < elements:
+            local = self._local[role] = np.empty(elements, dtype=np.int64)
+        return local[:elements]
 
     def _publish_shards(
         self, shards: Sequence[StreamBatch]
-    ) -> tuple[str, list[tuple[int, int]]]:
-        """Write the shard columns into the shared input segment.
+    ) -> list[tuple[int, int]]:
+        """Write the shard columns into the ``"input"`` buffer.
 
         Layout: per shard, its four ``int64`` columns back to back
-        (``lo | hi | delta | ranks``).  Returns the segment name and a
-        ``(base, ntok)`` per shard.  One memcpy of the stream per run;
-        workers slice it zero-copy.
+        (``lo | hi | delta | ranks``).  Returns a ``(base, ntok)`` per
+        shard.  One memcpy of the stream per run; sites slice it
+        zero-copy.
         """
-        assert self._registry is not None
-        total = sum(4 * len(batch) for batch in shards)
-        view = self._registry.ensure("input", total)
+        view = self._buffer("input", sum(4 * len(batch) for batch in shards))
         bases: list[tuple[int, int]] = []
         off = 0
         for batch in shards:
@@ -481,11 +489,33 @@ class ShardedSketchRunner:
                 view[off + f * ntok:off + (f + 1) * ntok] = col
             bases.append((off, ntok))
             off += 4 * ntok
-        return self._registry.name("input"), bases
+        return bases
 
-    def _map(self, pool: multiprocessing.pool.Pool, tasks: list[tuple]) -> list:
+    def _map(
+        self, tasks: list[tuple], like: object
+    ) -> Iterable[tuple[int, int, int, float]]:
+        """Run one round's site tasks — a plain loop in sequential mode,
+        the pool's map in process mode — and check each site sketch's
+        kind, parameters and seed against ``like``.
+
+        Either way a refused site raises before any slot of the round
+        is folded: the pool's sites have all run, so all are checked
+        first; the loop is lazy, so a site runs only after the
+        coordinator has folded the previous site's slot, and its sites
+        share one sketch, so the first check refuses them all.
+        """
+        if not self._use_processes():
+            site = self._site_worker()
+            inp, res = self._local["input"], self._local["result"]
+            return (_checked(site.fold(inp, res, task), like) for task in tasks)
+        pool = self._ensure_pool()
+        assert self._registry is not None
+        names = (self._registry.name("input"), self._registry.name("result"))
         try:
-            return pool.map(_shm_consume_task, tasks)
+            reports = pool.map(
+                _shm_consume_task, [(*names, task) for task in tasks]
+            )
+            return [_checked(report, like) for report in reports]
         except (KeyboardInterrupt, SystemExit):
             # Interrupted mid-fan-out: slots are half-written and
             # workers may be wedged — tear the pool and segments down
@@ -494,11 +524,10 @@ class ShardedSketchRunner:
             raise
 
     def _fold_slot(
-        self, arena: SketchArena, res: np.ndarray, cells: int, site: int
+        self, arena: SketchArena, res: np.ndarray, slot: int, cells: int
     ) -> None:
-        """Fold one site's result slot into the coordinator arena."""
-        stride = 8 * cells + 1
-        slot = site * stride
+        """Fold the result slot at offset ``slot`` into the coordinator
+        arena."""
         head = slot + 4 * cells
         nnz = int(res[head])
         if nnz < 0:
@@ -506,6 +535,74 @@ class ShardedSketchRunner:
         elif nnz > 0:
             idx = res[head + 1:head + 1 + nnz]
             arena._combine_sparse(idx, res[slot:head][idx], subtract=False)
+
+    def _fold_rounds(
+        self,
+        n: int,
+        shards: Sequence[StreamBatch],
+        stops: Sequence[Sequence[int]],
+        seal: Callable[[int, object], None] | None = None,
+    ) -> tuple[object, list[SiteReport]]:
+        """The one execution path behind every run.
+
+        Round ``t`` has site ``s`` fold its shard's tokens up to
+        shard-local position ``stops[t][s]`` (from where the previous
+        round stopped) onto its zeroed slot.  The coordinator checks
+        every site sketch's kind, parameters and seed against its own
+        (:meth:`_map`) before folding the round's slots into one
+        running sketch, and calls ``seal(t, sketch)`` once the round is
+        folded.  Each slot holds the site's *delta* for the round, so
+        by linearity the running sketch after round ``t`` is the
+        sketch of every token up to the round's stops.  A refused site
+        raises before any slot of its round is folded, so nothing is
+        returned or sealed from that round.
+
+        A slot is ``8 * cells + 1`` cells: ``[dense cells | header |
+        sparse index]`` — the site's 4-field cell buffer, one header
+        cell (nnz, or -1 for "read the dense region"), then room for
+        the nonzero index.  Pool sites run at once and need a slot
+        each; the sequential loop hands each slot over before the next
+        site runs, so its sites share one.
+        """
+        cells = self._site_worker().cells
+        stride = 8 * cells + 1
+        pooled = self._use_processes()
+        slot_of = [s * stride if pooled else 0 for s in range(self.sites)]
+        bases = self._publish_shards(shards)
+        res = self._buffer("result", slot_of[-1] + stride)
+        coordinator = self.factory()
+        arena = ensure_arena(coordinator)
+        if arena.cells != cells:
+            raise SketchCompatibilityError(
+                "factory produced sketches with differing cell counts "
+                f"({arena.cells} vs {cells}); sites and coordinator must "
+                "be identically parameterised"
+            )
+        tokens = [0] * self.sites
+        shipped = [0] * self.sites
+        seconds = [0.0] * self.sites
+        start = [0] * self.sites
+        for t, round_stops in enumerate(stops):
+            tasks = []
+            for s, ((base, ntok), stop) in enumerate(zip(bases, round_stops)):
+                tasks.append(
+                    (s, n, base, ntok, start[s], int(stop), slot_of[s])
+                )
+                start[s] = int(stop)
+            for s, round_tokens, round_bytes, secs in self._map(
+                tasks, coordinator
+            ):
+                self._fold_slot(arena, res, slot_of[s], cells)
+                tokens[s] += round_tokens
+                shipped[s] += round_bytes
+                seconds[s] += secs
+            if seal is not None:
+                seal(t, coordinator)
+        reports = [
+            SiteReport(s, tokens[s], shipped[s], seconds[s])
+            for s in range(self.sites)
+        ]
+        return coordinator, reports
 
     # -- runs -------------------------------------------------------------------
 
@@ -523,15 +620,7 @@ class ShardedSketchRunner:
         shards = partition_batch(
             stream.as_batch(), self.sites, strategy, self.seed
         )
-        if self._use_processes():
-            return self._run_process(stream.n, shards, strategy, t_start)
-        payloads = [
-            (s, self.factory, stream.n, shard.lo, shard.hi, shard.delta,
-             shard.ranks)
-            for s, shard in enumerate(shards)
-        ]
-        results = [_consume_shard(p) for p in payloads]
-        return self._merge_results(results, strategy, self.mode, t_start)
+        return self._run_once(stream.n, shards, strategy, t_start)
 
     def run_shards(
         self, shards: Sequence[DynamicGraphStream]
@@ -546,49 +635,21 @@ class ShardedSketchRunner:
             raise StreamError("shards span different node universes")
         t_start = time.perf_counter()
         batches = [shard.as_batch() for shard in shards]
-        if self._use_processes():
-            return self._run_process(
-                shards[0].n, batches, "external", t_start
-            )
-        payloads = [
-            (s, self.factory, shard.n, batch.lo, batch.hi, batch.delta,
-             batch.ranks)
-            for s, (shard, batch) in enumerate(zip(shards, batches))
-        ]
-        results = [_consume_shard(p) for p in payloads]
-        return self._merge_results(results, "external", self.mode, t_start)
+        return self._run_once(shards[0].n, batches, "external", t_start)
 
-    def _run_process(
+    def _run_once(
         self,
         n: int,
         shards: Sequence[StreamBatch],
         strategy: str,
         t_start: float,
     ) -> ShardedRunReport:
-        """One shared-memory fan-out round + O(nnz) coordinator merge."""
-        res_name, res_view, cells = self._ensure_result()
-        in_name, bases = self._publish_shards(shards)
-        pool = self._ensure_pool()
-        stride = 8 * cells + 1
-        tasks = [
-            (site, n, in_name, base, ntok, 0, ntok, res_name, site * stride)
-            for site, (base, ntok) in enumerate(bases)
-        ]
-        results = self._map(pool, tasks)
-        coordinator = self.factory()
-        arena = ensure_arena(coordinator)
-        if arena.cells != cells:
-            raise SketchCompatibilityError(
-                "factory produced sketches with differing cell counts "
-                f"({arena.cells} vs {cells}); sites and coordinator must "
-                "be identically parameterised"
-            )
-        reports: list[SiteReport] = []
-        for site, tokens, shipped, seconds in sorted(results):
-            self._fold_slot(arena, res_view, cells, site)
-            reports.append(SiteReport(site, tokens, shipped, seconds))
+        """One round over whole shards."""
+        sketch, reports = self._fold_rounds(
+            n, shards, [[len(batch) for batch in shards]]
+        )
         return ShardedRunReport(
-            sketch=coordinator,
+            sketch=sketch,
             sites=reports,
             strategy=strategy,
             mode=self.mode,
@@ -602,177 +663,57 @@ class ShardedSketchRunner:
         boundaries: Sequence[int] | None = None,
         store: "EpochStore | None" = None,
     ) -> ShardedEpochReport:
-        """Sharded temporal run: per-site, per-epoch checkpoints.
+        """Sharded temporal run: one round per epoch.
 
-        The stream is partitioned across sites as in :meth:`run`, but
-        every site additionally observes each *global* epoch boundary
-        (translated to its shard-local token positions), and the
-        coordinator seals one global cumulative checkpoint per epoch.
-        The returned timeline supports window queries by subtraction
-        that are byte-identical to a single-site timeline of the whole
-        stream.  Pass ``epochs`` for an even grid or ``boundaries`` for
-        explicit epoch-end token positions.  With ``store=`` every
-        sealed checkpoint is *also* appended durably to an
-        :class:`~repro.temporal.store.EpochStore` as it is produced —
-        in either execution mode — so the stored timeline matches the
-        returned one exactly.
+        The stream is partitioned across sites as in :meth:`run`, and
+        every *global* epoch boundary is translated to each site's
+        shard-local token position.  Each epoch is one round of
+        :meth:`_fold_rounds`: sites fold only the epoch's tokens, and
+        the coordinator seals its running sketch as the epoch's global
+        cumulative checkpoint.  The returned timeline supports window
+        queries by subtraction that are byte-identical to a single-site
+        timeline of the whole stream.  Pass ``epochs`` for an even grid
+        or ``boundaries`` for explicit epoch-end token positions.  With
+        ``store=`` every sealed checkpoint is *also* appended durably
+        to an :class:`~repro.temporal.store.EpochStore` as it is
+        produced, so the stored timeline matches the returned one
+        exactly.
         """
         bounds = normalize_boundaries(len(stream), epochs, boundaries)
         t_start = time.perf_counter()
         batch = stream.as_batch()
         assignment = shard_assignment(batch, self.sites, self.strategy, self.seed)
         bounds_arr = np.asarray(bounds, dtype=np.int64)
-        shard_batches: list[StreamBatch] = []
-        site_bounds: list[np.ndarray] = []
+        shards: list[StreamBatch] = []
+        site_stops: list[np.ndarray] = []
         for s in range(self.sites):
             mask = assignment == s
-            positions = np.flatnonzero(mask)
-            shard_batches.append(batch.select(mask))
+            shards.append(batch.select(mask))
             # Global boundary b → number of this site's tokens before b.
-            site_bounds.append(
-                np.searchsorted(positions, bounds_arr, side="left")
+            site_stops.append(
+                np.searchsorted(np.flatnonzero(mask), bounds_arr, side="left")
             )
-        if self._use_processes():
-            return self._run_process_epochs(
-                stream.n, shard_batches, site_bounds, bounds, t_start,
-                store=store,
-            )
-        payloads = [
-            (s, self.factory, stream.n, shard.lo, shard.hi, shard.delta,
-             shard.ranks, site_bounds[s])
-            for s, shard in enumerate(shard_batches)
-        ]
-        results = [_consume_shard_epochs(p) for p in payloads]
-        results.sort(key=lambda r: r[0])
-        # Site checkpoints are *cumulative*, so each epoch merges into a
-        # fresh coordinator sketch (re-merging into one accumulator
-        # would double-count earlier prefixes).  merge_sketch_bytes
-        # verifies each payload against the coordinator and folds it
-        # straight into the arena — no per-site twin reconstruction.
         checkpoints: list[EpochCheckpoint] = []
-        previous_bound = 0
-        for t, bound in enumerate(bounds):
-            coordinator = self.factory()
-            for _site, site_payloads, _tokens, _secs in results:
-                merge_sketch_bytes(coordinator, site_payloads[t])
+
+        def seal(t: int, sketch: object) -> None:
+            meta = {
+                "epoch": t + 1,
+                "tokens": bounds[t] - (bounds[t - 1] if t else 0),
+                "cumulative_tokens": bounds[t],
+            }
             checkpoints.append(EpochCheckpoint(
-                epoch=t + 1,
-                tokens=bound - previous_bound,
-                cumulative_tokens=bound,
-                payload=dump_sketch(coordinator, epoch_meta={
-                    "epoch": t + 1,
-                    "tokens": bound - previous_bound,
-                    "cumulative_tokens": bound,
-                }),
+                **meta, payload=dump_sketch(sketch, epoch_meta=meta)
             ))
             if store is not None:
                 store.append_checkpoint(checkpoints[-1])
-            previous_bound = bound
-        reports = [
-            SiteReport(site, tokens, sum(len(p) for p in site_payloads), secs)
-            for site, site_payloads, tokens, secs in results
-        ]
+
+        _sketch, reports = self._fold_rounds(
+            stream.n, shards, np.column_stack(site_stops), seal
+        )
         return ShardedEpochReport(
             timeline=EpochTimeline(stream.n, checkpoints),
             sites=reports,
             strategy=self.strategy,
             mode=self.mode,
-            wall_seconds=time.perf_counter() - t_start,
-        )
-
-    def _run_process_epochs(
-        self,
-        n: int,
-        shards: Sequence[StreamBatch],
-        site_bounds: Sequence[np.ndarray],
-        bounds: Sequence[int],
-        t_start: float,
-        store: "EpochStore | None" = None,
-    ) -> ShardedEpochReport:
-        """Shared-memory temporal run: one pool round per epoch.
-
-        Each round, every site folds only its epoch's *delta* slice
-        onto a zeroed slot; the coordinator folds all K deltas into one
-        running cumulative sketch and seals it.  By linearity the
-        sealed state equals the sequential (cumulative-checkpoint)
-        merge exactly — while the sites never serialise anything.
-        """
-        res_name, res_view, cells = self._ensure_result()
-        in_name, bases = self._publish_shards(shards)
-        pool = self._ensure_pool()
-        stride = 8 * cells + 1
-        running = self.factory()
-        arena = ensure_arena(running)
-        if arena.cells != cells:
-            raise SketchCompatibilityError(
-                "factory produced sketches with differing cell counts "
-                f"({arena.cells} vs {cells}); sites and coordinator must "
-                "be identically parameterised"
-            )
-        tokens = [0] * self.sites
-        shipped = [0] * self.sites
-        seconds = [0.0] * self.sites
-        prev = [0] * self.sites
-        checkpoints: list[EpochCheckpoint] = []
-        previous_bound = 0
-        for t, bound in enumerate(bounds):
-            tasks = []
-            for s, (base, ntok) in enumerate(bases):
-                stop = int(site_bounds[s][t])
-                tasks.append(
-                    (s, n, in_name, base, ntok, prev[s], stop, res_name,
-                     s * stride)
-                )
-                prev[s] = stop
-            for site, round_tokens, round_bytes, secs in sorted(
-                self._map(pool, tasks)
-            ):
-                self._fold_slot(arena, res_view, cells, site)
-                tokens[site] += round_tokens
-                shipped[site] += round_bytes
-                seconds[site] += secs
-            checkpoints.append(EpochCheckpoint(
-                epoch=t + 1,
-                tokens=bound - previous_bound,
-                cumulative_tokens=bound,
-                payload=dump_sketch(running, epoch_meta={
-                    "epoch": t + 1,
-                    "tokens": bound - previous_bound,
-                    "cumulative_tokens": bound,
-                }),
-            ))
-            if store is not None:
-                store.append_checkpoint(checkpoints[-1])
-            previous_bound = bound
-        reports = [
-            SiteReport(s, tokens[s], shipped[s], seconds[s])
-            for s in range(self.sites)
-        ]
-        return ShardedEpochReport(
-            timeline=EpochTimeline(n, checkpoints),
-            sites=reports,
-            strategy=self.strategy,
-            mode=self.mode,
-            wall_seconds=time.perf_counter() - t_start,
-        )
-
-    def _merge_results(
-        self,
-        results: list[tuple[int, bytes, int, float]],
-        strategy: str,
-        mode: str,
-        t_start: float,
-    ) -> ShardedRunReport:
-        """Coordinator side: verify each payload and fold it in, report."""
-        coordinator = self.factory()
-        reports: list[SiteReport] = []
-        for site, payload, tokens, seconds in results:
-            merge_sketch_bytes(coordinator, payload)
-            reports.append(SiteReport(site, tokens, len(payload), seconds))
-        return ShardedRunReport(
-            sketch=coordinator,
-            sites=reports,
-            strategy=strategy,
-            mode=mode,
             wall_seconds=time.perf_counter() - t_start,
         )

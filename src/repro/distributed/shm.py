@@ -8,7 +8,9 @@ sequential.  This module is the zero-copy alternative: the coordinator
 owns a small set of named ``multiprocessing.shared_memory`` segments,
 each worker maps them once and folds its site's deltas straight into a
 per-site slot, and the only thing a site "ships" back through the pool
-is a ``(site, tokens, nbytes, seconds)`` tuple.
+is a ``(site, tokens, nbytes, seconds, header)`` tuple, ``header``
+being its sketch's kind, parameters and seed.  Sequential mode runs
+the same site step over plain arrays and needs no segment.
 
 Segment naming
 --------------

@@ -621,7 +621,10 @@ def run_e11_distributed(quick: bool = True, seed: int = 0) -> Table:
     table.add_note(
         "Claim (§1.1): per-site communication is the sketch size — flat in "
         "the stream length — while raw-stream shipping grows linearly; the "
-        "merged sketch is bit-identical to a single-site sketch."
+        "merged sketch is bit-identical to a single-site sketch.  'sketch "
+        "B/site' is the largest site's slot as the coordinator reads it: "
+        "16 B per nonzero cell entry, or 32 B per cell when dense, in "
+        "either execution mode."
     )
     return table
 

@@ -101,7 +101,19 @@ class CellBank:
         shared across rows, and the modular reduction of the
         fingerprint arrays runs once per call.  Routed through the
         ``scatter_multi`` kernel of :mod:`repro.kernels`.
+
+        Raises ``ValueError`` before any cell is written if an item
+        lies outside ``[0, domain)``: such an item leaves cells that
+        never decode.
         """
+        items = np.asarray(items, dtype=np.int64)
+        if items.size and (
+            int(items.min()) < 0 or int(items.max()) >= self.domain
+        ):
+            bad = int(items[(items < 0) | (items >= self.domain)][0])
+            raise ValueError(
+                f"index {bad} outside domain [0, {self.domain})"
+            )
         _K_SCATTER(self, cells_per_row, items, deltas)
 
     def _require_combinable(self, other: "CellBank", op: str = "merge") -> None:

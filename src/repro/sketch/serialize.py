@@ -362,6 +362,11 @@ def sketch_codec(kind: str) -> SketchCodec:
 
 def sketch_kind_of(sketch: Any) -> str:
     """The registered kind name of ``sketch`` (raises ``TypeError`` if none)."""
+    return _codec_for(sketch).kind
+
+
+def _codec_for(sketch: Any) -> SketchCodec:
+    """The codec registered for ``sketch``'s exact class."""
     _ensure_codecs_loaded()
     codec = _CODECS_BY_CLASS.get(type(sketch))
     if codec is None:
@@ -369,7 +374,21 @@ def sketch_kind_of(sketch: Any) -> str:
             f"{type(sketch).__name__} has no registered sketch codec; "
             f"known kinds: {', '.join(sorted(_CODECS_BY_KIND))}"
         )
-    return codec.kind
+    return codec
+
+
+def _codec_of_header(header: dict) -> SketchCodec:
+    """The codec a blob header's ``__kind__`` names."""
+    _ensure_codecs_loaded()
+    kind = header.get("__kind__", "")
+    if not isinstance(kind, str) or not kind.startswith(_SKETCH_KIND_PREFIX):
+        raise ValueError(
+            f"blob holds a {kind!r}, not a registry-serialised sketch"
+        )
+    codec = _CODECS_BY_KIND.get(kind[len(_SKETCH_KIND_PREFIX):])
+    if codec is None:
+        raise ValueError(f"unknown sketch kind {kind!r}")
+    return codec
 
 
 def dump_sketch(
@@ -391,13 +410,7 @@ def dump_sketch(
     by the parameter/seed verification of :func:`load_sketch` — two
     checkpoints of the same sketch at different epochs stay mergeable.
     """
-    _ensure_codecs_loaded()
-    codec = _CODECS_BY_CLASS.get(type(sketch))
-    if codec is None:
-        raise TypeError(
-            f"{type(sketch).__name__} has no registered sketch codec; "
-            f"known kinds: {', '.join(sorted(_CODECS_BY_KIND))}"
-        )
+    codec = _codec_for(sketch)
     if seed is None:
         seed = getattr(sketch, "source_seed", None)
     if seed is None:
@@ -448,21 +461,13 @@ def load_sketch(data: bytes, like: Any | None = None) -> Any:
         the offending fields.  Use this before merging a received
         sketch into a local one.
     """
-    _ensure_codecs_loaded()
     if _is_v2(data):
         header, payload = _read_raw(data)
         arrays = None
     else:
         header, arrays = _read_blob(data)
         payload = None
-    kind = header.get("__kind__", "")
-    if not isinstance(kind, str) or not kind.startswith(_SKETCH_KIND_PREFIX):
-        raise ValueError(
-            f"blob holds a {kind!r}, not a registry-serialised sketch"
-        )
-    codec = _CODECS_BY_KIND.get(kind[len(_SKETCH_KIND_PREFIX):])
-    if codec is None:
-        raise ValueError(f"unknown sketch kind {kind!r}")
+    codec = _codec_of_header(header)
     if like is not None:
         _verify_like(codec, header, like)
     sketch = codec.construct(header)
@@ -542,25 +547,13 @@ def subtract_sketch_bytes(sketch: Any, data: bytes) -> None:
 
 
 def _combine_sketch_bytes(sketch: Any, data: bytes, subtract: bool) -> None:
-    _ensure_codecs_loaded()
-    if _CODECS_BY_CLASS.get(type(sketch)) is None:
-        raise TypeError(
-            f"{type(sketch).__name__} has no registered sketch codec; "
-            f"known kinds: {', '.join(sorted(_CODECS_BY_KIND))}"
-        )
+    _codec_for(sketch)
     if not _is_v2(data):
         other = load_sketch(data, like=sketch)
         (sketch.subtract if subtract else sketch.merge)(other)
         return
     header, payload = _read_raw(data)
-    kind = header.get("__kind__", "")
-    if not isinstance(kind, str) or not kind.startswith(_SKETCH_KIND_PREFIX):
-        raise ValueError(
-            f"blob holds a {kind!r}, not a registry-serialised sketch"
-        )
-    codec = _CODECS_BY_KIND.get(kind[len(_SKETCH_KIND_PREFIX):])
-    if codec is None:
-        raise ValueError(f"unknown sketch kind {kind!r}")
+    codec = _codec_of_header(header)
     _verify_like(codec, header, sketch, op="subtract" if subtract else "merge")
     banks = codec.banks(sketch)
     cells = header.get("cells")
@@ -583,6 +576,25 @@ def _combine_sketch_bytes(sketch: Any, data: bytes, subtract: bool) -> None:
 def peek_sketch_meta(data: bytes) -> dict:
     """The blob's header (kind, parameters, seed) without reconstructing."""
     return _read_header_any(data)
+
+
+def _sketch_header(sketch: Any) -> dict:
+    """The kind, constructor parameters and seed of ``sketch``.
+
+    The fields of a :func:`dump_sketch` header that :func:`_verify_like`
+    compares, with no cell payload: small and picklable, so a site can
+    send it in place of its sketch.
+    """
+    codec = _codec_for(sketch)
+    header = dict(codec.params(sketch))
+    header["seed"] = getattr(sketch, "source_seed", None)
+    header["__kind__"] = _SKETCH_KIND_PREFIX + codec.kind
+    return header
+
+
+def _verify_header(header: dict, like: Any, op: str = "merge") -> None:
+    """Refuse ``header`` unless it names ``like``'s kind, parameters and seed."""
+    _verify_like(_codec_of_header(header), header, like, op=op)
 
 
 def _verify_like(

@@ -28,7 +28,8 @@ The package:
   enforcement, and lazy LRU paging of segment blobs.
 
 Multi-site deployments compose orthogonally: per-site, per-epoch
-checkpoints are merged across sites *and* subtracted across time
+deltas are merged across sites into cumulative checkpoints, which are
+subtracted across time
 (:meth:`repro.distributed.ShardedSketchRunner.run_epochs`).  The
 equivalence harness (``tests/test_temporal_equivalence.py``) pins all
 three routes — direct window stream, checkpoint subtraction, and

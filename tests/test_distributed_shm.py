@@ -7,26 +7,35 @@ contract: one pool per runner reused across ``run()``/``run_epochs()``,
 no orphaned segment after worker exceptions, ``close()``, context
 exit, or a ``KeyboardInterrupt`` mid-fan-out, and loud validation for
 broken configurations (``processes=0``, unknown start methods, closed
-runners).  Byte-identity of the results themselves is pinned by
-``tests/test_distributed_equivalence.py``.
+runners).  It also pins what both modes share because they run one
+site step: the refusal of site sketches that differ from the
+coordinator's, and one per-site byte figure.  Byte-identity of the
+results themselves is pinned by ``tests/test_distributed_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from multiprocessing import shared_memory
 
+import numpy as np
 import pytest
 
 from repro.core import SpanningForestSketch
-from repro.distributed import ShardedSketchRunner, forest_sketch
+from repro.distributed import (
+    ShardedSketchRunner,
+    forest_sketch,
+    partition_stream,
+)
 from repro.distributed import coordinator as coordinator_mod
 from repro.distributed import shm as shm_mod
-from repro.errors import StreamError
+from repro.errors import SketchCompatibilityError, StreamError
 from repro.hashing import HashSource
-from repro.sketch import dump_sketch
+from repro.sketch import dump_sketch, ensure_arena
 from repro.streams import churn_stream, erdos_renyi_graph
+from repro.temporal import EpochStore
 
 N = 12
 
@@ -49,6 +58,11 @@ class _ExplodingForestSketch(SpanningForestSketch):
 
 def _exploding_forest(n: int, seed: int) -> _ExplodingForestSketch:
     return _ExplodingForestSketch(n, HashSource(seed))
+
+
+def _pid_seeded_forest(n: int) -> SpanningForestSketch:
+    """A broken factory: its seed depends on the building process."""
+    return SpanningForestSketch(n, HashSource(1000 + os.getpid()))
 
 
 def _assert_unlinked(names: list[str]) -> None:
@@ -254,3 +268,94 @@ class TestWorkerPathInProcess:
             runner.close()
             coordinator_mod._reset_worker_state()
         assert shm_mod.active_segment_names() == []
+
+
+class TestSiteSketchCompatibility:
+    """Site sketches whose kind, parameters or seed differ from the
+    coordinator's are refused in both modes, before any slot is folded."""
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        """Count the slots the coordinator folds."""
+        calls: list[int] = []
+        fold = ShardedSketchRunner._fold_slot
+
+        def counted(runner, *args):
+            calls.append(1)
+            fold(runner, *args)
+
+        monkeypatch.setattr(ShardedSketchRunner, "_fold_slot", counted)
+        return calls
+
+    def test_sequential_refuses_seed_that_changes_per_call(
+        self, stream, tmp_path, folds
+    ):
+        seeds = itertools.count(500)
+
+        def factory():
+            return SpanningForestSketch(N, HashSource(next(seeds)))
+
+        runner = ShardedSketchRunner(factory, sites=2)
+        with pytest.raises(SketchCompatibilityError, match="seed"):
+            runner.run(stream)
+        store = EpochStore(tmp_path / "store")
+        with pytest.raises(SketchCompatibilityError, match="seed"):
+            runner.run_epochs(stream, epochs=3, store=store)
+        assert store.epochs == 0, "no epoch may seal from refused sites"
+        assert folds == []
+
+    def test_process_refuses_seed_that_changes_per_process(
+        self, stream, folds
+    ):
+        factory = functools.partial(_pid_seeded_forest, N)
+        with ShardedSketchRunner(
+            factory, sites=2, mode="process", processes=2
+        ) as runner:
+            with pytest.raises(SketchCompatibilityError, match="seed"):
+                runner.run(stream)
+        assert folds == []
+        assert shm_mod.active_segment_names() == []
+
+
+class TestOneByteFigure:
+    """Both modes report the bytes the coordinator reads from each slot."""
+
+    def test_payload_bytes_match_across_modes(self, stream):
+        factory = functools.partial(forest_sketch, N, 41)
+        shards = partition_stream(stream, 3, "round-robin")
+        seq = ShardedSketchRunner(factory, sites=3, seed=3)
+        seq_reports = [
+            seq.run(stream),
+            seq.run_shards(shards),
+            seq.run_epochs(stream, epochs=4),
+        ]
+        assert seq._pool is None
+        assert shm_mod.active_segment_names() == [], (
+            "sequential mode must create no shared-memory segment"
+        )
+        with ShardedSketchRunner(
+            factory, sites=3, seed=3, mode="process"
+        ) as proc:
+            proc_reports = [
+                proc.run(stream),
+                proc.run_shards(shards),
+                proc.run_epochs(stream, epochs=4),
+            ]
+        for a, b in zip(seq_reports, proc_reports):
+            assert [s.payload_bytes for s in a.sites] == \
+                [s.payload_bytes for s in b.sites]
+            assert a.total_payload_bytes == b.total_payload_bytes
+            assert all(s.payload_bytes > 0 for s in a.sites)
+
+    def test_payload_bytes_are_slot_bytes(self, stream):
+        """16 bytes per nonzero entry, or 32 per cell when dense."""
+        factory = functools.partial(forest_sketch, N, 43)
+        shards = partition_stream(stream, 3, "contiguous")
+        report = ShardedSketchRunner(factory, sites=3).run_shards(shards)
+        for shard, site in zip(shards, report.sites):
+            buffer = ensure_arena(
+                factory().consume_batch(shard.as_batch())
+            ).buffer
+            nnz = int(np.count_nonzero(buffer))
+            dense = 2 * nnz > buffer.size
+            assert site.payload_bytes == (8 * buffer.size if dense else 16 * nnz)

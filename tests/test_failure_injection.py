@@ -85,8 +85,9 @@ class TestExtremeChurn:
 class TestHonestFailure:
     def test_undersized_sampler_fails_not_lies(self, source):
         """rows=1, buckets=1: failures allowed, wrong samples are not."""
-        domain = 1000
+        domain = 1300
         support = {i * 13 + 1: 1 for i in range(100)}
+        assert max(support) < domain
         wrong = 0
         fails = 0
         for trial in range(50):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.hashing import MERSENNE31
-from repro.sketch import CellBank, decode_cells
+from repro.sketch import CellBank, L0SamplerBank, SparseRecoveryBank, decode_cells
 
 
 def _cell(source) -> CellBank:
@@ -163,3 +163,48 @@ class TestCellBank:
             CellBank(0, 10, source)
         with pytest.raises(ValueError):
             CellBank(10, 0, source)
+
+
+def _cell_bank_scatter(source):
+    bank = CellBank(4, 100, source)
+    return bank, lambda items: bank.scatter(
+        np.arange(items.size), items, np.ones_like(items)
+    )
+
+
+def _recovery_update(source):
+    bank = SparseRecoveryBank(1, 1, 100, 2, source)
+    return bank.bank, lambda items: bank.update(
+        np.zeros_like(items), np.zeros_like(items), items, np.ones_like(items)
+    )
+
+
+def _sampler_update(source):
+    bank = L0SamplerBank(1, 1, 100, source)
+    return bank.bank, lambda items: bank.update(
+        np.zeros_like(items), np.zeros_like(items), items, np.ones_like(items)
+    )
+
+
+class TestOutOfDomainItems:
+    """Every bank entry point refuses items outside ``[0, domain)``.
+
+    The bad item rides with a valid one, so a partial write before the
+    refusal would show in the cell arrays.
+    """
+
+    @pytest.mark.parametrize(
+        "make", [_cell_bank_scatter, _recovery_update, _sampler_update],
+        ids=["CellBank.scatter", "SparseRecoveryBank.update",
+             "L0SamplerBank.update"],
+    )
+    @pytest.mark.parametrize("bad", [-1, 100], ids=["negative", "domain"])
+    def test_rejected_before_any_cell_is_written(self, source, make, bad):
+        cells, update = make(source.derive(9))
+        update(np.array([7, 42]))
+        before = [a.copy() for a in (cells.phi, cells.iota, cells.fp1, cells.fp2)]
+        with pytest.raises(ValueError, match="outside domain"):
+            update(np.array([3, bad]))
+        after = (cells.phi, cells.iota, cells.fp1, cells.fp2)
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(new, old)
