@@ -7,9 +7,10 @@ window as load + subtract) collapses from *npz-decompress → rebuild a
 twin sketch → loop over every cell bank* into *verify header → inflate
 → two whole-buffer vector ops*.  This bench replays the K=8 sites ×
 16 epochs deployment both ways on identical payloads — the legacy side
-drives the still-supported v1 codec plus the per-bank combine loop the
-sketch classes used before the arena — and gates the arena path at
-**≥ 3×** on the summed merge+subtract work.  Byte-identity of the two
+drives a bench-local replica of the retired v1 (npz) codec
+(``_dump_v1``/``_load_v1``; the library reads codec v2 only) plus the
+per-bank combine loop the sketch classes used before the arena — and
+gates the arena path at **≥ 3×** on the summed merge+subtract work.  Byte-identity of the two
 paths' results is asserted here and pinned more broadly by
 ``tests/test_arena.py`` and the hypothesis equivalence harness.
 """
@@ -29,12 +30,14 @@ from conftest import print_table, write_bench_json
 from repro.distributed import mincut_sketch
 from repro.distributed.partition import partition_batch
 from repro.eval import Table
+from repro.hashing import MERSENNE31
 from repro.sketch import (
     dump_sketch,
     load_sketch,
     merge_sketch_bytes,
     subtract_sketch_bytes,
 )
+from repro.sketch.serialize import sketch_codec
 from repro.streams import churn_stream, erdos_renyi_graph
 
 SITES = 8
@@ -67,6 +70,46 @@ def _dump_v1(sketch) -> bytes:
         fp2=np.concatenate([b.fp2 for b in banks]),
     )
     return buf.getvalue()
+
+
+def _load_v1(data: bytes, like=None):
+    """The retired v1 reader's work, kept here as the legacy baseline:
+    npz parse, header and layout checks (and the parameter/seed check
+    against ``like``), dtype and fingerprint-range checks, then a
+    per-bank copy into a fresh twin."""
+    with np.load(io.BytesIO(data)) as npz:
+        header = json.loads(bytes(npz["__header__"]).decode("utf-8"))
+        arrays = {k: npz[k] for k in npz.files if k != "__header__"}
+    if header.get("__magic__") != "repro-sketch-v1":
+        raise ValueError("not a v1 sketch blob")
+    codec = sketch_codec(header["__kind__"].removeprefix("sketch:"))
+    if like is not None:
+        expected = dict(codec.params(like), seed=like.source_seed)
+        if any(header.get(k) != v for k, v in expected.items()
+               if v is not None):
+            raise ValueError("v1 blob does not match the reference sketch")
+    sketch = codec.construct(header)
+    banks = codec.banks(sketch)
+    total = sum(b.size for b in banks)
+    if header.get("cells") != [b.size for b in banks]:
+        raise ValueError("v1 blob cell layout does not match its parameters")
+    for name in ("phi", "iota", "fp1", "fp2"):
+        arr = arrays[name]
+        if arr.shape != (total,) or arr.dtype != np.int64:
+            raise ValueError(f"v1 cell array {name!r} mis-sized or mis-typed")
+    for name in ("fp1", "fp2"):
+        arr = arrays[name]
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= MERSENNE31):
+            raise ValueError(f"v1 fingerprint array {name!r} out of field")
+    offset = 0
+    for bank in banks:
+        end = offset + bank.size
+        bank.phi[:] = arrays["phi"][offset:end]
+        bank.iota[:] = arrays["iota"][offset:end]
+        bank.fp1[:] = arrays["fp1"][offset:end]
+        bank.fp2[:] = arrays["fp2"][offset:end]
+        offset = end
+    return sketch
 
 
 def _legacy_combine(mine, theirs, op: str) -> None:
@@ -122,7 +165,7 @@ def test_bench_arena_merge_subtract(benchmark, seed, quick, arena_table):
             coordinator = factory()
             for payload in v1_site:
                 _legacy_combine(
-                    coordinator, load_sketch(payload, like=coordinator),
+                    coordinator, _load_v1(payload, like=coordinator),
                     "merge",
                 )
             last = coordinator
@@ -147,8 +190,8 @@ def test_bench_arena_merge_subtract(benchmark, seed, quick, arena_table):
     def legacy_windows():
         out = []
         for t1 in range(1, EPOCHS):
-            window = load_sketch(v1_cum[-1])
-            _legacy_combine(window, load_sketch(v1_cum[t1 - 1]), "subtract")
+            window = _load_v1(v1_cum[-1])
+            _legacy_combine(window, _load_v1(v1_cum[t1 - 1]), "subtract")
             out.append(window)
         return out
 

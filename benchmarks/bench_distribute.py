@@ -16,6 +16,12 @@ claims:
   ``process_s`` is the warm steady state every subsequent
   ``run()``/``run_epochs()`` on the same runner sees — that is the
   number the gates judge, because a deployment amortises startup.
+  ``sequential_s`` is a fresh sequential runner's first run, which
+  also builds the site sketch and pays first-call warm-ups;
+  ``sequential_warm_s`` is a second run on that runner, and
+  ``parallel_ratio_warm`` compares it with ``process_s`` (recorded,
+  not gated: the gates keep ``parallel_ratio``, fresh sequential over
+  warm process).
 * ``parallel_not_slower_*`` — warm process mode must not lose to
   sequential: the work per site is the same, so the pool must at
   least pay for its dispatch, and the warm workers skip the site
@@ -69,14 +75,16 @@ def distribute_table(quick, enforce):
     table = Table(
         "DISTRIBUTE: K=4 sharded runs — bytes shipped and wall-clock by mode",
         ["sketch", "tokens", "bytes/site (max)", "sequential s",
-         "cold s", "warm s", "× (K=4)", "× (K=2)", "× (K=8)"],
+         "seq warm s", "cold s", "warm s", "× (K=4)", "× warm seq",
+         "× (K=2)", "× (K=8)"],
     )
     yield table
     table.add_note(
         f"Measured with {_available_cores()} CPU core(s); 'warm s' reuses "
         "the persistent pool + shared segments ('cold s' includes their "
-        "creation).  Gates: warm ≥ sequential and ≥0.7×min(K, cores) "
-        "scaling at K=4"
+        "creation); 'seq warm s' is a second run on the sequential "
+        "runner, and '× warm seq' divides it by 'warm s'.  Gates: warm ≥ "
+        "sequential and ≥0.7×min(K, cores) scaling at K=4"
         + ("." if enforce else " — recorded only (--no-enforce).")
     )
     print_table(table, name=None if quick else "distribute")
@@ -108,9 +116,12 @@ def _timed_run(runner, stream):
 
 
 def _run_modes(factory, stream):
-    """Sequential vs cold/warm process runs at K=4, plus a warm K=2 run."""
+    """Fresh and warm sequential vs cold/warm process runs at K=4, plus
+    warm K=2 and K=8 runs."""
     seq_runner = ShardedSketchRunner(factory, sites=SITES, mode="sequential")
     seq_report, seq_s = _timed_run(seq_runner, stream)
+    # The same runner again: its site sketch and slot buffer exist.
+    _, seq_warm_s = _timed_run(seq_runner, stream)
 
     with ShardedSketchRunner(factory, sites=SITES, mode="process") as parallel:
         par_report, cold_s = _timed_run(parallel, stream)
@@ -130,7 +141,7 @@ def _run_modes(factory, stream):
         eight_site.run(stream)
         _, warm8_s = _timed_run(eight_site, stream)
 
-    return seq_report, seq_s, cold_s, warm_s, warm2_s, warm8_s
+    return seq_report, seq_s, seq_warm_s, cold_s, warm_s, warm2_s, warm8_s
 
 
 @pytest.mark.parametrize(
@@ -143,25 +154,29 @@ def test_bench_distribute_modes(
     wl = make_workload("er-small", seed=seed)
     n = wl.graph.n
     factory = functools.partial(maker, n, seed + 17)
-    seq_report, seq_s, cold_s, warm_s, warm2_s, warm8_s = _run_modes(
-        factory, wl.stream
+    seq_report, seq_s, seq_warm_s, cold_s, warm_s, warm2_s, warm8_s = (
+        _run_modes(factory, wl.stream)
     )
     ratio = seq_s / warm_s
+    ratio_warm = seq_warm_s / warm_s
     ratio2 = seq_s / warm2_s
     ratio8 = seq_s / warm8_s
     distribute_table.add_row(
         name, len(wl.stream), seq_report.max_payload_bytes,
-        round(seq_s, 3), round(cold_s, 3), round(warm_s, 3),
-        round(ratio, 2), round(ratio2, 2), round(ratio8, 2),
+        round(seq_s, 3), round(seq_warm_s, 3), round(cold_s, 3),
+        round(warm_s, 3), round(ratio, 2), round(ratio_warm, 2),
+        round(ratio2, 2), round(ratio8, 2),
     )
     _ROWS.append({
         "sketch": name, "tokens": len(wl.stream),
         "max_payload_bytes": seq_report.max_payload_bytes,
         "total_payload_bytes": seq_report.total_payload_bytes,
-        "sequential_s": seq_s, "process_cold_s": cold_s,
+        "sequential_s": seq_s, "sequential_warm_s": seq_warm_s,
+        "process_cold_s": cold_s,
         "process_s": warm_s, "process_k2_s": warm2_s,
         "process_k8_s": warm8_s,
-        "parallel_ratio": ratio, "parallel_ratio_k2": ratio2,
+        "parallel_ratio": ratio, "parallel_ratio_warm": ratio_warm,
+        "parallel_ratio_k2": ratio2,
         "parallel_ratio_k8": ratio8,
         "cores": _available_cores(),
     })

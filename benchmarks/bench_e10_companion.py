@@ -8,15 +8,16 @@ round-trip that the distributed deployment (§1.1) ships between sites.
 
 from __future__ import annotations
 
-import numpy as np
 from conftest import run_table_once
 
 from repro.core import BipartitenessSketch, CutEdgesSketch, MSTWeightSketch
 from repro.hashing import HashSource
-from repro.sketch import dump_l0_bank, load_l0_bank
+from repro.sketch import dump_sketch, load_sketch
 from repro.streams import (
+    churn_stream,
     cycle_graph,
     dumbbell_graph,
+    erdos_renyi_graph,
     random_weighted_edges,
     stream_from_edges,
     weighted_churn_stream,
@@ -65,22 +66,15 @@ def test_bench_cut_queries(benchmark, seed):
 
 
 def test_bench_serialise_round_trip(benchmark, seed):
-    """Dump + load an ℓ₀ bank — the §1.1 sketch-shipping cost."""
-    from repro.sketch import L0SamplerBank
-
-    bank = L0SamplerBank(
-        families=16, samplers=32, domain=50_000, source=HashSource(seed)
-    )
-    rng = np.random.default_rng(seed)
-    bank.update(
-        rng.integers(0, 16, size=5000),
-        rng.integers(0, 32, size=5000),
-        rng.integers(0, 50_000, size=5000),
-        rng.choice([-1, 1], size=5000),
-    )
+    """Dump + load a registry sketch — the §1.1 sketch-shipping cost."""
+    n = 32
+    edges = erdos_renyi_graph(n, 0.3, seed=seed)
+    stream = churn_stream(n, edges, seed=seed + 1)
+    sketch = CutEdgesSketch(n, k=8, source=HashSource(seed))
+    sketch.consume_batch(stream.as_batch())
 
     def round_trip():
-        return load_l0_bank(dump_l0_bank(bank))
+        return load_sketch(dump_sketch(sketch), like=sketch)
 
     restored = benchmark(round_trip)
-    assert (restored.bank.phi == bank.bank.phi).all()
+    assert dump_sketch(restored) == dump_sketch(sketch)

@@ -323,8 +323,9 @@ class GraphSketchEngine:
         :class:`~repro.distributed.SiteReport`); an epoch-grid ingest
         counts each epoch's delta.  Both execution modes report it.  An
         adaptive spanner, which runs its own round protocol instead of
-        the sharded runner, counts the codec bytes of the site banks it
-        ships.
+        the sharded runner, counts each site bank it hands over by the
+        same rule (:func:`~repro.sketch.arena.slot_bytes`), so every
+        kind reports one figure.
         """
         return self._shipped_bytes
 

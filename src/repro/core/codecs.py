@@ -12,7 +12,7 @@ payload.
 The adaptive spanner builders (:class:`BaswanaSenSpanner`,
 :class:`RecurseConnectSpanner`) are deliberately absent: they are
 *drivers* holding no persistent linear state between batches — their
-per-batch banks ship through the primitive bank format instead (see
+per-batch site banks merge straight into the coordinator's instead (see
 :meth:`BaswanaSenSpanner.build_sharded`).
 """
 

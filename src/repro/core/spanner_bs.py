@@ -36,6 +36,7 @@ from ..errors import SamplerFailed
 from ..graphs import Graph
 from ..hashing import HashSource
 from ..sketch import L0SamplerBank
+from ..sketch.arena import ensure_arena, slot_bytes
 from ..streams import DynamicGraphStream
 from ..util import pair_count, pair_unrank
 from .spanner_common import ClusterState, NeighborhoodSketch
@@ -57,7 +58,10 @@ class SpannerBuildReport:
     memory_cells: int
     edges: int
     #: Bytes shipped site → coordinator across all batches of a sharded
-    #: build (0 for single-site builds, where nothing crosses a wire).
+    #: build, counted per site bank as the sharded runner counts a slot
+    #: (:func:`~repro.sketch.arena.slot_bytes`: 16 per nonzero entry,
+    #: or 32 per cell when dense); 0 for single-site builds, where
+    #: nothing crosses a wire.
     shipped_bytes: int = 0
 
 
@@ -120,15 +124,15 @@ class BaswanaSenSpanner:
 
         The coordinator-orchestrated round protocol of Section 1.1:
         each adaptive batch, every site fills the batch's sketches over
-        *its shard only* and ships them (serialised banks); the
-        coordinator merges by addition — bit-identical to the
+        *its shard only* and hands its banks over; the coordinator
+        merges by addition — bit-identical to the
         single-stream sketches, by linearity — and takes the batch's
         join/finish decisions centrally.  The resulting spanner is
         therefore *exactly* the spanner ``build`` would produce on the
         concatenated stream, for any shard count or assignment.
 
-        With a single shard no serialisation round trip is performed
-        (``shipped_bytes`` stays 0).
+        With a single shard nothing is handed over (``shipped_bytes``
+        stays 0).
         """
         if not shards:
             raise ValueError("need at least one shard")
@@ -200,8 +204,8 @@ class BaswanaSenSpanner:
                 site_join, site_hood = self._make_growth_sketches(batch_source)
                 self._fill_growth_sketches(shard, state, sampled, site_join)
                 site_hood.consume(shard, state)
-                join_bank.merge(self._ship(site_join))
-                hood.bank.merge(self._ship(site_hood.bank))
+                self._ship(site_join, join_bank)
+                self._ship(site_hood.bank, hood.bank)
         self._memory_cells += join_bank.memory_cells() + hood.memory_cells()
 
         # Post-processing: decide every live vertex whose root died.
@@ -280,17 +284,16 @@ class BaswanaSenSpanner:
             return True
         return False
 
-    def _ship(self, bank: L0SamplerBank) -> L0SamplerBank:
-        """Serialise a site bank and reconstitute it coordinator-side.
+    def _ship(self, bank: L0SamplerBank, into: L0SamplerBank) -> None:
+        """Hand a site bank to the coordinator: merge it into ``into``.
 
-        The dump → load round trip is the site → coordinator wire; its
-        size is accumulated into ``shipped_bytes``.
+        ``shipped_bytes`` counts the handoff as the sharded runner
+        counts a site's slot (:func:`~repro.sketch.arena.slot_bytes`).
         """
-        from ..sketch.serialize import dump_l0_bank, load_l0_bank
-
-        payload = dump_l0_bank(bank)
-        self._shipped_bytes += len(payload)
-        return load_l0_bank(payload)
+        arena = ensure_arena(bank)
+        nnz = int(np.count_nonzero(arena.buffer))
+        self._shipped_bytes += slot_bytes(nnz, arena.cells)
+        into.merge(bank)
 
     def _run_cleanup_batch(
         self, shards: list[DynamicGraphStream], state: ClusterState,
@@ -308,7 +311,7 @@ class BaswanaSenSpanner:
                     self.n, self.buckets, hood_source
                 )
                 site_hood.consume(shard, state)
-                hood.bank.merge(self._ship(site_hood.bank))
+                self._ship(site_hood.bank, hood.bank)
         self._memory_cells += hood.memory_cells()
         for u in range(self.n):
             if not state.alive(u):

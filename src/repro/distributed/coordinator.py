@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import SketchCompatibilityError, StreamError
-from ..sketch.arena import SketchArena, ensure_arena
+from ..sketch.arena import SketchArena, ensure_arena, slot_bytes
 from ..sketch.serialize import _sketch_header, _verify_header, dump_sketch
 from ..streams import DynamicGraphStream, StreamBatch
 from ..temporal.epochs import EpochCheckpoint, EpochTimeline, normalize_boundaries
@@ -242,15 +242,15 @@ class _SiteWorker:
             StreamBatch._from_owned(n, lo, hi, delta, ranks)
         )
         idx = np.flatnonzero(dense)
-        if 2 * idx.size <= 4 * cells:
-            # Sparse handoff: the coordinator reads nnz (index, value)
-            # pairs instead of scanning the whole slot.
+        shipped = slot_bytes(idx.size, cells)
+        if shipped == 16 * idx.size:
+            # Sparse handoff, the cheaper read (see slot_bytes): the
+            # coordinator reads nnz (index, value) pairs instead of
+            # scanning the whole slot.
             res[head + 1:head + 1 + idx.size] = idx
             res[head] = idx.size
-            shipped = 16 * idx.size
         else:
             res[head] = -1
-            shipped = 8 * (4 * cells)
         return (site, stop - start, int(shipped), time.perf_counter() - t0,
                 _sketch_header(self.sketch))
 

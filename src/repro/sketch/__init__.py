@@ -11,12 +11,8 @@ from .l0 import L0SamplerBank
 from .serialize import (
     SketchCodec,
     dump_epoch_manifest,
-    dump_l0_bank,
-    dump_recovery_bank,
     dump_sketch,
     load_epoch_manifest,
-    load_l0_bank,
-    load_recovery_bank,
     load_sketch,
     merge_sketch_bytes,
     peek_sketch_meta,
@@ -46,12 +42,8 @@ __all__ = [
     "bucket_count_for",
     "decode_cells",
     "dump_epoch_manifest",
-    "dump_l0_bank",
-    "dump_recovery_bank",
     "dump_sketch",
     "load_epoch_manifest",
-    "load_l0_bank",
-    "load_recovery_bank",
     "load_sketch",
     "merge_sketch_bytes",
     "subtract_sketch_bytes",

@@ -51,7 +51,7 @@ from ..kernels import get as _get_kernel
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .bank import CellBank
 
-__all__ = ["SketchArena", "ArenaBacked", "ensure_arena"]
+__all__ = ["SketchArena", "ArenaBacked", "ensure_arena", "slot_bytes"]
 
 _K_FOLD = _get_kernel("arena_fold")
 _K_FOLD_SPARSE = _get_kernel("arena_fold_sparse")
@@ -249,6 +249,19 @@ class SketchArena:
             f"SketchArena(banks={len(self.banks)}, cells={self.cells}, "
             f"bytes={self.nbytes})"
         )
+
+
+def slot_bytes(nnz: int, cells: int) -> int:
+    """Bytes a coordinator reads to fold one site's ``cells``-cell sketch.
+
+    ``nnz`` counts the nonzero entries of the site's ``4 * cells``
+    buffer.  A site hands over 16 bytes per nonzero ``(index, value)``
+    entry while at most half the buffer is nonzero, and the dense
+    buffer, 32 bytes per cell, otherwise — so the figure never exceeds
+    the dense one.  Every site-to-coordinator handoff is counted this
+    way (the sharded runner's slots, the adaptive spanner's banks).
+    """
+    return 16 * nnz if 2 * nnz <= 4 * cells else 32 * cells
 
 
 def ensure_arena(sketch) -> SketchArena:

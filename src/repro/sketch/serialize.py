@@ -3,30 +3,24 @@
 The distributed-stream story (Section 1.1) requires sketches to travel:
 each site summarises its sub-stream locally and sends the *sketch* —
 not the stream — to a coordinator, which merges by addition.  This
-module provides a compact, dependency-free binary format in two layers:
+module provides a compact, dependency-free binary format around a
+**generic sketch registry**: every high-level sketch class (spanning
+forest, k-EDGECONNECT, MINCUT, the sparsifiers, the subgraph-count
+sketch, ...) registers a :class:`SketchCodec` describing how to list
+its constituent cell banks and how to rebuild an empty twin from its
+constructor parameters.  :func:`dump_sketch` then works for any
+registered object and :func:`load_sketch` reconstructs it — verifying
+parameters, seed, and cell-array shapes before accepting the payload.
 
-* the two primitive bank formats (``dump_l0_bank`` / ``dump_recovery_
-  bank`` and their loaders), kept for direct bank-level workflows; and
-* a **generic sketch registry**: every high-level sketch class (spanning
-  forest, k-EDGECONNECT, MINCUT, the sparsifiers, the subgraph-count
-  sketch, ...) registers a :class:`SketchCodec` describing how to list
-  its constituent cell banks and how to rebuild an empty twin from its
-  constructor parameters.  :func:`dump_sketch` then works for any
-  registered object and :func:`load_sketch` reconstructs it — verifying
-  parameters, seed, and cell-array shapes before accepting the payload.
-
-**Codec v2** (the current write format) exploits the contiguous
-:class:`~repro.sketch.arena.SketchArena`: a blob is a fixed magic
-prefix, a JSON header, and the arena buffer — ``header +
-buffer.tobytes()``, level-1-deflated since cell buffers are mostly
-zeros — with a CRC32 so flipped bits are still caught without the old
-zip-container overhead.  Epoch manifests are the same shape with the
-concatenated checkpoint blobs as a raw payload.
-**Codec v1** (numpy ``npz`` inside bytes) is still fully *readable*:
-golden fixtures and any persisted checkpoints keep loading through the
-legacy path, and since the arena is laid out field-major in bank order,
-a v1 blob's concatenated ``phi``/``iota``/``fp1``/``fp2`` arrays and a
-v2 buffer hold the very same cells in the very same order.
+**Codec v2** is the one format this module reads and writes.  It
+exploits the contiguous :class:`~repro.sketch.arena.SketchArena`: a
+blob is a fixed ``RSKB2\\n`` prefix, a JSON header, and the arena
+buffer — ``header + buffer.tobytes()``, level-1-deflated since cell
+buffers are mostly zeros — with a CRC32 so flipped bits are caught.
+Epoch manifests are the same shape with the concatenated checkpoint
+blobs as a raw payload.  Bytes without the prefix — codec v1 ``npz``
+blobs included — are refused with :class:`ValueError`;
+``docs/MIGRATION.md`` says how to re-dump them.
 
 Only identically-parameterised, identically-seeded sketches merge, so
 the format stores the constructor parameters and seeds alongside the
@@ -34,13 +28,12 @@ cell arrays; ``load_sketch(data, like=...)`` additionally refuses blobs
 whose parameters or seed differ from a local reference sketch, raising
 :class:`~repro.errors.SketchCompatibilityError`.  For coordinator-style
 hot paths, :func:`merge_sketch_bytes` / :func:`subtract_sketch_bytes`
-fold a verified v2 payload straight into a live sketch's arena without
+fold a verified payload straight into a live sketch's arena without
 materialising a twin sketch first.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import zlib
@@ -50,11 +43,9 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import SketchCompatibilityError
-from ..hashing import MERSENNE31, HashSource
+from ..hashing import MERSENNE31
 from .arena import ensure_arena
 from .bank import CellBank
-from .l0 import L0SamplerBank
-from .sparse_recovery import SparseRecoveryBank
 
 __all__ = [
     "SketchCodec",
@@ -69,72 +60,16 @@ __all__ = [
     "peek_sketch_meta",
     "dump_epoch_manifest",
     "load_epoch_manifest",
-    "dump_l0_bank",
-    "load_l0_bank",
-    "dump_recovery_bank",
-    "load_recovery_bank",
 ]
 
-_MAGIC = "repro-sketch-v1"
 _MAGIC_V2 = "repro-sketch-v2"
 _MANIFEST_KIND = "epoch-manifest"
-#: Leading bytes of every v2 blob (sketches and manifests alike).
+#: Leading bytes of every blob (sketches and manifests alike).
 _V2_PREFIX = b"RSKB2\n"
 _V2_HEAD = struct.Struct("<I")
 
 
-def _pack(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
-    header = dict(meta)
-    header["__magic__"] = _MAGIC
-    header["__kind__"] = kind
-    buf = io.BytesIO()
-    np.savez_compressed(
-        buf, __header__=np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8
-        ), **arrays,
-    )
-    return buf.getvalue()
-
-
-def _read_blob(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """Parse a blob into (header, arrays), with clear corruption errors."""
-    buf = io.BytesIO(data)
-    try:
-        with np.load(buf) as npz:
-            header = json.loads(bytes(npz["__header__"]).decode("utf-8"))
-            arrays = {k: npz[k] for k in npz.files if k != "__header__"}
-    except Exception as err:  # zipfile.BadZipFile, KeyError, json errors...
-        raise ValueError(
-            "not a repro sketch blob (corrupt or foreign bytes)"
-        ) from err
-    if header.get("__magic__") != _MAGIC:
-        raise ValueError(
-            f"not a repro sketch blob (bad magic {header.get('__magic__')!r})"
-        )
-    return header, arrays
-
-
-def _unpack(data: bytes, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
-    if _is_v2(data):
-        # The primitive bank formats are npz-only; a v2 blob handed to
-        # them is by definition of another kind.
-        header = _read_raw(data)[0]
-        raise ValueError(
-            f"blob holds a {header.get('__kind__')!r}, expected {kind!r}"
-        )
-    header, arrays = _read_blob(data)
-    if header.get("__kind__") != kind:
-        raise ValueError(
-            f"blob holds a {header.get('__kind__')!r}, expected {kind!r}"
-        )
-    return header, arrays
-
-
 # -- codec v2: raw header + payload containers ---------------------------------
-
-
-def _is_v2(data: bytes) -> bool:
-    return data[:len(_V2_PREFIX)] == _V2_PREFIX
 
 
 def _pack_raw(
@@ -143,10 +78,9 @@ def _pack_raw(
     """Assemble a v2 blob: magic, JSON header, payload bytes.
 
     ``encoding="zlib"`` deflates the payload at level 1 — sketch cell
-    buffers are mostly zeros, so this keeps shipped/persisted sizes in
-    v1 territory at a fraction of the old npz container cost.  Manifest
-    payloads stay ``"raw"``: they are concatenations of already-encoded
-    checkpoint blobs.
+    buffers are mostly zeros, so this keeps shipped/persisted sizes
+    small at little CPU cost.  Manifest payloads stay ``"raw"``: they
+    are concatenations of already-encoded checkpoint blobs.
     """
     stored = (
         zlib.compress(payload, 1)
@@ -163,13 +97,19 @@ def _pack_raw(
 
 
 def _read_raw(data: bytes) -> tuple[dict, bytes]:
-    """Parse a v2 blob into (header, payload) with corruption checks.
+    """Parse a blob into (header, payload) with corruption checks.
 
-    The declared payload length and a CRC32 stand in for the container
-    integrity the v1 zip format provided: truncation, padding, and bit
-    flips anywhere in the blob all raise :class:`ValueError`.
+    The one reader: bytes that lack the ``RSKB2\\n`` prefix are refused
+    outright, and the declared payload length and a CRC32 make
+    truncation, padding, and bit flips anywhere in the blob all raise
+    :class:`ValueError`.
     """
     base = len(_V2_PREFIX)
+    if data[:base] != _V2_PREFIX:
+        raise ValueError(
+            "not a repro sketch blob (no codec v2 prefix: corrupt, foreign, "
+            "or codec v1 npz bytes)"
+        )
     try:
         (head_len,) = _V2_HEAD.unpack_from(data, base)
         head_end = base + _V2_HEAD.size + head_len
@@ -207,19 +147,11 @@ def _read_raw(data: bytes) -> tuple[dict, bytes]:
     return header, payload
 
 
-def _read_header_any(data: bytes) -> dict:
-    """Header of a blob of either codec version."""
-    if _is_v2(data):
-        return _read_raw(data)[0]
-    return _read_blob(data)[0]
-
-
 def _validated_cell_buffer(payload: bytes, cells: int) -> np.ndarray:
     """Interpret a dense v2 sketch payload as a field-major arena buffer.
 
     Verifies the byte length against the expected ``4 * cells`` int64
-    cells and that the fingerprint half stays inside ``GF(2^31 - 1)`` —
-    the same guarantees the v1 loader enforced per field array.
+    cells and that the fingerprint half stays inside ``GF(2^31 - 1)``.
     """
     if len(payload) != 4 * cells * 8:
         raise ValueError(
@@ -423,11 +355,10 @@ def dump_sketch(
     meta["cells"] = [int(b.size) for b in banks]
     if epoch_meta is not None:
         meta["epoch"] = dict(epoch_meta)
-    # Field-major arena buffer == the v1 concatenation order of
-    # phi/iota/fp1/fp2 across banks, but with zero gather work.  A
-    # lightly-loaded sketch (a site shard, an early epoch) ships as
-    # sparse (position, value) pairs instead — smaller bytes *and* an
-    # O(nnz) fold at the coordinator.
+    # The field-major arena buffer is the payload, with zero gather
+    # work.  A lightly-loaded sketch (a site shard, an early epoch)
+    # ships as sparse (position, value) pairs instead — smaller bytes
+    # *and* an O(nnz) fold at the coordinator.
     buffer = ensure_arena(sketch).buffer
     idx = np.flatnonzero(buffer)
     kind = _SKETCH_KIND_PREFIX + codec.kind
@@ -446,11 +377,10 @@ def load_sketch(data: bytes, like: Any | None = None) -> Any:
     """Reconstruct a sketch serialised by :func:`dump_sketch`.
 
     The stored parameters rebuild a fresh identically-seeded sketch and
-    the cell payload is copied in, after verifying that the bank layout
-    implied by the parameters matches the payload exactly (mismatched
-    or tampered parameters refuse to load).  Both codec versions load:
-    v2 blobs restore the whole arena buffer in one copy; legacy v1
-    (npz) blobs restore bank by bank.
+    the cell payload is copied into its arena in one assignment, after
+    verifying that the bank layout implied by the parameters matches
+    the payload exactly (mismatched or tampered parameters refuse to
+    load).
 
     Parameters
     ----------
@@ -461,77 +391,23 @@ def load_sketch(data: bytes, like: Any | None = None) -> Any:
         the offending fields.  Use this before merging a received
         sketch into a local one.
     """
-    if _is_v2(data):
-        header, payload = _read_raw(data)
-        arrays = None
+    sketch, idx, values = _read_cells(data, like, "load")
+    buffer = ensure_arena(sketch).buffer
+    if idx is None:
+        buffer[:] = values
     else:
-        header, arrays = _read_blob(data)
-        payload = None
-    codec = _codec_of_header(header)
-    if like is not None:
-        _verify_like(codec, header, like)
-    sketch = codec.construct(header)
-    banks = codec.banks(sketch)
-    cells = header.get("cells")
-    if cells != [int(b.size) for b in banks]:
-        raise ValueError(
-            f"blob cell layout {cells} does not match the layout "
-            f"reconstructed from its parameters — corrupt or tampered blob"
-        )
-    total = int(sum(cells))
-    if payload is not None:
-        arena = ensure_arena(sketch)
-        if header.get("encoding") == "sparse-zlib":
-            idx, values = _validated_sparse_cells(header, payload, total)
-            # A freshly constructed sketch's buffer is all zeros.
-            arena.buffer[idx] = values
-        else:
-            arena.buffer[:] = _validated_cell_buffer(payload, total)
-        return sketch
-    _restore_v1_arrays(banks, arrays, total)
+        # A freshly constructed sketch's buffer is all zeros.
+        buffer[idx] = values
     return sketch
-
-
-def _restore_v1_arrays(
-    banks: "list[CellBank]", arrays: dict[str, np.ndarray], total: int
-) -> None:
-    """Copy a legacy v1 blob's four field arrays into the banks."""
-    for name in ("phi", "iota", "fp1", "fp2"):
-        arr = arrays.get(name)
-        if arr is None or arr.shape != (total,):
-            raise ValueError(f"blob cell array {name!r} missing or mis-sized")
-        if arr.dtype != np.int64:
-            raise ValueError(
-                f"blob cell array {name!r} has dtype {arr.dtype}, "
-                "expected int64 — corrupt or tampered blob"
-            )
-    for name in ("fp1", "fp2"):
-        arr = arrays[name]
-        if arr.size and (
-            int(arr.min()) < 0 or int(arr.max()) >= MERSENNE31
-        ):
-            raise ValueError(
-                f"blob fingerprint array {name!r} has values outside "
-                "GF(2^31 - 1) — corrupt or tampered blob"
-            )
-    offset = 0
-    for bank in banks:
-        end = offset + bank.size
-        bank.phi[:] = arrays["phi"][offset:end]
-        bank.iota[:] = arrays["iota"][offset:end]
-        bank.fp1[:] = arrays["fp1"][offset:end]
-        bank.fp2[:] = arrays["fp2"][offset:end]
-        offset = end
 
 
 def merge_sketch_bytes(sketch: Any, data: bytes) -> None:
     """Fold a serialised sketch directly into ``sketch`` (coordinator path).
 
-    Equivalent to ``sketch.merge(load_sketch(data, like=sketch))`` but,
-    for v2 blobs, skips materialising the twin: after the same
-    parameter/seed/layout/fingerprint verification, the payload is
-    added straight into the live sketch's arena — two vector ops total.
-    Legacy v1 blobs fall back to reconstruct-and-merge.
+    Equivalent to ``sketch.merge(load_sketch(data, like=sketch))`` but
+    skips materialising the twin: after the same parameter/seed/layout/
+    fingerprint verification, the payload is added straight into the
+    live sketch's arena — two vector ops total.
     """
     _combine_sketch_bytes(sketch, data, subtract=False)
 
@@ -548,34 +424,50 @@ def subtract_sketch_bytes(sketch: Any, data: bytes) -> None:
 
 def _combine_sketch_bytes(sketch: Any, data: bytes, subtract: bool) -> None:
     _codec_for(sketch)
-    if not _is_v2(data):
-        other = load_sketch(data, like=sketch)
-        (sketch.subtract if subtract else sketch.merge)(other)
-        return
+    op = "subtract" if subtract else "merge"
+    _, idx, values = _read_cells(data, sketch, op, into=sketch)
+    arena = ensure_arena(sketch)
+    if idx is None:
+        arena._combine_raw(values, subtract=subtract)
+    else:
+        arena._combine_sparse(idx, values, subtract=subtract)
+
+
+def _read_cells(
+    data: bytes, like: Any | None, op: str, into: Any | None = None
+) -> tuple[Any, np.ndarray | None, np.ndarray]:
+    """Read, verify and lay out the cells of a sketch blob.
+
+    The one path behind :func:`load_sketch` and the byte combines: read
+    the blob, refuse it unless it names ``like``'s kind, parameters and
+    seed (when ``like`` is given), and check its cell layout against
+    ``into`` — the sketch the cells go into, or a fresh twin built from
+    the header when ``None``.  Returns ``(into, idx, values)``: ``idx``
+    holds the validated positions of a sparse payload, or is ``None``
+    when ``values`` is the whole dense cell buffer.
+    """
     header, payload = _read_raw(data)
     codec = _codec_of_header(header)
-    _verify_like(codec, header, sketch, op="subtract" if subtract else "merge")
-    banks = codec.banks(sketch)
+    if like is not None:
+        _verify_like(codec, header, like, op=op)
+    if into is None:
+        into = codec.construct(header)
     cells = header.get("cells")
-    if cells != [int(b.size) for b in banks]:
+    if cells != [int(b.size) for b in codec.banks(into)]:
         raise ValueError(
-            f"blob cell layout {cells} does not match the local sketch — "
-            "corrupt or tampered blob"
+            f"blob cell layout {cells} does not match the layout its "
+            "parameters give — corrupt or tampered blob"
         )
     total = int(sum(cells))
-    arena = ensure_arena(sketch)
     if header.get("encoding") == "sparse-zlib":
         idx, values = _validated_sparse_cells(header, payload, total)
-        arena._combine_sparse(idx, values, subtract=subtract)
-    else:
-        arena._combine_raw(
-            _validated_cell_buffer(payload, total), subtract=subtract
-        )
+        return into, idx, values
+    return into, None, _validated_cell_buffer(payload, total)
 
 
 def peek_sketch_meta(data: bytes) -> dict:
     """The blob's header (kind, parameters, seed) without reconstructing."""
-    return _read_header_any(data)
+    return _read_raw(data)[0]
 
 
 def _sketch_header(sketch: Any) -> dict:
@@ -652,7 +544,7 @@ def dump_epoch_manifest(
     kinds: set[object] = set()
     seeds: set[object] = set()
     for payload in payloads:
-        header = _read_header_any(payload)
+        header = peek_sketch_meta(payload)
         kinds.add(header.get("__kind__"))
         seeds.add(header.get("seed"))
     if len(kinds) != 1 or len(seeds) != 1:
@@ -678,24 +570,16 @@ def load_epoch_manifest(data: bytes) -> tuple[dict, "list[bytes]"]:
     that are not manifests, manifests whose concatenated payload bytes
     do not match the recorded lengths (truncation/padding), epoch ids
     that are not consecutive and increasing, and checkpoints whose
-    sketch kind or seed disagrees with the manifest header.  Reads both
-    codec versions (v1 fixtures keep loading).
+    sketch kind or seed disagrees with the manifest header.  Bytes that
+    are not codec v2 — the manifest itself or any checkpoint in it —
+    are refused the same way.
     """
-    if _is_v2(data):
-        header, raw = _read_raw(data)
-        if header.get("__kind__") != _MANIFEST_KIND:
-            raise ValueError(
-                f"blob holds a {header.get('__kind__')!r}, "
-                f"expected {_MANIFEST_KIND!r}"
-            )
-    else:
-        header, arrays = _unpack(data, _MANIFEST_KIND)
-        blob = arrays.get("payloads")
-        if blob is None or blob.dtype != np.uint8:
-            raise ValueError(
-                "epoch manifest payload array missing or mis-typed"
-            )
-        raw = blob.tobytes()
+    header, raw = _read_raw(data)
+    if header.get("__kind__") != _MANIFEST_KIND:
+        raise ValueError(
+            f"blob holds a {header.get('__kind__')!r}, "
+            f"expected {_MANIFEST_KIND!r}"
+        )
     epoch_ids = header.get("epoch_ids")
     lengths = header.get("lengths")
     if not isinstance(epoch_ids, list) or not isinstance(lengths, list):
@@ -724,7 +608,7 @@ def load_epoch_manifest(data: bytes) -> tuple[dict, "list[bytes]"]:
         payloads.append(raw[offset:offset + length])
         offset += length
     for i, payload in enumerate(payloads):
-        chk_header = _read_header_any(payload)
+        chk_header = peek_sketch_meta(payload)
         if chk_header.get("__kind__") != header.get("sketch_kind"):
             raise ValueError(
                 f"checkpoint {epoch_ids[i]} holds a "
@@ -738,96 +622,3 @@ def load_epoch_manifest(data: bytes) -> tuple[dict, "list[bytes]"]:
                 f"{header.get('sketch_seed')!r}"
             )
     return header, payloads
-
-
-def dump_l0_bank(bank: L0SamplerBank, seed: int | None = None) -> bytes:
-    """Serialise an :class:`L0SamplerBank`.
-
-    The bank's constructor seed travels with the blob so the receiving
-    side reconstructs identical hash functions (without it, the cell
-    arrays would be uninterpretable).  Banks built from non-seeded
-    sources must pass ``seed`` explicitly.
-    """
-    if seed is None:
-        seed = bank.source_seed
-    if seed is None:
-        raise ValueError("bank has no recorded seed; pass one explicitly")
-    meta = {
-        "seed": int(seed),
-        "families": bank.families,
-        "samplers": bank.samplers,
-        "domain": bank.domain,
-        "rows": bank.rows,
-        "buckets": bank.buckets,
-    }
-    arrays = {
-        "phi": bank.bank.phi,
-        "iota": bank.bank.iota,
-        "fp1": bank.bank.fp1,
-        "fp2": bank.bank.fp2,
-    }
-    return _pack("l0_bank", meta, arrays)
-
-
-def load_l0_bank(data: bytes) -> L0SamplerBank:
-    """Reconstruct an :class:`L0SamplerBank` from :func:`dump_l0_bank` bytes."""
-    meta, arrays = _unpack(data, "l0_bank")
-    bank = L0SamplerBank(
-        families=meta["families"],
-        samplers=meta["samplers"],
-        domain=meta["domain"],
-        source=HashSource(meta["seed"]),
-        rows=meta["rows"],
-        buckets=meta["buckets"],
-    )
-    _restore_cells(bank.bank, arrays)
-    return bank
-
-
-def dump_recovery_bank(bank: SparseRecoveryBank, seed: int | None = None) -> bytes:
-    """Serialise a :class:`SparseRecoveryBank` (see :func:`dump_l0_bank`)."""
-    if seed is None:
-        seed = bank.source_seed
-    if seed is None:
-        raise ValueError("bank has no recorded seed; pass one explicitly")
-    meta = {
-        "seed": int(seed),
-        "groups": bank.groups,
-        "instances": bank.instances,
-        "domain": bank.domain,
-        "k": bank.k,
-        "rows": bank.rows,
-    }
-    arrays = {
-        "phi": bank.bank.phi,
-        "iota": bank.bank.iota,
-        "fp1": bank.bank.fp1,
-        "fp2": bank.bank.fp2,
-    }
-    return _pack("recovery_bank", meta, arrays)
-
-
-def load_recovery_bank(data: bytes) -> SparseRecoveryBank:
-    """Reconstruct a bank from :func:`dump_recovery_bank` bytes."""
-    meta, arrays = _unpack(data, "recovery_bank")
-    bank = SparseRecoveryBank(
-        groups=meta["groups"],
-        instances=meta["instances"],
-        domain=meta["domain"],
-        k=meta["k"],
-        source=HashSource(meta["seed"]),
-        rows=meta["rows"],
-    )
-    _restore_cells(bank.bank, arrays)
-    return bank
-
-
-def _restore_cells(cell_bank, arrays: dict[str, np.ndarray]) -> None:
-    if arrays["phi"].shape != cell_bank.phi.shape:
-        raise ValueError(
-            "serialised cell arrays do not match the reconstructed shape"
-        )
-    cell_bank.phi[:] = arrays["phi"]
-    cell_bank.iota[:] = arrays["iota"]
-    cell_bank.fp1[:] = arrays["fp1"]
-    cell_bank.fp2[:] = arrays["fp2"]

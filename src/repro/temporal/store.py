@@ -121,6 +121,8 @@ class RetentionPolicy:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RetentionPolicy":
+        if not isinstance(doc, dict):
+            raise TypeError(f"retention policy is not a JSON object: {doc!r}")
         return cls(
             max_epochs=doc.get("max_epochs"),
             max_bytes=doc.get("max_bytes"),
@@ -335,10 +337,15 @@ class EpochStore:
                 f"epoch-store catalog {path!s} is unreadable or not valid "
                 f"JSON: {err}"
             ) from err
-        if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
+        if not isinstance(doc, dict):
+            raise StoreCorruptionError(
+                f"{path!s} is not an epoch-store catalog (it parses to a "
+                f"{type(doc).__name__}, not a JSON object)"
+            )
+        if doc.get("format") != STORE_FORMAT:
             raise StoreCorruptionError(
                 f"{path!s} is not an epoch-store catalog "
-                f"(format={doc.get('format')!r} if it parses at all)"
+                f"(format={doc.get('format')!r})"
             )
         version = doc.get("version")
         if not isinstance(version, int) or version > STORE_VERSION:

@@ -1,12 +1,13 @@
 """Helpers for taking codec blobs apart in tamper/corruption tests.
 
-Codec v2 blobs (the current write format) are ``magic + u32 header
-length + JSON header + payload``; these helpers unpack them, let a test
-mutate header and payload, and reseal the length/CRC bookkeeping so the
-*semantic* integrity checks of the loaders are exercised rather than
-the checksum.  ``pack_v1_sketch`` builds a legacy npz sketch blob from
-live data, so the v1 read path stays covered without binary fixtures
-for every sketch class.
+Codec v2 blobs — the one format the library reads and writes, and the
+frozen golden format of ``tests/fixtures/*_v2.manifest`` — are ``magic
++ u32 header length + JSON header + payload``; these helpers unpack
+them, let a test mutate header and payload, and reseal the length/CRC
+bookkeeping so the *semantic* integrity checks of the loaders are
+exercised rather than the checksum.  ``pack_v1_sketch`` builds a
+retired npz (codec v1) sketch blob from live data: refusal input that
+every reader must reject.
 """
 
 from __future__ import annotations
@@ -91,20 +92,18 @@ def densify_sketch_v2(blob: bytes) -> bytes:
     return pack_v2(header, dense.astype("<i8").tobytes())
 
 
-def pack_v1_sketch(blob: bytes, mutate=None) -> bytes:
-    """Re-encode a v2 sketch blob in the legacy v1 npz container.
+def pack_v1_sketch(blob: bytes) -> bytes:
+    """Re-encode a v2 sketch blob in the retired v1 npz container.
 
     Byte-compatible with what ``dump_sketch`` produced before codec v2:
     same header keys (v1 magic) and the four concatenated field arrays.
-    ``mutate(header, arrays)`` may tamper with either before packing.
+    The library no longer reads these; tests use them as refusal input.
     """
     header, arrays = sketch_fields_v2(blob)
     header = dict(header)
     header["__magic__"] = "repro-sketch-v1"
     for key in ("payload_bytes", "crc32", "encoding", "nnz"):
         header.pop(key, None)
-    if mutate is not None:
-        mutate(header, arrays)
     buf = io.BytesIO()
     np.savez_compressed(
         buf,

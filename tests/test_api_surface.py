@@ -143,14 +143,10 @@ EXPECTED_SKETCH = frozenset({
     "bucket_count_for",
     "decode_cells",
     "dump_epoch_manifest",
-    "dump_l0_bank",
-    "dump_recovery_bank",
     "dump_sketch",
     "ensure_arena",
     "is_valid_encoding",
     "load_epoch_manifest",
-    "load_l0_bank",
-    "load_recovery_bank",
     "load_sketch",
     "merge_sketch_bytes",
     "pair_position_in_subset",

@@ -1,4 +1,4 @@
-"""Contiguous sketch-state arena: layout, algebra, and codec migration.
+"""Contiguous sketch-state arena: layout, algebra, and the codec payload.
 
 The arena contract has three legs:
 
@@ -8,25 +8,21 @@ The arena contract has three legs:
 * **algebra** — whole-buffer ``merge``/``subtract``/``negate`` are
   cell-for-cell identical to the per-bank ops they replaced, including
   after banks are re-adopted between nested and top-level arenas;
-* **migration** — v1 (npz) blobs, including the golden fixture
-  manifests, load into arena-backed sketches and round-trip through the
-  v2 codec with identical query answers.
+* **codec** — a codec v2 payload is the arena buffer: the field-major
+  concatenation of every bank's ``phi``/``iota``/``fp1``/``fp2``, dense
+  or as sparse ``(position, value)`` pairs.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pytest
 from blob_utils import (
-    pack_v1_sketch,
     repack_v2,
     sketch_fields_v2,
     unpack_v2,
 )
 
-from repro.api import ConnectivityQuery, GraphSketchEngine
 from repro.core import (
     BipartitenessSketch,
     CutEdgesSketch,
@@ -39,7 +35,6 @@ from repro.core import (
     SubgraphSketch,
     WeightedSparsification,
 )
-from repro.distributed import forest_sketch
 from repro.errors import SketchCompatibilityError
 from repro.hashing import HashSource, MERSENNE31
 from repro.sketch import (
@@ -57,7 +52,6 @@ from repro.streams import (
     random_weighted_edges,
     weighted_churn_stream,
 )
-from repro.temporal import EpochTimeline
 
 N = 10
 
@@ -266,13 +260,6 @@ class TestEmptyAndEdgeCases:
         with pytest.raises(ValueError):
             subtract_sketch_bytes(ours, b"junk bytes, not a blob")
 
-    def test_combine_bytes_accepts_v1_blob(self, stream):
-        consumed = SpanningForestSketch(N, HashSource(56)).consume_batch(stream.as_batch())
-        v1 = pack_v1_sketch(dump_sketch(consumed))
-        empty = SpanningForestSketch(N, HashSource(56))
-        merge_sketch_bytes(empty, v1)
-        assert dump_sketch(empty) == dump_sketch(consumed)
-
 
 class TestSparseEncoding:
     """Lightly-loaded sketches ship as sparse (position, value) pairs."""
@@ -350,7 +337,7 @@ class TestSparseEncoding:
 
 
 class TestCodecMigration:
-    """v1 blobs (golden fixtures included) migrate losslessly to v2."""
+    """The v2 payload holds the cells in the order of the old v1 arrays."""
 
     def test_v2_payload_matches_v1_field_concatenation(self, stream):
         sketch = EdgeConnectivitySketch(N, 2, HashSource(61)).consume_batch(stream.as_batch())
@@ -361,47 +348,3 @@ class TestCodecMigration:
             concat = np.concatenate([getattr(b, name) for b in banks])
             assert np.array_equal(fields[name], concat), name
 
-    def test_golden_v1_manifest_re_dumps_to_v2(self, tmp_path):
-        import pathlib
-
-        fixture = (
-            pathlib.Path(__file__).parent / "fixtures"
-            / "forest_epochs_v1.manifest"
-        )
-        timeline = EpochTimeline.from_bytes(fixture.read_bytes())
-        v1_engine = GraphSketchEngine.restore(fixture.read_bytes())
-        answers = [
-            v1_engine.query(ConnectivityQuery(window=(0, t))).components
-            for t in range(1, timeline.epochs + 1)
-        ]
-        # Migrate every checkpoint through the v2 codec.
-        migrated = EpochTimeline(timeline.n, [
-            type(c)(
-                epoch=c.epoch, tokens=c.tokens,
-                cumulative_tokens=c.cumulative_tokens,
-                payload=dump_sketch(
-                    load_sketch(c.payload),
-                    epoch_meta={"epoch": c.epoch, "tokens": c.tokens,
-                                "cumulative_tokens": c.cumulative_tokens},
-                ),
-            )
-            for c in timeline.checkpoints
-        ])
-        v2_bytes = migrated.to_bytes()
-        engine = GraphSketchEngine.restore(v2_bytes)
-        for t, want in enumerate(answers, start=1):
-            assert engine.query(ConnectivityQuery(window=(0, t))).components == want
-
-    def test_golden_v1_checkpoint_merges_with_v2_twin(self, tmp_path):
-        import pathlib
-
-        fixture = (
-            pathlib.Path(__file__).parent / "fixtures"
-            / "forest_epochs_v1.manifest"
-        )
-        timeline = EpochTimeline.from_bytes(fixture.read_bytes())
-        twin = functools.partial(forest_sketch, timeline.n, 424242)()
-        merge_sketch_bytes(twin, timeline.checkpoint(3).payload)
-        assert dump_sketch(twin) == dump_sketch(
-            load_sketch(timeline.checkpoint(3).payload)
-        )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -13,7 +14,10 @@ from repro.core import (
     RecurseConnectSpanner,
     recurse_connect_stretch_bound,
 )
+from repro.distributed import partition_stream
 from repro.graphs import Graph, measure_stretch, verify_subgraph
+from repro.sketch import ensure_arena
+from repro.sketch.arena import slot_bytes
 from repro.streams import (
     DynamicGraphStream,
     churn_stream,
@@ -156,6 +160,32 @@ class TestBaswanaSenSpanner:
             stream_from_edges(n, cycle_graph(n))
         )
         assert rep.memory_cells > 0
+
+    def test_sharded_build_ships_slot_bytes(self, source, monkeypatch):
+        """Each site bank counts as a sharded runner's slot would, so
+        ``shipped_bytes`` is the one figure every engine kind reports."""
+        n, k, sites = 20, 3, 3
+        stream = churn_stream(n, erdos_renyi_graph(n, 0.3, seed=17), seed=18)
+        received = []
+        ship = BaswanaSenSpanner._ship
+
+        def record(self, bank, into):
+            received.append(bank)
+            return ship(self, bank, into)
+
+        monkeypatch.setattr(BaswanaSenSpanner, "_ship", record)
+        rep = BaswanaSenSpanner(n, k=k, source=source.derive(17)).build_sharded(
+            partition_stream(stream, sites, "round-robin")
+        )
+        # Two banks per site in each of the k-1 growth batches, one in
+        # the clean-up batch.
+        assert len(received) == sites * (2 * (k - 1) + 1)
+        arenas = [ensure_arena(bank) for bank in received]
+        expected = sum(
+            slot_bytes(int(np.count_nonzero(a.buffer)), a.cells)
+            for a in arenas
+        )
+        assert rep.shipped_bytes == expected > 0
 
 
 class TestRecurseConnectSpanner:

@@ -513,6 +513,26 @@ class TestCorruptionFuzz:
         with pytest.raises(StoreCorruptionError, match="JSON"):
             EpochStore.open(root)
 
+    @pytest.mark.parametrize(
+        "body", [b"[1, 2, 3]", b"42"], ids=["array", "number"]
+    )
+    def test_non_object_catalog(self, tmp_path, body):
+        """Valid JSON that is not an object is a corrupt catalog."""
+        root = _copy_golden(tmp_path)
+        (root / "catalog.json").write_bytes(body)
+        with pytest.raises(StoreCorruptionError, match="not a JSON object"):
+            EpochStore.open(root)
+
+    @pytest.mark.parametrize(
+        "retention", [[1, 2, 3], 42], ids=["array", "number"]
+    )
+    def test_non_object_retention(self, tmp_path, retention):
+        """A checksum-consistent catalog with a non-object retention."""
+        root = _copy_golden(tmp_path)
+        _rewrite_catalog(root, lambda doc: doc.update(retention=retention))
+        with pytest.raises(StoreCorruptionError, match="schema validation"):
+            EpochStore.open(root)
+
     def test_newer_catalog_version_refused(self, tmp_path):
         root = _copy_golden(tmp_path)
         _rewrite_catalog(root, lambda doc: doc.update(version=99))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
@@ -14,6 +16,8 @@ from repro.eval import (
     run_experiment,
     summarize,
 )
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 class TestTable:
@@ -217,9 +221,17 @@ class TestCliTemporal:
         assert main(["window-query", "--epochs", "0"]) == 2
         assert "--epochs" in capsys.readouterr().err
 
-    def test_window_query_rejects_garbage_manifest(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "data",
+        [b"not a manifest at all",
+         (FIXTURES / "forest_epochs_v1.manifest").read_bytes()],
+        ids=["garbage", "codec-v1-fixture"],
+    )
+    def test_window_query_rejects_garbage_manifest(
+        self, tmp_path, capsys, data
+    ):
         bad = tmp_path / "bad.manifest"
-        bad.write_bytes(b"not a manifest at all")
+        bad.write_bytes(data)
         assert main(["window-query", "--manifest", str(bad)]) == 2
         assert "cannot load manifest" in capsys.readouterr().err
 

@@ -1,14 +1,16 @@
 """Golden-fixture regression tests for persisted checkpoint manifests.
 
-``tests/fixtures/*_v1.manifest`` are epoch manifests serialised by the
-original npz codec (n=10 Erdős–Rényi churn workload, 3 epochs; seeds
-recorded below); ``*_v2.manifest`` are the same checkpoints migrated
-through the arena codec (``load_sketch`` of each v1 payload,
-re-``dump_sketch``).  Today's code must keep *loading* both and keep
-giving the *same answers* — the compatibility promise for sketches
-persisted by a long-running service.  A codec change that cannot read
-old bytes, or reads them into different cell arrays, fails here
-instead of silently corrupting stored checkpoints.
+``tests/fixtures/*_v2.manifest`` are epoch manifests in codec v2, the
+frozen golden format (n=10 Erdős–Rényi churn workload, 3 epochs; seeds
+recorded below).  Today's code must keep *loading* them and keep giving
+the *same answers* — the compatibility promise for sketches persisted
+by a long-running service.  A codec change that cannot read these
+bytes, or reads them into different cell arrays, fails here instead of
+silently corrupting stored checkpoints.
+
+``*_v1.manifest`` hold the same checkpoints in the retired npz codec
+(v1).  They stay committed as refusal inputs: every reader must reject
+them with :class:`ValueError` (``tests/test_manifest_corruption.py``).
 
 If the format ever changes intentionally, add a new fixture version
 (``*_v3.manifest``) and a migration path — do not regenerate these.
@@ -35,10 +37,6 @@ FOREST_SEED = 424242
 MINCUT_SEED = 515151
 
 
-#: The windowed engine query each fixture's answers are pinned through.
-FIXTURE_QUERIES = {"forest_epochs": ConnectivityQuery, "mincut_epochs": MinCutQuery}
-
-
 def _engine(name: str) -> GraphSketchEngine:
     """A temporal engine restored from a committed manifest fixture."""
     return GraphSketchEngine.restore((FIXTURES / f"{name}.manifest").read_bytes())
@@ -46,13 +44,13 @@ def _engine(name: str) -> GraphSketchEngine:
 
 @pytest.fixture(scope="module")
 def forest_timeline() -> EpochTimeline:
-    data = (FIXTURES / "forest_epochs_v1.manifest").read_bytes()
+    data = (FIXTURES / "forest_epochs_v2.manifest").read_bytes()
     return EpochTimeline.from_bytes(data)
 
 
 @pytest.fixture(scope="module")
 def mincut_timeline() -> EpochTimeline:
-    data = (FIXTURES / "mincut_epochs_v1.manifest").read_bytes()
+    data = (FIXTURES / "mincut_epochs_v2.manifest").read_bytes()
     return EpochTimeline.from_bytes(data)
 
 
@@ -69,7 +67,7 @@ class TestForestFixture:
         }
 
     def test_connectivity_answers_unchanged(self):
-        engine = _engine("forest_epochs_v1")
+        engine = _engine("forest_epochs_v2")
         for t in (1, 2, 3):
             answer = engine.query(ConnectivityQuery(u=0, v=1, window=(0, t)))
             assert answer.components == 1, f"prefix [0,{t}) changed"
@@ -102,46 +100,6 @@ class TestForestFixture:
         assert dump_sketch(twin) == dump_sketch(restored)
 
 
-class TestV2Fixtures:
-    """The arena-codec fixtures answer identically to their v1 twins."""
-
-    @pytest.mark.parametrize("name", ["forest_epochs", "mincut_epochs"])
-    def test_v2_fixture_answers_match_v1(self, name):
-        v1 = EpochTimeline.from_bytes(
-            (FIXTURES / f"{name}_v1.manifest").read_bytes()
-        )
-        v2 = EpochTimeline.from_bytes(
-            (FIXTURES / f"{name}_v2.manifest").read_bytes()
-        )
-        assert v2.n == v1.n
-        assert v2.boundaries == v1.boundaries
-        e1, e2 = _engine(f"{name}_v1"), _engine(f"{name}_v2")
-        for t in range(1, v1.epochs + 1):
-            query = FIXTURE_QUERIES[name](window=(0, t))
-            assert e2.query(query).to_dict()["body"] == \
-                e1.query(query).to_dict()["body"]
-        # Cross-version algebra: a v1 checkpoint merges into a sketch
-        # loaded from the v2 fixture (same parameters and seed).
-        mixed = materialise_window(v2, 0, 1)
-        mixed.merge(materialise_window(v1, 0, 1))
-        assert dump_sketch(mixed) != dump_sketch(materialise_window(v2, 0, 1))
-
-    @pytest.mark.parametrize("name", ["forest_epochs", "mincut_epochs"])
-    def test_v1_payload_redumps_to_v2_fixture_state(self, name):
-        v1 = EpochTimeline.from_bytes(
-            (FIXTURES / f"{name}_v1.manifest").read_bytes()
-        )
-        v2 = EpochTimeline.from_bytes(
-            (FIXTURES / f"{name}_v2.manifest").read_bytes()
-        )
-        from repro.sketch import load_sketch
-
-        for chk_v1, chk_v2 in zip(v1.checkpoints, v2.checkpoints):
-            migrated = load_sketch(chk_v1.payload)
-            restored = load_sketch(chk_v2.payload, like=migrated)
-            assert dump_sketch(migrated) == dump_sketch(restored)
-
-
 class TestMinCutFixture:
     def test_loads_with_expected_shape(self, mincut_timeline):
         assert mincut_timeline.n == FIXTURE_N
@@ -152,7 +110,7 @@ class TestMinCutFixture:
         )["seed"] == MINCUT_SEED
 
     def test_mincut_answers_unchanged(self):
-        engine = _engine("mincut_epochs_v1")
+        engine = _engine("mincut_epochs_v2")
         expected = {1: 1.0, 2: 2.0, 3: 3.0}
         for t, value in expected.items():
             answer = engine.query(MinCutQuery(window=(0, t)))

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import pathlib
 import zlib
 
-import numpy as np
 import pytest
 from blob_utils import pack_v1_sketch, repack_v2
 from test_epoch_store import _rewrite_catalog
 
+from repro.api import GraphSketchEngine
 from repro.core import SpanningForestSketch
 from repro.distributed import forest_sketch
 from repro.errors import SketchCompatibilityError, StoreCorruptionError
@@ -40,6 +41,7 @@ from repro.temporal import (
 )
 
 N = 10
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,43 @@ def _skew_cells(header, _payload) -> None:
     header["cells"] = [cells + 1 for cells in header["cells"]]
 
 
+def _v2_manifest_of_v1_checkpoints() -> bytes:
+    """Codec v1 checkpoint blobs wrapped unchanged in a v2 manifest.
+
+    The shape ``GraphSketchEngine.restore(v1_manifest).snapshot()``
+    wrote while the v1 reader still existed.
+    """
+    data = (FIXTURES / "forest_epochs_v2.manifest").read_bytes()
+    v1 = [pack_v1_sketch(p) for p in load_epoch_manifest(data)[1]]
+
+    def wrap(header, payload):
+        header["lengths"] = [len(b) for b in v1]
+        payload[:] = b"".join(v1)
+
+    return repack_v2(data, wrap)
+
+
+#: Bytes no manifest reader accepts, by name (built lazily).
+MANIFEST_GARBAGE = {
+    "zeros": lambda: b"\x00" * 100,
+    "almost-a-zip": lambda: b"PK\x03\x04 almost a zip",
+    "forest-v1-fixture": lambda: (
+        FIXTURES / "forest_epochs_v1.manifest"
+    ).read_bytes(),
+    "mincut-v1-fixture": lambda: (
+        FIXTURES / "mincut_epochs_v1.manifest"
+    ).read_bytes(),
+    "v1-checkpoints-in-v2": _v2_manifest_of_v1_checkpoints,
+}
+
+#: Every reader of manifest bytes, as ``data -> result``.
+MANIFEST_READERS = {
+    "load_epoch_manifest": load_epoch_manifest,
+    "EpochTimeline.from_bytes": EpochTimeline.from_bytes,
+    "GraphSketchEngine.restore": GraphSketchEngine.restore,
+}
+
+
 class TestLoadSketchFuzz:
     @pytest.mark.parametrize("keep", [1, 10, 57, 200])
     def test_truncated_payload_rejected(self, blob, keep):
@@ -89,20 +128,6 @@ class TestLoadSketchFuzz:
 
         with pytest.raises(ValueError, match="mis-sized"):
             load_sketch(_repack(blob, shrink))
-
-    @pytest.mark.parametrize("dtype", [np.int32, np.float64, np.uint8])
-    def test_v1_flipped_dtype_fields_rejected(self, blob, dtype):
-        """The legacy-v1 read path still rejects mis-typed field arrays."""
-        def flip(_header, arrays):
-            arrays["phi"] = arrays["phi"].astype(dtype)
-
-        with pytest.raises(ValueError, match="dtype|mis-sized"):
-            load_sketch(pack_v1_sketch(blob, flip))
-
-    def test_v1_reencoded_blob_loads_identically(self, blob):
-        """A v1 re-encoding of a v2 blob reconstructs the same sketch."""
-        v1 = pack_v1_sketch(blob)
-        assert dump_sketch(load_sketch(v1)) == blob
 
     def test_flipped_delta_bytes_rejected_or_detected(self, blob):
         """Bit flips anywhere in the blob break the payload CRC32."""
@@ -205,11 +230,12 @@ class TestManifestCorruption:
         with pytest.raises(ValueError, match="not a registry-serialised"):
             load_sketch(timeline.to_bytes())
 
-    def test_garbage_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            load_epoch_manifest(b"\x00" * 100)
-        with pytest.raises(ValueError):
-            EpochTimeline.from_bytes(b"PK\x03\x04 almost a zip")
+    @pytest.mark.parametrize("reader", sorted(MANIFEST_READERS))
+    @pytest.mark.parametrize("garbage", sorted(MANIFEST_GARBAGE))
+    def test_garbage_bytes_rejected(self, reader, garbage):
+        """Foreign bytes and codec v1 manifests or checkpoints refuse."""
+        with pytest.raises(ValueError, match="not a repro sketch blob"):
+            MANIFEST_READERS[reader](MANIFEST_GARBAGE[garbage]())
 
     def test_negative_payload_length_rejected(self, timeline):
         def poison(header, _arrays):

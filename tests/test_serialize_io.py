@@ -1,22 +1,12 @@
-"""Tests for sketch serialisation and stream text I/O."""
+"""Tests for stream text I/O."""
 
 from __future__ import annotations
 
 import io
 
-import numpy as np
 import pytest
 
 from repro.errors import StreamError
-from repro.hashing import HashSource
-from repro.sketch import (
-    L0SamplerBank,
-    SparseRecoveryBank,
-    dump_l0_bank,
-    dump_recovery_bank,
-    load_l0_bank,
-    load_recovery_bank,
-)
 from repro.streams import (
     DynamicGraphStream,
     churn_stream,
@@ -26,90 +16,6 @@ from repro.streams import (
     read_stream,
     write_stream,
 )
-
-
-class TestL0BankSerialization:
-    def _filled_bank(self, seed: int) -> L0SamplerBank:
-        bank = L0SamplerBank(
-            families=3, samplers=4, domain=500, source=HashSource(seed)
-        )
-        rng = np.random.default_rng(1)
-        bank.update(
-            rng.integers(0, 3, size=50),
-            rng.integers(0, 4, size=50),
-            rng.integers(0, 500, size=50),
-            rng.choice([-1, 1], size=50),
-        )
-        return bank
-
-    def test_round_trip_bit_exact(self):
-        bank = self._filled_bank(77)
-        blob = dump_l0_bank(bank)
-        restored = load_l0_bank(blob)
-        assert (restored.bank.phi == bank.bank.phi).all()
-        assert (restored.bank.iota == bank.bank.iota).all()
-        assert (restored.bank.fp1 == bank.bank.fp1).all()
-        assert (restored.bank.fp2 == bank.bank.fp2).all()
-
-    def test_restored_bank_is_usable(self):
-        """The restored bank must keep working: same hashes, mergeable."""
-        bank = self._filled_bank(78)
-        restored = load_l0_bank(dump_l0_bank(bank))
-        restored.merge(bank)  # would raise on any shape/seed mismatch
-        assert (restored.bank.phi == 2 * bank.bank.phi).all()
-        # Further updates must route identically on both copies.
-        fresh = load_l0_bank(dump_l0_bank(bank))
-        upd = (np.array([0]), np.array([1]), np.array([42]), np.array([1]))
-        bank.update(*upd)
-        fresh.update(*upd)
-        assert (fresh.bank.phi == bank.bank.phi).all()
-        assert (fresh.bank.fp1 == bank.bank.fp1).all()
-
-    def test_sampling_survives_round_trip(self):
-        bank = L0SamplerBank(1, 1, 100, HashSource(5))
-        bank.update(np.array([0]), np.array([0]), np.array([7]), np.array([3]))
-        restored = load_l0_bank(dump_l0_bank(bank))
-        assert restored.sample(0, 0) == (7, 3)
-
-    def test_wrong_kind_rejected(self):
-        bank = self._filled_bank(79)
-        blob = dump_l0_bank(bank)
-        with pytest.raises(ValueError):
-            load_recovery_bank(blob)
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            load_l0_bank(b"not a sketch")
-
-    def test_explicit_seed_override(self):
-        bank = self._filled_bank(80)
-        bank.source_seed = None  # simulate a non-seeded source
-        with pytest.raises(ValueError):
-            dump_l0_bank(bank)
-        blob = dump_l0_bank(bank, seed=80)
-        assert load_l0_bank(blob).source_seed == 80
-
-
-class TestRecoveryBankSerialization:
-    def test_round_trip_and_decode(self):
-        bank = SparseRecoveryBank(2, 3, 1000, k=5, source=HashSource(9))
-        bank.update(
-            np.array([0, 1]), np.array([2, 0]),
-            np.array([10, 700]), np.array([4, -2]),
-        )
-        restored = load_recovery_bank(dump_recovery_bank(bank))
-        assert restored.decode(0, 2) == {10: 4}
-        assert restored.decode(1, 0) == {700: -2}
-
-    def test_merge_after_transfer(self):
-        """The distributed workflow: site dumps, coordinator loads+merges."""
-        site_a = SparseRecoveryBank(1, 2, 100, k=4, source=HashSource(11))
-        site_b = SparseRecoveryBank(1, 2, 100, k=4, source=HashSource(11))
-        site_a.update(np.array([0]), np.array([0]), np.array([5]), np.array([1]))
-        site_b.update(np.array([0]), np.array([0]), np.array([5]), np.array([2]))
-        coordinator = load_recovery_bank(dump_recovery_bank(site_a))
-        coordinator.merge(load_recovery_bank(dump_recovery_bank(site_b)))
-        assert coordinator.decode(0, 0) == {5: 3}
 
 
 class TestStreamIO:
