@@ -84,12 +84,12 @@ def _load_v1(data: bytes, like=None):
         raise ValueError("not a v1 sketch blob")
     codec = sketch_codec(header["__kind__"].removeprefix("sketch:"))
     if like is not None:
-        expected = dict(codec.params(like), seed=like.source_seed)
+        expected = dict(like._params(), seed=like.source_seed)
         if any(header.get(k) != v for k, v in expected.items()
                if v is not None):
             raise ValueError("v1 blob does not match the reference sketch")
     sketch = codec.construct(header)
-    banks = codec.banks(sketch)
+    banks = sketch._cell_banks()
     total = sum(b.size for b in banks)
     if header.get("cells") != [b.size for b in banks]:
         raise ValueError("v1 blob cell layout does not match its parameters")

@@ -2,9 +2,11 @@
 
 Adding a sketch kind touches four places: the serialisation codec
 registry (``sketch/serialize.py`` via ``core/codecs.py``), the
-``CAPABILITIES`` declaration on the class, the ``_cell_banks()`` arena
-hook, and the capability registry in ``api/capabilities.py``.  Miss one
-and the failure is a *runtime* surprise — a kind that shards but cannot
+``CAPABILITIES`` declaration on the class, the ``_cell_banks()`` and
+``_params()`` hooks that the arena, the sketch algebra and the codec
+read, and the capability registry in ``api/capabilities.py`` (built
+from the codec registry for the built-in kinds).  Miss one and the
+failure is a *runtime* surprise — a kind that shards but cannot
 snapshot, or answers queries locally but explodes under
 ``merge_sketch_bytes``.  These rules turn each gap into a lint failure.
 
@@ -12,9 +14,10 @@ Two halves:
 
 * **AST** (:func:`check_module`) — structural checks that need no
   imports: every class subclassing ``ArenaBacked`` must define
-  ``_cell_banks`` in its own body (REP-R004), and ``CAPABILITIES``
-  declarations must be literal ``frozenset({...})`` of string constants
-  so the import-time vocabulary check cannot be bypassed (REP-R005).
+  ``_cell_banks`` and ``_params`` in its own body (REP-R004), and
+  ``CAPABILITIES`` declarations must be literal ``frozenset({...})`` of
+  string constants so the import-time vocabulary check cannot be
+  bypassed (REP-R005).
 * **Introspection** (:func:`check_registries`) — imports the live
   package and cross-checks the codec registry against the capability
   registry: every codec kind must declare a non-empty ``CAPABILITIES``
@@ -72,16 +75,21 @@ def check_module(
             name == "ArenaBacked" or name.endswith(".ArenaBacked")
             for name in base_names
         )
-        defines_cell_banks = any(
-            isinstance(stmt, ast.FunctionDef) and stmt.name == "_cell_banks"
-            for stmt in node.body
-        )
-        if is_arena_backed and not defines_cell_banks:
+        defined = {
+            stmt.name for stmt in node.body
+            if isinstance(stmt, ast.FunctionDef)
+        }
+        missing = [
+            f"{hook}()" for hook in ("_cell_banks", "_params")
+            if hook not in defined
+        ]
+        if is_arena_backed and missing:
             yield Finding(
                 relpath, node.lineno, "REP-R004", FAMILY_REGISTRY,
                 f"class {node.name} subclasses ArenaBacked but does not "
-                "define _cell_banks(); the arena cannot adopt its state "
-                "and codec v2 / zero-copy merge will fail at runtime",
+                f"define {' or '.join(missing)}; the arena cannot adopt "
+                "its state or merge, subtract and codec v2 cannot check "
+                "its parameters, and they fail at runtime",
             )
         for stmt in node.body:
             targets: list[ast.expr] = []

@@ -3,10 +3,11 @@
 Every registry sketch class declares the queries it supports in its
 ``CAPABILITIES`` class attribute (e.g. ``frozenset({"connectivity"})``
 on :class:`~repro.core.forest.SpanningForestSketch`); this module
-collects those declarations into one table keyed by the same stable
-kind names the serialisation codec registry uses, plus the two adaptive
-spanner drivers (which are multi-batch *builders*, not serialisable
-linear state, and therefore support neither epochs nor snapshots).
+collects those declarations into one table with an entry for every
+kind of the serialisation codec registry (same kind name, same class),
+plus the two adaptive spanner drivers (which are multi-batch
+*builders*, not serialisable linear state, and therefore support
+neither epochs nor snapshots).
 
 :class:`~repro.api.GraphSketchEngine` consults the table on every
 ``query()`` — a query whose capability the kind does not declare raises
@@ -19,21 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import (
-    BaswanaSenSpanner,
-    BipartitenessSketch,
-    CutEdgesSketch,
-    EdgeConnectivitySketch,
-    MinCutSketch,
-    MSTWeightSketch,
-    RecurseConnectSpanner,
-    SimpleSparsification,
-    SpanningForestSketch,
-    Sparsification,
-    SubgraphSketch,
-    WeightedSparsification,
-)
+from ..core import BaswanaSenSpanner, RecurseConnectSpanner
 from ..errors import NotSupportedError
+from ..sketch.serialize import serializable_sketch_kinds, sketch_codec
 from .queries import CAPABILITIES
 
 __all__ = [
@@ -129,19 +118,9 @@ def kind_of_sketch(sketch: object) -> str:
 
 
 def _register_builtin() -> None:
-    serialisable = {
-        "spanning_forest": SpanningForestSketch,
-        "edge_connectivity": EdgeConnectivitySketch,
-        "mincut": MinCutSketch,
-        "simple_sparsification": SimpleSparsification,
-        "sparsification": Sparsification,
-        "weighted_sparsification": WeightedSparsification,
-        "subgraph_count": SubgraphSketch,
-        "cut_edges": CutEdgesSketch,
-        "bipartiteness": BipartitenessSketch,
-        "mst_weight": MSTWeightSketch,
-    }
-    for kind, cls in serialisable.items():
+    """One entry per codec kind, plus the two adaptive spanner drivers."""
+    for kind in serializable_sketch_kinds():
+        cls = sketch_codec(kind).cls
         register_capability(CapabilityEntry(
             kind=kind, cls=cls, queries=frozenset(cls.CAPABILITIES),
         ))

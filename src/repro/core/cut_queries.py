@@ -18,7 +18,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from ..errors import RecoveryFailed, incompatible
+from ..errors import RecoveryFailed
 from ..hashing import HashSource
 from ..sketch import ArenaBacked, SparseRecoveryBank
 from ..sketch.bank import CellBank
@@ -95,26 +95,9 @@ class CutEdgesSketch(ArenaBacked):
         """Constituent cell banks in serialisation/arena order."""
         return [self.bank.bank]
 
-    def _require_combinable(self, other: "CutEdgesSketch", op: str = "merge") -> None:
-        if other.n != self.n:
-            raise incompatible("CutEdgesSketch", "n", self.n, other.n, op=op)
-        if other.k != self.k:
-            raise incompatible("CutEdgesSketch", "k", self.k, other.k, op=op)
-        self.bank._require_combinable(other.bank, op=op)
-
-    def merge(self, other: "CutEdgesSketch") -> None:
-        """Merge an identically-seeded sketch (distributed streams)."""
-        self._require_combinable(other)
-        self.arena.merge(other.arena)
-
-    def subtract(self, other: "CutEdgesSketch") -> None:
-        """Subtract an identically-seeded sketch (temporal windows)."""
-        self._require_combinable(other, op="subtract")
-        self.arena.subtract(other.arena)
-
-    def negate(self) -> None:
-        """Negate the sketched stream in place."""
-        self.arena.negate()
+    def _params(self) -> dict:
+        """Constructor parameters that, with the seed, fix the measurement matrix."""
+        return {"n": self.n, "k": self.k}
 
     def crossing_edges(self, side: Iterable[int]) -> dict[tuple[int, int], int]:
         """Edges crossing ``(side, V \\ side)`` with their multiplicities.

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import incompatible
 from ..graphs import Graph
 from ..hashing import HashSource
 from ..sketch import ArenaBacked
@@ -110,27 +109,9 @@ class EdgeConnectivitySketch(ArenaBacked):
         """Constituent cell banks in serialisation/arena order."""
         return [b for group in self.groups for b in group._cell_banks()]
 
-    def _require_combinable(self, other: "EdgeConnectivitySketch", op: str = "merge") -> None:
-        if other.n != self.n:
-            raise incompatible("EdgeConnectivitySketch", "n", self.n, other.n, op=op)
-        if other.k != self.k:
-            raise incompatible("EdgeConnectivitySketch", "k", self.k, other.k, op=op)
-        for mine, theirs in zip(self.groups, other.groups):
-            mine._require_combinable(theirs, op=op)
-
-    def merge(self, other: "EdgeConnectivitySketch") -> None:
-        """Merge an identically-seeded sketch (distributed streams)."""
-        self._require_combinable(other)
-        self.arena.merge(other.arena)
-
-    def subtract(self, other: "EdgeConnectivitySketch") -> None:
-        """Subtract an identically-seeded sketch (temporal windows)."""
-        self._require_combinable(other, op="subtract")
-        self.arena.subtract(other.arena)
-
-    def negate(self) -> None:
-        """Negate the sketched stream in place."""
-        self.arena.negate()
+    def _params(self) -> dict:
+        """Constructor parameters that, with the seed, fix the measurement matrix."""
+        return {"n": self.n, "k": self.k, **self.groups[0]._grid()}
 
     # -- extraction -------------------------------------------------------------
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import incompatible
 from ..graphs import UnionFind
 from ..hashing import HashSource
 from ..kernels import get as _get_kernel
@@ -144,27 +143,14 @@ class SpanningForestSketch(ArenaBacked):
         """Constituent cell banks in serialisation/arena order."""
         return [self.bank.bank]
 
-    def _require_combinable(self, other: "SpanningForestSketch", op: str = "merge") -> None:
-        if other.n != self.n:
-            raise incompatible("SpanningForestSketch", "n", self.n, other.n, op=op)
-        if other.rounds != self.rounds:
-            raise incompatible(
-                "SpanningForestSketch", "rounds", self.rounds, other.rounds, op=op)
-        self.bank._require_combinable(other.bank, op=op)
+    def _grid(self) -> dict:
+        """The sampler grid: ``rounds``, ``rows`` and ``buckets``."""
+        return {"rounds": self.rounds, "rows": self.rows,
+                "buckets": self.buckets}
 
-    def merge(self, other: "SpanningForestSketch") -> None:
-        """Merge an identically-seeded sketch (distributed streams)."""
-        self._require_combinable(other)
-        self.arena.merge(other.arena)
-
-    def subtract(self, other: "SpanningForestSketch") -> None:
-        """Subtract an identically-seeded sketch (temporal windows)."""
-        self._require_combinable(other, op="subtract")
-        self.arena.subtract(other.arena)
-
-    def negate(self) -> None:
-        """Negate the sketched stream in place."""
-        self.arena.negate()
+    def _params(self) -> dict:
+        """Constructor parameters that, with the seed, fix the measurement matrix."""
+        return {"n": self.n, **self._grid()}
 
     # -- extraction -------------------------------------------------------------
 

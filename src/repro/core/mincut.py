@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import incompatible
 from ..graphs import Graph, global_min_cut_value
 from ..hashing import HashSource
 from ..kernels import get as _get_kernel
@@ -177,28 +176,11 @@ class MinCutSketch(ArenaBacked):
         """Constituent cell banks in serialisation/arena order."""
         return [b for inst in self.instances for b in inst._cell_banks()]
 
-    def _require_combinable(self, other: "MinCutSketch", op: str = "merge") -> None:
-        for field in ("n", "levels", "k"):
-            if getattr(other, field) != getattr(self, field):
-                raise incompatible(
-                    "MinCutSketch", field, getattr(self, field),
-                    getattr(other, field), op=op)
-        for mine, theirs in zip(self.instances, other.instances):
-            mine._require_combinable(theirs, op=op)
-
-    def merge(self, other: "MinCutSketch") -> None:
-        """Merge an identically-seeded sketch (distributed streams)."""
-        self._require_combinable(other)
-        self.arena.merge(other.arena)
-
-    def subtract(self, other: "MinCutSketch") -> None:
-        """Subtract an identically-seeded sketch (temporal windows)."""
-        self._require_combinable(other, op="subtract")
-        self.arena.subtract(other.arena)
-
-    def negate(self) -> None:
-        """Negate the sketched stream in place."""
-        self.arena.negate()
+    def _params(self) -> dict:
+        """Constructor parameters that, with the seed, fix the measurement matrix."""
+        return {"n": self.n, "epsilon": self.epsilon, "c_k": self.c_k,
+                "k": self.k, "levels": self.levels,
+                **self.instances[0].groups[0]._grid()}
 
     # -- post-processing ---------------------------------------------------------
 

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from ..errors import StreamError, incompatible
+from ..errors import StreamError
 from ..graphs import global_min_cut_value
 from ..hashing import HashSource
 from ..sketch import ArenaBacked
@@ -99,25 +99,9 @@ class BipartitenessSketch(ArenaBacked):
         """Constituent cell banks in serialisation/arena order."""
         return self.base._cell_banks() + self.doubled._cell_banks()
 
-    def _require_combinable(self, other: "BipartitenessSketch", op: str = "merge") -> None:
-        if other.n != self.n:
-            raise incompatible("BipartitenessSketch", "n", self.n, other.n, op=op)
-        self.base._require_combinable(other.base, op=op)
-        self.doubled._require_combinable(other.doubled, op=op)
-
-    def merge(self, other: "BipartitenessSketch") -> None:
-        """Merge an identically-seeded sketch."""
-        self._require_combinable(other)
-        self.arena.merge(other.arena)
-
-    def subtract(self, other: "BipartitenessSketch") -> None:
-        """Subtract an identically-seeded sketch (temporal windows)."""
-        self._require_combinable(other, op="subtract")
-        self.arena.subtract(other.arena)
-
-    def negate(self) -> None:
-        """Negate the sketched stream in place."""
-        self.arena.negate()
+    def _params(self) -> dict:
+        """Constructor parameters that, with the seed, fix the measurement matrix."""
+        return {"n": self.n, "rounds": self.ctor_rounds}
 
     def is_bipartite(self) -> bool:
         """Whether the sketched graph is bipartite (w.h.p. correct).
@@ -265,28 +249,10 @@ class MSTWeightSketch(ArenaBacked):
         """Constituent cell banks in serialisation/arena order."""
         return [b for s in self.sketches for b in s._cell_banks()]
 
-    def _require_combinable(self, other: "MSTWeightSketch", op: str = "merge") -> None:
-        for field in ("n", "thresholds"):
-            if getattr(other, field) != getattr(self, field):
-                raise incompatible(
-                    "MSTWeightSketch", field, getattr(self, field),
-                    getattr(other, field), op=op)
-        for mine, theirs in zip(self.sketches, other.sketches):
-            mine._require_combinable(theirs, op=op)
-
-    def merge(self, other: "MSTWeightSketch") -> None:
-        """Merge an identically-seeded sketch."""
-        self._require_combinable(other)
-        self.arena.merge(other.arena)
-
-    def subtract(self, other: "MSTWeightSketch") -> None:
-        """Subtract an identically-seeded sketch (temporal windows)."""
-        self._require_combinable(other, op="subtract")
-        self.arena.subtract(other.arena)
-
-    def negate(self) -> None:
-        """Negate the sketched stream in place."""
-        self.arena.negate()
+    def _params(self) -> dict:
+        """Constructor parameters that, with the seed, fix the measurement matrix."""
+        return {"n": self.n, "max_weight": self.max_weight,
+                "epsilon": self.epsilon, "rounds": self.ctor_rounds}
 
     def component_counts(self) -> list[int]:
         """``cc_t`` per threshold (diagnostics)."""

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import RecoveryFailed, incompatible
+from ..errors import RecoveryFailed
 from ..graphs import Graph, gomory_hu_tree
 from ..hashing import HashSource
 from ..sketch import ArenaBacked, SparseRecoveryBank
@@ -173,28 +173,12 @@ class Sparsification(ArenaBacked):
         """Constituent cell banks in serialisation/arena order."""
         return self.rough._cell_banks() + [self.recovery.bank]
 
-    def _require_combinable(self, other: "Sparsification", op: str = "merge") -> None:
-        for field in ("n", "levels", "k"):
-            if getattr(other, field) != getattr(self, field):
-                raise incompatible(
-                    "Sparsification", field, getattr(self, field),
-                    getattr(other, field), op=op)
-        self.rough._require_combinable(other.rough, op=op)
-        self.recovery._require_combinable(other.recovery, op=op)
-
-    def merge(self, other: "Sparsification") -> None:
-        """Merge an identically-seeded sketch (distributed streams)."""
-        self._require_combinable(other)
-        self.arena.merge(other.arena)
-
-    def subtract(self, other: "Sparsification") -> None:
-        """Subtract an identically-seeded sketch (temporal windows)."""
-        self._require_combinable(other, op="subtract")
-        self.arena.subtract(other.arena)
-
-    def negate(self) -> None:
-        """Negate the sketched stream in place."""
-        self.arena.negate()
+    def _params(self) -> dict:
+        """Constructor parameters that, with the seed, fix the measurement matrix."""
+        return {"n": self.n, "epsilon": self.epsilon, "c_k": self.c_k,
+                "c_rough": self.c_rough, "c_level": self.c_level,
+                "k": self.k, "levels": self.levels,
+                **self.rough.instances[0].groups[0]._grid()}
 
     # -- post-processing ---------------------------------------------------------
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NotSupportedError, SamplerFailed, incompatible
+from ..errors import NotSupportedError, SamplerFailed
 from ..hashing import HashSource
 from ..sketch import ArenaBacked, L0SamplerBank, pair_positions_k3, rows_for_order
 from ..sketch.bank import CellBank
@@ -200,27 +200,10 @@ class SubgraphSketch(ArenaBacked):
         """Constituent cell banks in serialisation/arena order."""
         return [self.bank.bank]
 
-    def _require_combinable(self, other: "SubgraphSketch", op: str = "merge") -> None:
-        for field in ("n", "order", "samplers"):
-            if getattr(other, field) != getattr(self, field):
-                raise incompatible(
-                    "SubgraphSketch", field, getattr(self, field),
-                    getattr(other, field), op=op)
-        self.bank._require_combinable(other.bank, op=op)
-
-    def merge(self, other: "SubgraphSketch") -> None:
-        """Merge an identically-seeded sketch (distributed streams)."""
-        self._require_combinable(other)
-        self.arena.merge(other.arena)
-
-    def subtract(self, other: "SubgraphSketch") -> None:
-        """Subtract an identically-seeded sketch (temporal windows)."""
-        self._require_combinable(other, op="subtract")
-        self.arena.subtract(other.arena)
-
-    def negate(self) -> None:
-        """Negate the sketched stream in place."""
-        self.arena.negate()
+    def _params(self) -> dict:
+        """Constructor parameters that, with the seed, fix the measurement matrix."""
+        return {"n": self.n, "order": self.order, "samplers": self.samplers,
+                "rows": self.bank.rows, "buckets": self.bank.buckets}
 
     def _column_deltas(
         self, lo: int, hi: int, delta: int

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import incompatible
 from ..graphs import Graph
 from ..hashing import HashSource
 from ..sketch import ArenaBacked
@@ -136,28 +135,11 @@ class WeightedSparsification(ArenaBacked):
         """Constituent cell banks in serialisation/arena order."""
         return [b for cl in self.classes for b in cl._cell_banks()]
 
-    def _require_combinable(self, other: "WeightedSparsification", op: str = "merge") -> None:
-        for field in ("n", "num_classes", "max_weight"):
-            if getattr(other, field) != getattr(self, field):
-                raise incompatible(
-                    "WeightedSparsification", field, getattr(self, field),
-                    getattr(other, field), op=op)
-        for mine, theirs in zip(self.classes, other.classes):
-            mine._require_combinable(theirs, op=op)
-
-    def merge(self, other: "WeightedSparsification") -> None:
-        """Merge an identically-seeded sketch (distributed streams)."""
-        self._require_combinable(other)
-        self.arena.merge(other.arena)
-
-    def subtract(self, other: "WeightedSparsification") -> None:
-        """Subtract an identically-seeded sketch (temporal windows)."""
-        self._require_combinable(other, op="subtract")
-        self.arena.subtract(other.arena)
-
-    def negate(self) -> None:
-        """Negate the sketched stream in place."""
-        self.arena.negate()
+    def _params(self) -> dict:
+        """Constructor parameters that, with the seed, fix the measurement matrix."""
+        return {"n": self.n, "max_weight": self.max_weight,
+                "epsilon": self.epsilon, "c_k": self.c_k,
+                **self.classes[0].instances[0].groups[0]._grid()}
 
     def sparsifier(self) -> Sparsifier:
         """Merge the per-class sparsifiers into one weighted subgraph."""

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import SketchCompatibilityError
+from ..errors import SketchCompatibilityError, incompatible
 from ..kernels import get as _get_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -280,11 +280,22 @@ def ensure_arena(sketch) -> SketchArena:
 
 
 class ArenaBacked:
-    """Mixin for sketch classes whose linear ops run on a shared arena.
+    """Base of every sketch whose state is one arena: the sketch algebra.
 
-    Subclasses implement ``_cell_banks()`` (deterministic order, same
-    list their serialisation codec uses) and get a lazily-attached
-    :class:`SketchArena` via :attr:`arena`.
+    A subclass names its state and its measurement matrix once each:
+
+    * ``_cell_banks()`` — its cell banks in deterministic order, which
+      is the arena order and the serialised payload order;
+    * ``_params()`` — the JSON-able constructor parameters that, with
+      ``source_seed``, fix the measurement matrix (for a registry kind
+      these are exactly the blob header's parameter fields).
+
+    and inherits the linear algebra: :meth:`merge`, :meth:`subtract`
+    and :meth:`negate` on the lazily-attached :attr:`arena`.  Two
+    sketches combine iff they are the same class with equal
+    ``_params()``, equal seeds, and equal arena layouts — the one rule
+    the codec's ``like=`` checks and byte combines apply as well, so
+    every path accepts and refuses the same pairs.
     """
 
     #: Query capabilities the class declares for the :mod:`repro.api`
@@ -295,10 +306,55 @@ class ArenaBacked:
 
     _arena: SketchArena | None = None
 
+    #: Seed of the constructing source; part of the measurement matrix.
+    source_seed: int | None
+
     def _cell_banks(self) -> list["CellBank"]:
+        raise NotImplementedError
+
+    def _params(self) -> dict:
         raise NotImplementedError
 
     @property
     def arena(self) -> SketchArena:
         """The contiguous cell-state arena (created on first use)."""
         return ensure_arena(self)
+
+    def _spec(self) -> dict:
+        """``_params()`` plus the seed: what a combinable sketch shares."""
+        spec = self._params()
+        spec["seed"] = self.source_seed
+        return spec
+
+    def _mismatches(self, spec: dict) -> list[tuple[str, object, object]]:
+        """``(field, ours, theirs)`` for each field of :meth:`_spec` that
+        ``spec`` (another sketch's, or a blob header) disagrees on."""
+        return [
+            (field, ours, spec.get(field))
+            for field, ours in self._spec().items()
+            if spec.get(field) != ours
+        ]
+
+    def _require_combinable(self, other: "ArenaBacked", op: str = "merge") -> None:
+        name = type(self).__name__
+        if type(other) is not type(self):
+            raise SketchCompatibilityError(
+                f"cannot {op} {name} with a {type(other).__name__}"
+            )
+        mismatched = self._mismatches(other._spec())
+        if mismatched:
+            raise incompatible(name, *mismatched[0], op=op)
+
+    def merge(self, other: "ArenaBacked") -> None:
+        """Add an identically-built sketch (distributed streams, §1.1)."""
+        self._require_combinable(other)
+        self.arena.merge(other.arena)
+
+    def subtract(self, other: "ArenaBacked") -> None:
+        """Subtract an identically-built sketch (temporal windows)."""
+        self._require_combinable(other, op="subtract")
+        self.arena.subtract(other.arena)
+
+    def negate(self) -> None:
+        """Negate the sketched vector in place."""
+        self.arena.negate()

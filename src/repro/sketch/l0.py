@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..errors import SamplerFailed, SketchCompatibilityError, incompatible
+from ..errors import SamplerFailed
 from ..hashing import HashSource
 from ..kernels import get as _get_kernel
 from ..util import ceil_log2
@@ -149,51 +149,13 @@ class L0SamplerBank(ArenaBacked):
             cells_per_row.append((base + row) * self.buckets + bucket)
         self.bank.scatter_multi(cells_per_row, items, deltas)
 
-    def _require_combinable(
-        self, other: "L0SamplerBank", op: str = "merge"
-    ) -> None:
-        if (
-            other.families != self.families
-            or other.samplers != self.samplers
-            or other.domain != self.domain
-            or other.rows != self.rows
-            or other.buckets != self.buckets
-        ):
-            raise SketchCompatibilityError(
-                f"cannot {op} banks: shapes differ"
-            )
-        if (
-            self.source_seed is not None
-            and other.source_seed is not None
-            and other.source_seed != self.source_seed
-        ):
-            raise incompatible(
-                "L0SamplerBank", "seed", self.source_seed, other.source_seed,
-                op=op,
-            )
-
     def _cell_banks(self) -> list[CellBank]:
         return [self.bank]
 
-    def merge(self, other: "L0SamplerBank") -> None:
-        """Cell-wise merge of an identically-seeded bank (distributed sum)."""
-        self._require_combinable(other)
-        self.bank._require_combinable(other.bank)
-        self.arena.merge(other.arena)
-
-    def subtract(self, other: "L0SamplerBank") -> None:
-        """Cell-wise subtraction of an identically-seeded bank.
-
-        Afterwards this bank sketches the *difference* of the two
-        vectors — the temporal-window primitive (checkpoint algebra).
-        """
-        self._require_combinable(other, op="subtract")
-        self.bank._require_combinable(other.bank, op="subtract")
-        self.arena.subtract(other.arena)
-
-    def negate(self) -> None:
-        """In-place negation of every sketched vector."""
-        self.arena.negate()
+    def _params(self) -> dict:
+        return {"families": self.families, "samplers": self.samplers,
+                "domain": self.domain, "rows": self.rows,
+                "buckets": self.buckets}
 
     # -- queries ---------------------------------------------------------------
 

@@ -6,11 +6,12 @@ not the stream — to a coordinator, which merges by addition.  This
 module provides a compact, dependency-free binary format around a
 **generic sketch registry**: every high-level sketch class (spanning
 forest, k-EDGECONNECT, MINCUT, the sparsifiers, the subgraph-count
-sketch, ...) registers a :class:`SketchCodec` describing how to list
-its constituent cell banks and how to rebuild an empty twin from its
-constructor parameters.  :func:`dump_sketch` then works for any
-registered object and :func:`load_sketch` reconstructs it — verifying
-parameters, seed, and cell-array shapes before accepting the payload.
+sketch, ...) registers a :class:`SketchCodec` naming its kind and
+rebuilding an empty twin from the constructor parameters the class
+itself lists (``_params()``, beside its ``_cell_banks()``).
+:func:`dump_sketch` then works for any registered object and
+:func:`load_sketch` reconstructs it — verifying parameters, seed, and
+cell-array shapes before accepting the payload.
 
 **Codec v2** is the one format this module reads and writes.  It
 exploits the contiguous :class:`~repro.sketch.arena.SketchArena`: a
@@ -26,7 +27,9 @@ Only identically-parameterised, identically-seeded sketches merge, so
 the format stores the constructor parameters and seeds alongside the
 cell arrays; ``load_sketch(data, like=...)`` additionally refuses blobs
 whose parameters or seed differ from a local reference sketch, raising
-:class:`~repro.errors.SketchCompatibilityError`.  For coordinator-style
+:class:`~repro.errors.SketchCompatibilityError` — the rule of
+:meth:`~repro.sketch.arena.ArenaBacked.merge`, so a blob combines
+exactly when the sketch it holds would.  For coordinator-style
 hot paths, :func:`merge_sketch_bytes` / :func:`subtract_sketch_bytes`
 fold a verified payload straight into a live sketch's arena without
 materialising a twin sketch first.
@@ -45,7 +48,6 @@ import numpy as np
 from ..errors import SketchCompatibilityError
 from ..hashing import MERSENNE31
 from .arena import ensure_arena
-from .bank import CellBank
 
 __all__ = [
     "SketchCodec",
@@ -96,13 +98,14 @@ def _pack_raw(
     return b"".join((_V2_PREFIX, _V2_HEAD.pack(len(head)), head, stored))
 
 
-def _read_raw(data: bytes) -> tuple[dict, bytes]:
-    """Parse a blob into (header, payload) with corruption checks.
+def _read_header(data: bytes) -> tuple[dict, int]:
+    """Parse a blob's prefix and JSON header: ``(header, payload offset)``.
 
-    The one reader: bytes that lack the ``RSKB2\\n`` prefix are refused
-    outright, and the declared payload length and a CRC32 make
-    truncation, padding, and bit flips anywhere in the blob all raise
-    :class:`ValueError`.
+    Bytes that lack the ``RSKB2\\n`` prefix, an undecodable header and a
+    bad magic raise :class:`ValueError`.  The payload is neither
+    length-checked, CRC-checked nor inflated — :func:`_read_raw` does
+    that; this alone serves callers whose bytes an outer checksum has
+    already verified, or that fully read them next.
     """
     base = len(_V2_PREFIX)
     if data[:base] != _V2_PREFIX:
@@ -123,6 +126,17 @@ def _read_raw(data: bytes) -> tuple[dict, bytes]:
     if not isinstance(header, dict) or header.get("__magic__") != _MAGIC_V2:
         magic = header.get("__magic__") if isinstance(header, dict) else None
         raise ValueError(f"not a repro sketch blob (bad magic {magic!r})")
+    return header, head_end
+
+
+def _read_raw(data: bytes) -> tuple[dict, bytes]:
+    """Parse a blob into (header, payload) with corruption checks.
+
+    The one reader: on top of :func:`_read_header`, the declared
+    payload length and a CRC32 make truncation, padding, and bit flips
+    anywhere in the blob all raise :class:`ValueError`.
+    """
+    header, head_end = _read_header(data)
     payload = data[head_end:]
     declared = header.get("payload_bytes")
     if declared != len(payload):
@@ -224,24 +238,19 @@ class SketchCodec:
     kind:
         Stable format name stored in the blob header.
     cls:
-        The sketch class this codec handles (matched exactly, not by
-        subclass, so a subclass must register its own codec).
-    params:
-        ``obj -> dict`` of JSON-able constructor parameters (excluding
-        the seed, which the dump layer adds).
+        The :class:`~repro.sketch.arena.ArenaBacked` sketch class this
+        codec handles (matched exactly, not by subclass, so a subclass
+        must register its own codec).  Its ``_params()`` are the
+        header's parameter fields and its ``_cell_banks()`` order is
+        the payload order.
     construct:
         ``meta -> obj`` rebuilding a fresh, empty, identically-seeded
         sketch from the stored parameters (``meta["seed"]`` included).
-    banks:
-        ``obj -> list[CellBank]`` in a deterministic order; the dump is
-        the concatenation of their cell arrays.
     """
 
     kind: str
     cls: type
-    params: Callable[[Any], dict]
     construct: Callable[[dict], Any]
-    banks: Callable[[Any], list[CellBank]]
 
 
 _CODECS_BY_KIND: dict[str, SketchCodec] = {}
@@ -344,15 +353,14 @@ def dump_sketch(
     """
     codec = _codec_for(sketch)
     if seed is None:
-        seed = getattr(sketch, "source_seed", None)
+        seed = sketch.source_seed
     if seed is None:
         raise ValueError(
             f"{type(sketch).__name__} has no recorded seed; pass one explicitly"
         )
-    banks = codec.banks(sketch)
-    meta = dict(codec.params(sketch))
+    meta = sketch._params()
     meta["seed"] = int(seed)
-    meta["cells"] = [int(b.size) for b in banks]
+    meta["cells"] = [int(b.size) for b in sketch._cell_banks()]
     if epoch_meta is not None:
         meta["epoch"] = dict(epoch_meta)
     # The field-major arena buffer is the payload, with zero gather
@@ -453,7 +461,7 @@ def _read_cells(
     if into is None:
         into = codec.construct(header)
     cells = header.get("cells")
-    if cells != [int(b.size) for b in codec.banks(into)]:
+    if cells != [int(b.size) for b in into._cell_banks()]:
         raise ValueError(
             f"blob cell layout {cells} does not match the layout its "
             "parameters give — corrupt or tampered blob"
@@ -477,10 +485,8 @@ def _sketch_header(sketch: Any) -> dict:
     compares, with no cell payload: small and picklable, so a site can
     send it in place of its sketch.
     """
-    codec = _codec_for(sketch)
-    header = dict(codec.params(sketch))
-    header["seed"] = getattr(sketch, "source_seed", None)
-    header["__kind__"] = _SKETCH_KIND_PREFIX + codec.kind
+    header = sketch._spec()
+    header["__kind__"] = _SKETCH_KIND_PREFIX + _codec_for(sketch).kind
     return header
 
 
@@ -492,27 +498,34 @@ def _verify_header(header: dict, like: Any, op: str = "merge") -> None:
 def _verify_like(
     codec: SketchCodec, header: dict, like: Any, op: str = "load"
 ) -> None:
-    like_codec = _CODECS_BY_CLASS.get(type(like))
-    if like_codec is None or like_codec.kind != codec.kind:
+    """Refuse ``header`` unless ``like`` would combine with its sketch.
+
+    The rule of :meth:`~repro.sketch.arena.ArenaBacked.merge`: the same
+    class, and every field of ``like._spec()`` (parameters and seed)
+    equal in the header; the caller then checks the cell layout.
+    """
+    if type(like) is not codec.cls:
         raise SketchCompatibilityError(
             f"cannot {op}: blob holds a {codec.kind!r} sketch but the "
             f"reference is {type(like).__name__}"
         )
-    expected = dict(codec.params(like))
-    expected["seed"] = getattr(like, "source_seed", None)
-    mismatched = [
-        f"{key}: blob={header.get(key)!r} local={value!r}"
-        for key, value in expected.items()
-        if value is not None and header.get(key) != value
-    ]
+    mismatched = like._mismatches(header)
     if mismatched:
         raise SketchCompatibilityError(
             f"cannot {op} serialised sketch: incompatible with the local "
-            "reference — " + "; ".join(mismatched)
+            "reference — " + "; ".join(
+                f"{field}: blob={theirs!r} local={ours!r}"
+                for field, ours, theirs in mismatched
+            )
         )
 
 
 # -- epoch manifests -----------------------------------------------------------
+
+
+def _is_int(value: object) -> bool:
+    """Whether a JSON header value is an integer (``bool`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def dump_epoch_manifest(
@@ -584,6 +597,11 @@ def load_epoch_manifest(data: bytes) -> tuple[dict, "list[bytes]"]:
     lengths = header.get("lengths")
     if not isinstance(epoch_ids, list) or not isinstance(lengths, list):
         raise ValueError("epoch manifest header lacks epoch_ids/lengths")
+    if not all(map(_is_int, epoch_ids + lengths)):
+        raise ValueError(
+            "epoch manifest header holds non-integer epoch ids or payload "
+            f"lengths: {epoch_ids!r} / {lengths!r}"
+        )
     if len(epoch_ids) != len(lengths) or not epoch_ids:
         raise ValueError(
             f"epoch manifest header inconsistent: {len(epoch_ids)} epoch "

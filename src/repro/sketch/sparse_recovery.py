@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import RecoveryFailed, SketchCompatibilityError, incompatible
+from ..errors import RecoveryFailed
 from ..hashing import MERSENNE31, HashSource, powmod
 from .arena import ArenaBacked
 from .bank import CellBank
@@ -119,47 +119,12 @@ class SparseRecoveryBank(ArenaBacked):
             cells_per_row.append(base + r * self.buckets + bucket)
         self.bank.scatter_multi(cells_per_row, items, deltas)
 
-    def _require_combinable(
-        self, other: "SparseRecoveryBank", op: str = "merge"
-    ) -> None:
-        if (
-            other.groups != self.groups
-            or other.instances != self.instances
-            or other.domain != self.domain
-            or other.k != self.k
-            or other.rows != self.rows
-        ):
-            raise SketchCompatibilityError(
-                f"cannot {op} banks: shapes differ"
-            )
-        if (
-            self.source_seed is not None
-            and other.source_seed is not None
-            and other.source_seed != self.source_seed
-        ):
-            raise incompatible(
-                "SparseRecoveryBank", "seed", self.source_seed,
-                other.source_seed, op=op,
-            )
-
     def _cell_banks(self) -> list[CellBank]:
         return [self.bank]
 
-    def merge(self, other: "SparseRecoveryBank") -> None:
-        """Cell-wise merge of an identically-shaped bank."""
-        self._require_combinable(other)
-        self.bank._require_combinable(other.bank)
-        self.arena.merge(other.arena)
-
-    def subtract(self, other: "SparseRecoveryBank") -> None:
-        """Cell-wise subtraction of an identically-shaped bank."""
-        self._require_combinable(other, op="subtract")
-        self.bank._require_combinable(other.bank, op="subtract")
-        self.arena.subtract(other.arena)
-
-    def negate(self) -> None:
-        """In-place negation of every sketched vector."""
-        self.arena.negate()
+    def _params(self) -> dict:
+        return {"groups": self.groups, "instances": self.instances,
+                "domain": self.domain, "k": self.k, "rows": self.rows}
 
     def _instance_cells(self, group: int, instance: int) -> np.ndarray:
         start = (group * self.instances + instance) * self._cells_per_instance

@@ -24,8 +24,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..errors import EpochStoreError
+from ..errors import EpochStoreError, StoreCorruptionError
 from ..sketch.serialize import (
+    _is_int,
     dump_epoch_manifest,
     dump_sketch,
     load_epoch_manifest,
@@ -174,9 +175,9 @@ class EpochTimeline:
         consistent.
         """
         header, payloads = load_epoch_manifest(data)
-        epoch_ids = header["epoch_ids"]
         epoch_tokens = header.get("epoch_tokens")
         boundaries = header.get("boundaries")
+        n = header.get("n", 0)
         if (
             not isinstance(epoch_tokens, list)
             or not isinstance(boundaries, list)
@@ -186,16 +187,18 @@ class EpochTimeline:
             raise ValueError(
                 "epoch manifest lacks consistent epoch_tokens/boundaries"
             )
-        checkpoints = [
-            EpochCheckpoint(
-                epoch=int(epoch_ids[i]),
-                tokens=int(epoch_tokens[i]),
-                cumulative_tokens=int(boundaries[i]),
-                payload=payloads[i],
+        if not all(map(_is_int, [n, *epoch_tokens, *boundaries])):
+            raise ValueError(
+                "epoch manifest header holds a non-integer n, epoch_tokens "
+                "or boundaries value"
             )
-            for i in range(len(payloads))
+        checkpoints = [
+            EpochCheckpoint(epoch, tokens, cumulative, payload)
+            for epoch, tokens, cumulative, payload in zip(
+                header["epoch_ids"], epoch_tokens, boundaries, payloads
+            )
         ]
-        return cls(int(header.get("n", 0)), checkpoints)
+        return cls(n, checkpoints)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -350,7 +353,13 @@ class EpochManager:
                 "EpochManager(factory, store=store) instead of resuming"
             )
         manager = cls(factory)
-        manager._sketch = load_sketch(store.head_payload())
+        try:
+            manager._sketch = load_sketch(store.head_payload())
+        except ValueError as err:
+            raise StoreCorruptionError(
+                f"head checkpoint of the store at {store.root!s} failed to "
+                f"load: {err}"
+            ) from err
         manager._store = store
         manager._cumulative_tokens = store.boundaries[-1]
         return manager

@@ -51,9 +51,14 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..errors import EpochStoreError, StoreCorruptionError
+from ..errors import (
+    EpochStoreError,
+    SketchCompatibilityError,
+    StoreCorruptionError,
+)
 from ..sketch.serialize import (
     _pack_raw,
+    _read_header,
     _read_raw,
     dump_sketch,
     load_sketch,
@@ -549,9 +554,17 @@ class EpochStore:
         self.disk_loads += 1
         return data
 
-    def _segment_header(self, name: str, data: bytes) -> dict:
+    def _segment_header(self, name: str, data: bytes, full: bool = False) -> dict:
+        """The header of a catalog-verified segment, refused unless it
+        names the store's kind and seed.
+
+        The catalog CRC already covers the segment, and the codec checks
+        the payload when it loads it, so only the header is parsed;
+        ``full`` (for :meth:`verify`) also checks the payload's own
+        length, CRC and encoding.
+        """
         try:
-            header = peek_sketch_meta(data)
+            header = peek_sketch_meta(data) if full else _read_header(data)[0]
         except ValueError as err:
             raise StoreCorruptionError(
                 f"segment {name} is not a parseable sketch blob: {err}"
@@ -616,10 +629,12 @@ class EpochStore:
         checked = 0
         for entry in self.spans():
             data = self._read_segment(entry.file, entry.nbytes, entry.crc32)
-            self._segment_header(entry.file, data)
+            self._segment_header(entry.file, data, full=True)
             checked += 1
         if self._head is not None:
-            self.head_payload()
+            self._segment_header(
+                str(self._head["file"]), self.head_payload(), full=True
+            )
             checked += 1
         return checked
 
@@ -641,7 +656,9 @@ class EpochStore:
                 f"expects {self.epochs + 1} — out-of-order append"
             )
         try:
-            header = peek_sketch_meta(checkpoint.payload)
+            # load_sketch below reads the whole payload; here only the
+            # header is needed.
+            header = _read_header(checkpoint.payload)[0]
         except ValueError as err:
             raise EpochStoreError(
                 f"checkpoint payload is not a sketch blob: {err}"
@@ -664,12 +681,21 @@ class EpochStore:
         epoch = checkpoint.epoch
         try:
             sketch = load_sketch(checkpoint.payload)
-            if epoch > 1:
-                subtract_sketch_bytes(sketch, self.head_payload())
         except ValueError as err:
             raise EpochStoreError(
                 f"checkpoint payload failed to load: {err}"
             ) from err
+        if epoch > 1:
+            try:
+                subtract_sketch_bytes(sketch, self.head_payload())
+            except SketchCompatibilityError as err:
+                raise EpochStoreError(
+                    f"checkpoint does not combine with the store's head: {err}"
+                ) from err
+            except ValueError as err:
+                raise StoreCorruptionError(
+                    f"head segment {self._head['file']} failed to load: {err}"
+                ) from err
         delta = dump_sketch(sketch, epoch_meta={"span": [epoch - 1, epoch]})
         span_name = _span_file(epoch - 1, epoch)
         self._write_segment(span_name, delta)

@@ -8,3 +8,6 @@ class WellRegisteredSketch(ArenaBacked):
 
     def _cell_banks(self):
         return []
+
+    def _params(self):
+        return {}

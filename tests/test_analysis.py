@@ -111,6 +111,24 @@ def test_deleting_a_seeding_argument_goes_red(tmp_path):
     assert rules_of(report) == {"REP-D001"}
 
 
+def test_arena_backed_class_without_params_goes_red(tmp_path):
+    """REP-R004: ``_cell_banks`` alone is not enough — merge, subtract
+    and the codec compare the parameters ``_params()`` names."""
+    core = tmp_path / "core"
+    core.mkdir()
+    (core / "sketchy.py").write_text(
+        "from repro.sketch import ArenaBacked\n"
+        "class BanksOnlySketch(ArenaBacked):\n"
+        "    CAPABILITIES = frozenset({'connectivity'})\n"
+        "    def _cell_banks(self):\n"
+        "        return []\n"
+    )
+    findings = run_analysis(tmp_path, introspect=False).findings
+    assert [f.rule for f in findings] == ["REP-R004"]
+    assert "_params()" in findings[0].message
+    assert "_cell_banks()" not in findings[0].message
+
+
 def test_syntax_error_is_refused_not_skipped(tmp_path):
     (tmp_path / "broken.py").write_text("def oops(:\n")
     with pytest.raises(ValueError, match="broken.py"):

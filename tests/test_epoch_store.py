@@ -40,7 +40,7 @@ from repro.distributed import ShardedSketchRunner, forest_sketch
 from repro.errors import EpochStoreError, NotSupportedError, StoreCorruptionError
 from repro.sketch import dump_sketch, peek_sketch_meta
 from repro.streams import DynamicGraphStream, churn_stream, erdos_renyi_graph
-from repro.temporal import EpochManager, materialise_window
+from repro.temporal import EpochCheckpoint, EpochManager, materialise_window
 
 from blob_utils import repack_v2
 from strategies import streams_with_epochs
@@ -493,6 +493,35 @@ class TestCorruptionFuzz:
         with pytest.raises(StoreCorruptionError, match="cell layout"):
             engine.query(ConnectivityQuery(window=(entry.start, entry.end)))
 
+    def test_unloadable_head_is_typed(self, tmp_path):
+        """A head segment that passes the resealed catalog CRC but fails
+        to load is store corruption on both paths that load it: resuming
+        the manager and appending the next checkpoint."""
+        root = _copy_golden(tmp_path)
+        head = json.loads((root / "catalog.json").read_bytes())["head"]
+        path = root / "segments" / head["file"]
+
+        def skew_cells(header, _payload):
+            header["cells"] = [cells + 1 for cells in header["cells"]]
+        data = repack_v2(path.read_bytes(), skew_cells)
+        path.write_bytes(data)
+
+        def reseal(doc):
+            doc["head"]["bytes"] = len(data)
+            doc["head"]["crc32"] = zlib.crc32(data) & 0xFFFFFFFF
+        _rewrite_catalog(root, reseal)
+        factory = functools.partial(forest_sketch, GOLDEN_N, GOLDEN_SEED)
+        with pytest.raises(StoreCorruptionError, match="cell layout"):
+            EpochManager.resume(factory, EpochStore.open(root))
+        timeline = EpochManager.consume(
+            factory, _golden_stream(), boundaries=list(GOLDEN_BOUNDARIES)
+        )
+        last = timeline.checkpoint(GOLDEN_EPOCHS)
+        with pytest.raises(StoreCorruptionError, match="cell layout"):
+            EpochStore.open(root).append_checkpoint(EpochCheckpoint(
+                GOLDEN_EPOCHS + 1, 0, last.cumulative_tokens, last.payload
+            ))
+
     def test_bit_flipped_catalog(self, tmp_path):
         root = _copy_golden(tmp_path)
         path = root / "catalog.json"
@@ -568,6 +597,49 @@ class TestCorruptionFuzz:
         keep.write_text("operator breadcrumb")
         EpochStore.open(root)
         assert keep.exists()
+
+
+def _count_inflates(monkeypatch) -> list[int]:
+    """Count ``zlib.decompress`` calls from now on (``calls[0]``)."""
+    calls = [0]
+    inflate = zlib.decompress
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return inflate(*args, **kwargs)
+
+    monkeypatch.setattr(zlib, "decompress", counting)
+    return calls
+
+
+class TestInflateOncePerBlob:
+    """The store parses only the header of bytes that the catalog CRC
+    has verified or that the codec fully reads next, so each blob an
+    append or a page-in touches is inflated once, by the codec."""
+
+    def test_append_inflates_checkpoint_and_head_once(self, tmp_path, monkeypatch):
+        timeline = EpochManager.consume(
+            functools.partial(forest_sketch, GOLDEN_N, 7), _golden_stream(),
+            epochs=3,
+        )
+        root = tmp_path / "s"
+        # A wide horizon keeps compaction (which loads spans) out of it.
+        EpochStore(root, horizon=8).append_checkpoint(timeline.checkpoint(1))
+        store = EpochStore.open(root)  # cold: the head is on disk only
+        calls = _count_inflates(monkeypatch)
+        store.append_checkpoint(timeline.checkpoint(2))
+        assert calls[0] == 2  # load the checkpoint, subtract the head
+        store.append_checkpoint(timeline.checkpoint(3))
+        assert calls[0] == 4
+
+    def test_cold_window_inflates_each_span_once(self, tmp_path, monkeypatch):
+        store = EpochStore.open(_copy_golden(tmp_path))
+        spans = len(store.plan_window(0, 3))
+        assert spans == 2  # (0, 2] and (2, 3]
+        calls = _count_inflates(monkeypatch)
+        materialise_window(store, 0, 3)
+        assert store.disk_loads == spans
+        assert calls[0] == spans
 
 
 class TestGoldenFixture:

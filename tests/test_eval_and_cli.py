@@ -5,6 +5,7 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+from test_manifest_corruption import _resealed_manifest
 
 from repro.cli import main
 from repro.eval import (
@@ -224,8 +225,13 @@ class TestCliTemporal:
     @pytest.mark.parametrize(
         "data",
         [b"not a manifest at all",
-         (FIXTURES / "forest_epochs_v1.manifest").read_bytes()],
-        ids=["garbage", "codec-v1-fixture"],
+         (FIXTURES / "forest_epochs_v1.manifest").read_bytes(),
+         _resealed_manifest("lengths", ["a", 1, 2]),
+         _resealed_manifest("epoch_tokens", [None, 1, 2]),
+         _resealed_manifest("boundaries", [[1], 2, 3]),
+         _resealed_manifest("n", {"a": 1})],
+        ids=["garbage", "codec-v1-fixture", "string-length",
+             "null-epoch-tokens", "list-boundary", "object-n"],
     )
     def test_window_query_rejects_garbage_manifest(
         self, tmp_path, capsys, data

@@ -25,7 +25,15 @@ from repro.core import (
 )
 from repro.errors import ReproError, SketchCompatibilityError
 from repro.hashing import HashSource
-from repro.sketch import CellBank, L0SamplerBank, SparseRecoveryBank
+from repro.sketch import (
+    CellBank,
+    L0SamplerBank,
+    SparseRecoveryBank,
+    dump_sketch,
+    load_sketch,
+    merge_sketch_bytes,
+    subtract_sketch_bytes,
+)
 
 SRC = HashSource(0xA11CE)
 
@@ -83,7 +91,31 @@ MISMATCH_CASES = [
     ("mst_weight",
      lambda: MSTWeightSketch(10, max_weight=4, source=SRC.derive(20)),
      lambda: MSTWeightSketch(10, max_weight=6, source=SRC.derive(20))),
+    # Only epsilon differs: k=13 and levels=8 on both sides.
+    ("mincut_epsilon",
+     lambda: MinCutSketch(10, epsilon=0.5, source=SRC.derive(21)),
+     lambda: MinCutSketch(10, epsilon=0.51, source=SRC.derive(21))),
+    # A parameter left at None on one side is compared like any other.
+    ("bipartiteness_rounds",
+     lambda: BipartitenessSketch(10, SRC.derive(22)),
+     lambda: BipartitenessSketch(10, SRC.derive(22), rounds=3)),
 ]
+
+#: Cases of registry sketch kinds (the ones with a codec).
+REGISTRY_CASES = [
+    c for c in MISMATCH_CASES
+    if not c[0].startswith(("cell_bank", "l0_bank", "recovery_bank"))
+]
+
+#: Every way to combine sketch ``b`` into (or against) sketch ``a``.
+COMBINE_PATHS = {
+    "merge": lambda a, b: a.merge(b),
+    "subtract": lambda a, b: a.subtract(b),
+    "merge_sketch_bytes": lambda a, b: merge_sketch_bytes(a, dump_sketch(b)),
+    "subtract_sketch_bytes":
+        lambda a, b: subtract_sketch_bytes(a, dump_sketch(b)),
+    "load_sketch_like": lambda a, b: load_sketch(dump_sketch(b), like=a),
+}
 
 #: Cases whose ``a`` side is merged with a twin of itself, by name.
 COMPATIBLE_CASES = [
@@ -183,3 +215,45 @@ class TestOperationNaming:
             merge_sketch_bytes(reference, blob)
         with pytest.raises(SketchCompatibilityError, match="cannot subtract"):
             subtract_sketch_bytes(reference, blob)
+
+
+class TestOneCombineRule:
+    """In-memory merge/subtract, the byte combines and ``load_sketch(
+    like=)`` apply one rule (``ArenaBacked``: same class, ``_params()``,
+    seed and layout), so they refuse and accept exactly the same pairs."""
+
+    @pytest.mark.parametrize("path", sorted(COMBINE_PATHS))
+    @pytest.mark.parametrize(
+        "name,build_a,build_b", REGISTRY_CASES,
+        ids=[c[0] for c in REGISTRY_CASES],
+    )
+    def test_every_path_refuses_the_mismatch(self, name, build_a, build_b, path):
+        with pytest.raises(SketchCompatibilityError):
+            COMBINE_PATHS[path](build_a(), build_b())
+
+    @pytest.mark.parametrize("path", sorted(COMBINE_PATHS))
+    @pytest.mark.parametrize(
+        "name,build_a,build_b", REGISTRY_CASES,
+        ids=[c[0] for c in REGISTRY_CASES],
+    )
+    def test_every_path_accepts_a_twin(self, name, build_a, build_b, path):
+        COMBINE_PATHS[path](build_a(), build_a())
+
+    def test_mincut_epsilon_alone_is_a_mismatch(self):
+        a = MinCutSketch(10, epsilon=0.5, source=SRC.derive(50))
+        b = MinCutSketch(10, epsilon=0.51, source=SRC.derive(50))
+        assert (a.k, a.levels) == (b.k, b.levels) == (13, 8)
+        with pytest.raises(SketchCompatibilityError, match="epsilon differs"):
+            a.merge(b)
+        with pytest.raises(SketchCompatibilityError, match="epsilon:"):
+            merge_sketch_bytes(a, dump_sketch(b))
+
+    def test_message_names_the_outer_class(self):
+        """An epsilon mismatch (which changes each class sketch's k) is
+        reported against the sketch that was merged, not a constituent."""
+        a = WeightedSparsification(10, 4, epsilon=0.5, source=SRC.derive(51))
+        b = WeightedSparsification(10, 4, epsilon=0.6, source=SRC.derive(51))
+        with pytest.raises(SketchCompatibilityError) as err:
+            a.merge(b)
+        assert "WeightedSparsification: epsilon differs" in str(err.value)
+        assert "SimpleSparsification" not in str(err.value)
