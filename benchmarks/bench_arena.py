@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from conftest import print_table, write_bench_json
 
-from repro.distributed import mincut_sketch
+from repro.api import SketchSpec, build_sketch
 from repro.distributed.partition import partition_batch
 from repro.eval import Table
 from repro.hashing import MERSENNE31
@@ -37,7 +37,7 @@ from repro.sketch import (
     merge_sketch_bytes,
     subtract_sketch_bytes,
 )
-from repro.sketch.serialize import sketch_codec
+from repro.sketch.serialize import _construct, _constructor_params, sketch_codec
 from repro.streams import churn_stream, erdos_renyi_graph
 
 SITES = 8
@@ -88,7 +88,9 @@ def _load_v1(data: bytes, like=None):
         if any(header.get(k) != v for k, v in expected.items()
                if v is not None):
             raise ValueError("v1 blob does not match the reference sketch")
-    sketch = codec.construct(header)
+    sketch = _construct(
+        codec.cls, header["seed"], _constructor_params(codec.cls, header)
+    )
     banks = sketch._cell_banks()
     total = sum(b.size for b in banks)
     if header.get("cells") != [b.size for b in banks]:
@@ -132,7 +134,9 @@ def arena_table(quick):
 
 def test_bench_arena_merge_subtract(benchmark, seed, quick, arena_table):
     n = 16 if quick else 24
-    factory = functools.partial(mincut_sketch, n, seed + 9, c_k=0.5)
+    factory = functools.partial(
+        build_sketch, SketchSpec.of("mincut", n, seed=seed + 9, c_k=0.5)
+    )
     edges = erdos_renyi_graph(n, 0.5, seed=seed)
     stream = churn_stream(n, edges, seed=seed + 1)
     batch = stream.as_batch()

@@ -47,11 +47,8 @@ import time
 import pytest
 from conftest import print_table, write_bench_json
 
-from repro.distributed import (
-    ShardedSketchRunner,
-    mincut_sketch,
-    sparsifier_sketch,
-)
+from repro.api import SketchSpec, build_sketch
+from repro.distributed import ShardedSketchRunner
 from repro.eval import Table, make_workload
 from repro.sketch import dump_sketch
 
@@ -145,15 +142,18 @@ def _run_modes(factory, stream):
 
 
 @pytest.mark.parametrize(
-    "name,maker",
-    [("mincut", mincut_sketch), ("simple-sparsifier", sparsifier_sketch)],
+    "name,kind,params",
+    [("mincut", "mincut", {}),
+     ("simple-sparsifier", "simple_sparsification", {"c_k": 0.3})],
 )
 def test_bench_distribute_modes(
-    benchmark, seed, quick, enforce, distribute_table, name, maker
+    benchmark, seed, quick, enforce, distribute_table, name, kind, params
 ):
     wl = make_workload("er-small", seed=seed)
     n = wl.graph.n
-    factory = functools.partial(maker, n, seed + 17)
+    factory = functools.partial(
+        build_sketch, SketchSpec.of(kind, n, seed=seed + 17, **params)
+    )
     seq_report, seq_s, seq_warm_s, cold_s, warm_s, warm2_s, warm8_s = (
         _run_modes(factory, wl.stream)
     )

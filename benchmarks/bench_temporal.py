@@ -34,7 +34,7 @@ import time
 import pytest
 from conftest import print_table, write_bench_json
 
-from repro.distributed import forest_sketch
+from repro.api import SketchSpec, build_sketch
 from repro.eval import Table
 from repro.sketch import dump_sketch
 from repro.streams import erdos_renyi_graph, stream_from_edges
@@ -111,7 +111,9 @@ def _long_stream(seed: int):
 def test_bench_window_vs_replay(benchmark, seed, quick, temporal_table,
                                 temporal_json):
     n, stream = _long_stream(seed)
-    factory = functools.partial(forest_sketch, n, seed + 5)
+    factory = functools.partial(
+        build_sketch, SketchSpec.of("spanning_forest", n, seed=seed + 5)
+    )
     timeline = EpochManager.consume(factory, stream, epochs=EPOCHS)
     batch = stream.as_batch()
     windows = [(t, EPOCHS) for t in range(EPOCHS)]
@@ -172,7 +174,9 @@ def test_bench_store_window_paging(benchmark, seed, quick, store_table,
             stream.delete(u, v)
         for u, v in edges:
             stream.insert(u, v)
-    factory = functools.partial(forest_sketch, n, seed + 5)
+    factory = functools.partial(
+        build_sketch, SketchSpec.of("spanning_forest", n, seed=seed + 5)
+    )
     timeline = EpochManager.consume(factory, stream, epochs=STORE_EPOCHS)
     manifest_bytes = timeline.total_payload_bytes
     store = EpochStore.from_timeline(tmp_path / "store", timeline, horizon=0)

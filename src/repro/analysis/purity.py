@@ -17,9 +17,9 @@ REP-P001
     ``core/``, ``distributed/``, ``temporal/``, ``api/``).
 REP-P002
     ``pickle``/``cPickle``/``dill`` imported or used outside the
-    sanctioned process-spawn seam (``distributed/coordinator.py``,
-    ``distributed/factories.py``).  Sketch bytes travel through the
-    versioned codec, never through pickle.
+    sanctioned process-spawn seam (``distributed/coordinator.py``).
+    Sketch bytes travel through the versioned codec, never through
+    pickle.
 REP-P003
     An element subscript of a cell-field array (``.phi``/``.iota``/
     ``.fp1``/``.fp2`` attributes, or the unambiguous bare names
@@ -47,7 +47,7 @@ __all__ = ["HOT_PATH_DIRS", "PICKLE_SEAMS", "check_module"]
 HOT_PATH_DIRS = ("sketch/", "core/", "distributed/", "temporal/", "api/")
 
 #: Files allowed to touch pickle (the multiprocessing spawn seam).
-PICKLE_SEAMS = ("distributed/coordinator.py", "distributed/factories.py")
+PICKLE_SEAMS = ("distributed/coordinator.py",)
 
 _PICKLE_MODULES = frozenset({"pickle", "cPickle", "dill"})
 

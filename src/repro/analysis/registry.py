@@ -1,14 +1,17 @@
 """Registry completeness rules (REP-R): no half-registered sketch kinds.
 
-Adding a sketch kind touches four places: the serialisation codec
-registry (``sketch/serialize.py`` via ``core/codecs.py``), the
-``CAPABILITIES`` declaration on the class, the ``_cell_banks()`` and
+Adding a sketch kind touches two places: the class itself — its
+``CAPABILITIES`` declaration and the ``_cell_banks()`` and
 ``_params()`` hooks that the arena, the sketch algebra and the codec
-read, and the capability registry in ``api/capabilities.py`` (built
-from the codec registry for the built-in kinds).  Miss one and the
-failure is a *runtime* surprise — a kind that shards but cannot
-snapshot, or answers queries locally but explodes under
-``merge_sketch_bytes``.  These rules turn each gap into a lint failure.
+read — and one ``SketchCodec(kind=..., cls=...)`` registration in
+``core/codecs.py`` for the serialisation codec registry
+(``sketch/serialize.py``).  The codec rebuilds the class through its
+own constructor, and the capability registry in
+``api/capabilities.py`` is built from the codec registry for the
+built-in kinds.  Miss a piece and the failure is a *runtime* surprise
+— a kind that shards but cannot snapshot, or answers queries locally
+but explodes under ``merge_sketch_bytes``.  These rules turn each gap
+into a lint failure.
 
 Two halves:
 

@@ -45,12 +45,16 @@ from typing import Any
 
 from ..distributed.coordinator import EXECUTION_MODES, ShardedSketchRunner
 from ..distributed.partition import PARTITION_STRATEGIES, partition_stream
-from ..errors import NotSupportedError, SketchCompatibilityError
+from ..errors import NotSupportedError, SketchCompatibilityError, StoreCorruptionError
 from ..sketch.serialize import (
     _MANIFEST_KIND,
+    _constructor_params,
+    _read_header,
+    _twin_of_header,
     dump_sketch,
     load_sketch,
     peek_sketch_meta,
+    sketch_kind_of,
 )
 from ..streams import DynamicGraphStream, StreamBatch
 from ..temporal.epochs import EpochCheckpoint, EpochManager, EpochTimeline
@@ -74,18 +78,28 @@ __all__ = ["GraphSketchEngine"]
 _SKETCH_PREFIX = "sketch:"
 
 
-def _require_spec_kind(spec: SketchSpec | None, blob_kind: str) -> None:
-    """Refuse a restore() override spec whose kind contradicts the blob.
+def _stored_spec(sketch: Any, spec: SketchSpec | None) -> SketchSpec:
+    """The spec of an engine over stored bytes that hold ``sketch``.
 
-    Dispatching (say) mincut handlers on a loaded MST-weight sketch
-    would fail deep inside a query with a baffling AttributeError;
-    refuse up front instead.
+    ``sketch`` was rebuilt from a stored header, which the codec checked
+    against its ``_params()`` and seed.  The spec is the sketch's kind
+    and seed plus, by the codec's keyword rule, every constructor
+    keyword of its ``_params()``, so it builds the stored measurement
+    matrix.  An override ``spec`` is taken instead, but its kind must
+    be the stored one: dispatching (say) mincut handlers on a loaded
+    MST-weight sketch would fail deep inside a query with a baffling
+    AttributeError.
     """
-    if spec is not None and spec.kind != blob_kind:
+    kind = sketch_kind_of(sketch)
+    if spec is None:
+        params = _constructor_params(type(sketch), sketch._params())
+        return SketchSpec(kind, params.pop("n"), sketch.source_seed, params)
+    if spec.kind != kind:
         raise SketchCompatibilityError(
-            f"cannot restore: blob holds a {blob_kind!r} sketch but the "
+            f"cannot restore: blob holds a {kind!r} sketch but the "
             f"override spec declares {spec.kind!r}"
         )
+    return spec
 
 
 class GraphSketchEngine:
@@ -501,8 +515,7 @@ class GraphSketchEngine:
                 stream, epochs=self._epoch_count, boundaries=boundaries,
                 store=store,
             )
-            if store is None:
-                self._timeline = report.timeline
+            self._timeline = report.timeline
             self._last_report = report
             self._shipped_bytes += report.total_payload_bytes
         elif store is not None:
@@ -703,9 +716,12 @@ class GraphSketchEngine:
         Sketch blobs restore a local engine; epoch manifests restore a
         temporal engine (windowed queries work immediately); store
         pointers (:meth:`~repro.temporal.EpochStore.pointer_bytes`)
-        reopen the on-disk store and attach it.  ``spec`` optionally
-        overrides the spec reconstructed from the blob header (kind, n,
-        seed) — e.g. to re-attach constructor params.
+        reopen the on-disk store and attach it.  The spec is the stored
+        sketch's kind, ``n``, seed and every other constructor keyword
+        of its header (a manifest's first checkpoint, a store's head),
+        so it builds the stored sketch; a header that does not rebuild
+        raises :class:`ValueError`.  ``spec`` optionally overrides it,
+        with the same kind.
         """
         header = peek_sketch_meta(data)
         kind = str(header.get("__kind__", ""))
@@ -713,35 +729,21 @@ class GraphSketchEngine:
             return cls.attach_store(EpochStore.from_pointer(data), spec=spec)
         if kind == _MANIFEST_KIND:
             timeline = EpochTimeline.from_bytes(data)
-            sketch_kind = timeline.sketch_kind
-            if sketch_kind.startswith(_SKETCH_PREFIX):
-                sketch_kind = sketch_kind[len(_SKETCH_PREFIX):]
-            _require_spec_kind(spec, sketch_kind)
-            first = peek_sketch_meta(timeline.checkpoints[0].payload)
-            engine = cls(spec or SketchSpec(
-                kind=sketch_kind,
-                n=int(first.get("n", timeline.n)),
-                seed=int(first.get("seed", 0)),
-            ))
+            first = _read_header(timeline.checkpoints[0].payload)[0]
+            engine = cls(_stored_spec(_twin_of_header(first), spec))
             engine._temporal = True
             engine._timeline = timeline
-            engine._started = True
-            return engine
-        if kind.startswith(_SKETCH_PREFIX):
-            _require_spec_kind(spec, kind[len(_SKETCH_PREFIX):])
+        elif kind.startswith(_SKETCH_PREFIX):
             sketch = load_sketch(data)
-            engine = cls(spec or SketchSpec(
-                kind=kind[len(_SKETCH_PREFIX):],
-                n=int(header.get("n", getattr(sketch, "n", 0))),
-                seed=int(header.get("seed", 0)),
-            ))
+            engine = cls(_stored_spec(sketch, spec))
             engine._sketch = sketch
-            engine._started = True
-            return engine
-        raise ValueError(
-            f"blob holds a {kind!r}, not an engine snapshot "
-            "(sketch blob, epoch manifest, or store pointer)"
-        )
+        else:
+            raise ValueError(
+                f"blob holds a {kind!r}, not an engine snapshot "
+                "(sketch blob, epoch manifest, or store pointer)"
+            )
+        engine._started = True
+        return engine
 
     @classmethod
     def attach_store(
@@ -751,11 +753,11 @@ class GraphSketchEngine:
     ) -> "GraphSketchEngine":
         """Build a queryable temporal engine over an existing store.
 
-        The spec is reconstructed from the store's recorded sketch
-        kind, universe, and seed (overridable with ``spec``, checked
-        for kind agreement); windowed queries work immediately, and
-        further :meth:`ingest_batch` + :meth:`seal_epoch` calls resume
-        appending where the store left off.
+        The spec is taken from the header of the store's head
+        checkpoint as in :meth:`restore` (overridable with ``spec``,
+        checked for kind agreement); windowed queries work immediately,
+        and further :meth:`ingest_batch` + :meth:`seal_epoch` calls
+        resume appending where the store left off.
         """
         if not isinstance(store, EpochStore):
             store = EpochStore.open(store)
@@ -764,13 +766,14 @@ class GraphSketchEngine:
                 f"store at {store.root!s} is empty; it records no sketch "
                 "kind to build an engine from — seal epochs into it first"
             )
-        sketch_kind = store.sketch_kind
-        if sketch_kind.startswith(_SKETCH_PREFIX):
-            sketch_kind = sketch_kind[len(_SKETCH_PREFIX):]
-        _require_spec_kind(spec, sketch_kind)
-        engine = cls(spec or SketchSpec(
-            kind=sketch_kind, n=store.n, seed=store.seed,
-        ))
+        try:
+            head = _twin_of_header(_read_header(store.head_payload())[0])
+        except ValueError as err:
+            raise StoreCorruptionError(
+                f"head checkpoint of the store at {store.root!s} does not "
+                f"rebuild: {err}"
+            ) from err
+        engine = cls(_stored_spec(head, spec))
         engine._temporal = True
         engine._store = store
         engine._started = True

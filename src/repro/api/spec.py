@@ -8,7 +8,10 @@ frozen, hashable, and picklable, which is what lets one spec drive all
 three deployment modes of :class:`~repro.api.GraphSketchEngine`: the
 sharded runner ships ``functools.partial(build_sketch, spec)`` to its
 sites, and linearity demands every site build the *same* measurement
-matrix — the spec is that guarantee made explicit.
+matrix — the spec is that guarantee made explicit.  :meth:`SketchSpec.
+build` goes through the one constructor the codec also rebuilds stored
+sketches with, so a spec and a blob header naming the same parameters
+and seed build the same matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Any
+
+from ..sketch.serialize import _construct
 
 __all__ = ["SketchSpec", "build_sketch"]
 
@@ -35,9 +40,11 @@ class SketchSpec:
         Master hash seed; two sketches built from equal specs are
         identically seeded and therefore mergeable/subtractable.
     params:
-        Kind-specific constructor parameters, stored as a sorted tuple
+        Kind-specific constructor keywords, stored as a sorted tuple
         of ``(name, value)`` pairs so the spec stays hashable; pass a
-        dict (or use :meth:`of`) and it is normalised.
+        dict (or use :meth:`of`) and it is normalised.  A spec restored
+        from stored bytes carries every constructor keyword of the
+        stored sketch's ``_params()``, not only the ones set by hand.
     """
 
     kind: str
@@ -82,20 +89,23 @@ class SketchSpec:
         return capability_entry(self.kind).queries
 
     def build(self) -> Any:
-        """Construct the fresh, empty, seeded sketch the spec describes."""
-        from .capabilities import capability_entry
-        from ..hashing import HashSource
+        """Construct the fresh, empty, seeded sketch the spec describes.
 
-        entry = capability_entry(self.kind)
-        try:
-            return entry.cls(
-                self.n, source=HashSource(self.seed), **self.param_dict()
-            )
-        except TypeError as err:
+        ``cls(source=HashSource(seed), n=n, **params)`` through the one
+        constructor the codec rebuilds blobs with; unknown, missing or
+        ill-typed parameters raise :class:`ValueError`.
+        """
+        from .capabilities import capability_entry
+
+        params = self.param_dict()
+        if "n" in params:
             raise ValueError(
-                f"cannot build a {self.kind!r} sketch from spec params "
-                f"{self.param_dict()!r}: {err}"
-            ) from None
+                f"cannot build a {self.kind!r} sketch: spec params repeat "
+                "n, which the spec already names"
+            )
+        return _construct(
+            capability_entry(self.kind).cls, self.seed, {"n": self.n, **params}
+        )
 
 
 def build_sketch(spec: SketchSpec) -> Any:

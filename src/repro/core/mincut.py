@@ -119,6 +119,8 @@ class MinCutSketch(ArenaBacked):
         self.source_seed = getattr(source, "seed", None)
         self.k = default_k(n, epsilon, c_k)
         self.levels = levels if levels is not None else 2 * ceil_log2(max(n, 2))
+        if self.levels < 0:
+            raise ValueError(f"levels must be >= 0, got {self.levels}")
         self._level_source = source.derive(0x17)
         self.instances = [
             EdgeConnectivitySketch(

@@ -110,6 +110,8 @@ class SimpleSparsification(ArenaBacked):
         self.k = default_sparsifier_k(n, epsilon, c_k)
         self.weight_scale = weight_scale
         self.levels = levels if levels is not None else 2 * ceil_log2(max(n, 2))
+        if self.levels < 0:
+            raise ValueError(f"levels must be >= 0, got {self.levels}")
         self._level_source = source.derive(0x17)
         self.instances = [
             EdgeConnectivitySketch(

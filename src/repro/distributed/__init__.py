@@ -37,7 +37,6 @@ from .coordinator import (
     ShardedSketchRunner,
     SiteReport,
 )
-from .factories import forest_sketch, mincut_sketch, sparsifier_sketch
 from .partition import (
     PARTITION_STRATEGIES,
     partition_batch,
@@ -52,11 +51,8 @@ __all__ = [
     "ShardedRunReport",
     "ShardedSketchRunner",
     "SiteReport",
-    "forest_sketch",
-    "mincut_sketch",
     "partition_batch",
     "partition_stream",
     "partition_stream_by",
     "shard_assignment",
-    "sparsifier_sketch",
 ]

@@ -159,26 +159,25 @@ class ShardedEpochReport:
 
     Attributes
     ----------
+    epochs:
+        Number of sealed epochs.
     timeline:
         The coordinator's merged checkpoint timeline — byte-identical
         to the timeline a single site consuming the whole stream would
         have sealed, so every epoch-window query gives the single-site
-        answer exactly.
+        answer exactly.  ``None`` for a run that sealed into a store:
+        its checkpoints live only there.
     sites:
         Per-site reports; ``payload_bytes`` totals a site's per-epoch
         delta slots (one per epoch).
     """
 
-    timeline: EpochTimeline
+    epochs: int
+    timeline: EpochTimeline | None = None
     sites: list[SiteReport] = field(default_factory=list)
     strategy: str = "hash-edge"
     mode: str = "sequential"
     wall_seconds: float = 0.0
-
-    @property
-    def epochs(self) -> int:
-        """Number of sealed epochs."""
-        return self.timeline.epochs
 
     @property
     def total_payload_bytes(self) -> int:
@@ -304,8 +303,8 @@ class ShardedSketchRunner:
         run refuses site sketches whose kind, parameters or seed differ
         from the coordinator's (:class:`~repro.errors.
         SketchCompatibilityError`).  For ``mode="process"`` it must
-        also be picklable (module-level factories /
-        ``functools.partial`` qualify).
+        also be picklable: ``functools.partial(build_sketch, spec)``
+        with a :class:`~repro.api.SketchSpec` qualifies.
     sites:
         Number of simulated sites ``K >= 1``.
     strategy:
@@ -674,10 +673,10 @@ class ShardedSketchRunner:
         queries by subtraction that are byte-identical to a single-site
         timeline of the whole stream.  Pass ``epochs`` for an even grid
         or ``boundaries`` for explicit epoch-end token positions.  With
-        ``store=`` every sealed checkpoint is *also* appended durably
-        to an :class:`~repro.temporal.store.EpochStore` as it is
-        produced, so the stored timeline matches the returned one
-        exactly.
+        ``store=`` every sealed checkpoint is appended durably to an
+        :class:`~repro.temporal.store.EpochStore` as it is produced and
+        *not* kept in memory — the report then carries no timeline —
+        so RAM holds one live sketch however many epochs are sealed.
         """
         bounds = normalize_boundaries(len(stream), epochs, boundaries)
         t_start = time.perf_counter()
@@ -701,17 +700,22 @@ class ShardedSketchRunner:
                 "tokens": bounds[t] - (bounds[t - 1] if t else 0),
                 "cumulative_tokens": bounds[t],
             }
-            checkpoints.append(EpochCheckpoint(
+            checkpoint = EpochCheckpoint(
                 **meta, payload=dump_sketch(sketch, epoch_meta=meta)
-            ))
+            )
             if store is not None:
-                store.append_checkpoint(checkpoints[-1])
+                store.append_checkpoint(checkpoint)
+            else:
+                checkpoints.append(checkpoint)
 
         _sketch, reports = self._fold_rounds(
             stream.n, shards, np.column_stack(site_stops), seal
         )
         return ShardedEpochReport(
-            timeline=EpochTimeline(stream.n, checkpoints),
+            epochs=len(bounds),
+            timeline=(
+                EpochTimeline(stream.n, checkpoints) if store is None else None
+            ),
             sites=reports,
             strategy=self.strategy,
             mode=self.mode,

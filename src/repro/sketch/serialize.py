@@ -7,11 +7,19 @@ module provides a compact, dependency-free binary format around a
 **generic sketch registry**: every high-level sketch class (spanning
 forest, k-EDGECONNECT, MINCUT, the sparsifiers, the subgraph-count
 sketch, ...) registers a :class:`SketchCodec` naming its kind and
-rebuilding an empty twin from the constructor parameters the class
-itself lists (``_params()``, beside its ``_cell_banks()``).
-:func:`dump_sketch` then works for any registered object and
-:func:`load_sketch` reconstructs it — verifying parameters, seed, and
-cell-array shapes before accepting the payload.
+class; the class itself lists its parameters (``_params()``, beside
+its ``_cell_banks()``).  :func:`dump_sketch` then works for any
+registered object and :func:`load_sketch` reconstructs it — verifying
+parameters, seed, and cell-array shapes before accepting the payload.
+
+A sketch is built from (class, parameters, seed) in one way only,
+:func:`_construct` — ``cls(source=HashSource(seed), **params)``, every
+failure reported as :class:`ValueError`.  :meth:`~repro.api.SketchSpec.
+build` calls it with a spec's parameters.  The codec calls it with the
+header fields that are constructor keywords (looked up once per class)
+and refuses the blob unless the rebuilt ``_params()`` and seed equal
+the header's, which covers the values a constructor derives, such as a
+hierarchy's ``k``.
 
 **Codec v2** is the one format this module reads and writes.  It
 exploits the contiguous :class:`~repro.sketch.arena.SketchArena`: a
@@ -37,16 +45,19 @@ materialising a twin sketch first.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import struct
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from ..errors import SketchCompatibilityError
-from ..hashing import MERSENNE31
+from ..errors import ReproError, SketchCompatibilityError
+from ..hashing import MERSENNE31, HashSource
 from .arena import ensure_arena
 
 __all__ = [
@@ -241,16 +252,53 @@ class SketchCodec:
         The :class:`~repro.sketch.arena.ArenaBacked` sketch class this
         codec handles (matched exactly, not by subclass, so a subclass
         must register its own codec).  Its ``_params()`` are the
-        header's parameter fields and its ``_cell_banks()`` order is
-        the payload order.
-    construct:
-        ``meta -> obj`` rebuilding a fresh, empty, identically-seeded
-        sketch from the stored parameters (``meta["seed"]`` included).
+        header's parameter fields, its ``_cell_banks()`` order is the
+        payload order, and its constructor rebuilds the empty twin
+        (:func:`_construct`): every ``_params()`` key is a constructor
+        keyword or a value the constructor derives, which the codec
+        checks against the header.
     """
 
     kind: str
     cls: type
-    construct: Callable[[dict], Any]
+
+
+@functools.cache
+def _keywords(cls: type) -> frozenset[str]:
+    """``cls``'s constructor keywords other than ``source``.
+
+    Looked up once per class: ``inspect.signature`` costs tens of
+    microseconds a call, which every load would otherwise pay.
+    """
+    return frozenset(inspect.signature(cls).parameters) - {"source"}
+
+
+def _constructor_params(cls: type, fields: Mapping[str, Any]) -> dict[str, Any]:
+    """The keyword rule: those ``fields`` (a blob header, a ``_params()``)
+    that are constructor keywords of ``cls``."""
+    keywords = _keywords(cls)
+    return {name: value for name, value in fields.items() if name in keywords}
+
+
+def _construct(cls: type, seed: Any, params: Mapping[str, Any]) -> Any:
+    """Build a fresh sketch: ``cls(source=HashSource(seed), **params)``.
+
+    The one way (class, parameters, seed) becomes a sketch.  Unknown or
+    missing keywords, and every error the constructor raises on the
+    given values (a ``None``, a string or a float where it computes
+    with an integer, an out-of-range value), are all reported as
+    :class:`ValueError`.
+    """
+    try:
+        return cls(source=HashSource(seed), **params)
+    except (
+        ArithmeticError, AttributeError, LookupError, TypeError, ValueError,
+        ReproError,
+    ) as err:
+        raise ValueError(
+            f"cannot build a {cls.__name__} from parameters "
+            f"{dict(params)!r} and seed {seed!r}: {err}"
+        ) from err
 
 
 _CODECS_BY_KIND: dict[str, SketchCodec] = {}
@@ -459,7 +507,7 @@ def _read_cells(
     if like is not None:
         _verify_like(codec, header, like, op=op)
     if into is None:
-        into = codec.construct(header)
+        into = _twin_of_header(header)
     cells = header.get("cells")
     if cells != [int(b.size) for b in into._cell_banks()]:
         raise ValueError(
@@ -471,6 +519,29 @@ def _read_cells(
         idx, values = _validated_sparse_cells(header, payload, total)
         return into, idx, values
     return into, None, _validated_cell_buffer(payload, total)
+
+
+def _twin_of_header(header: dict) -> Any:
+    """The fresh, empty sketch a blob header describes.
+
+    The header fields that are constructor keywords go through
+    :func:`_construct`, and the header is refused (:class:`ValueError`)
+    unless the rebuilt sketch's ``_params()`` and seed equal its own.
+    """
+    cls = _codec_of_header(header).cls
+    sketch = _construct(
+        cls, header.get("seed"), _constructor_params(cls, header)
+    )
+    mismatched = sketch._mismatches(header)
+    if mismatched:
+        raise ValueError(
+            "blob header does not match the sketch its parameters build — "
+            "corrupt or tampered blob: " + "; ".join(
+                f"{field}: stored={theirs!r} rebuilt={ours!r}"
+                for field, ours, theirs in mismatched
+            )
+        )
+    return sketch
 
 
 def peek_sketch_meta(data: bytes) -> dict:

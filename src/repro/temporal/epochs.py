@@ -24,7 +24,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..errors import EpochStoreError, StoreCorruptionError
+from ..errors import EpochStoreError, SketchCompatibilityError, StoreCorruptionError
 from ..sketch.serialize import (
     _is_int,
     dump_epoch_manifest,
@@ -244,7 +244,6 @@ class EpochManager:
         factory: Callable[[], object],
         store: "EpochStore | None" = None,
     ):
-        self._factory = factory
         self._sketch = factory()
         if not hasattr(self._sketch, "consume_batch"):
             raise TypeError(
@@ -339,13 +338,16 @@ class EpochManager:
     ) -> "EpochManager":
         """Continue sealing epochs into a non-empty store.
 
-        The cumulative sketch is rebuilt from the store's head
-        checkpoint (exact — the head *is* the serialised cumulative
-        state), so epochs sealed from here extend the stored timeline
-        seamlessly; windows spanning the restart stay byte-identical to
-        an uninterrupted run.  ``factory`` is only consulted for the
-        ingestion-path type check on the rebuilt sketch's behalf; the
-        head payload supplies parameters and seed.
+        The cumulative sketch is the store's head checkpoint (exact —
+        the head *is* the serialised cumulative state), so epochs sealed
+        from here extend the stored timeline seamlessly; windows
+        spanning the restart stay byte-identical to an uninterrupted
+        run.  The head is loaded with ``like=factory()``: a factory
+        whose sketch does not combine with it (another kind,
+        parameters or seed) is refused with :class:`~repro.errors.
+        EpochStoreError`, as :meth:`~repro.temporal.store.EpochStore.
+        append_checkpoint` refuses such a checkpoint, and a head that
+        fails to load with :class:`~repro.errors.StoreCorruptionError`.
         """
         if store.epochs == 0:
             raise EpochStoreError(
@@ -354,7 +356,14 @@ class EpochManager:
             )
         manager = cls(factory)
         try:
-            manager._sketch = load_sketch(store.head_payload())
+            manager._sketch = load_sketch(
+                store.head_payload(), like=manager._sketch
+            )
+        except SketchCompatibilityError as err:
+            raise EpochStoreError(
+                f"factory does not combine with the head of the store at "
+                f"{store.root!s}: {err}"
+            ) from err
         except ValueError as err:
             raise StoreCorruptionError(
                 f"head checkpoint of the store at {store.root!s} failed to "

@@ -14,6 +14,7 @@ raise :class:`~repro.errors.NotSupportedError`.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import pytest
@@ -269,6 +270,88 @@ class TestTemporalParity:
             manual.seal_epoch()
             start = end
         assert manual.snapshot() == grid.snapshot()
+
+
+#: One spec per serialisable kind, each with a constructor parameter
+#: off its default: a spec rebuilt without it builds another sketch.
+OFF_DEFAULT_SPECS = [
+    SketchSpec.of("spanning_forest", N, seed=61, rounds=4),
+    SketchSpec.of("edge_connectivity", N, seed=62, k=2, rows=3),
+    SketchSpec.of("mincut", N, seed=63, epsilon=0.3, c_k=0.1),
+    SketchSpec.of("simple_sparsification", N, seed=64, c_k=0.15),
+    SketchSpec.of("sparsification", N, seed=65, c_k=0.3, c_rough=0.05),
+    SketchSpec.of(
+        "weighted_sparsification", N, seed=66, max_weight=2, c_k=0.15),
+    SketchSpec.of("subgraph_count", N, seed=67, samplers=6),
+    SketchSpec.of("cut_edges", N, seed=68, k=16),
+    SketchSpec.of("bipartiteness", N, seed=69, rounds=4),
+    SketchSpec.of("mst_weight", N, seed=70, max_weight=2, epsilon=0.5),
+]
+
+
+def _answer(engine: GraphSketchEngine, query) -> dict:
+    """A query's wire answer without its timing telemetry."""
+    body = engine.query(query).to_dict()
+    body.pop("telemetry", None)
+    return body
+
+
+class TestStoredSpec:
+    """Engines rebuilt from stored bytes carry every stored parameter."""
+
+    @pytest.mark.parametrize("spec", OFF_DEFAULT_SPECS, ids=lambda s: s.kind)
+    def test_restored_spec_builds_the_stored_sketch(
+        self, spec, stream, tmp_path
+    ):
+        """From a sketch blob, a manifest and a store pointer alike."""
+        engines = {
+            "blob": GraphSketchEngine.for_spec(spec).ingest(stream),
+            "manifest": GraphSketchEngine.for_spec(spec)
+            .epochs(count=2).ingest(stream),
+            "pointer": GraphSketchEngine.for_spec(spec)
+            .epochs(count=2, store=tmp_path / "store").ingest(stream),
+        }
+        expected = spec.build()._spec()
+        for source, engine in engines.items():
+            restored = GraphSketchEngine.restore(engine.snapshot()).spec
+            assert restored.kind == spec.kind, source
+            assert restored.build()._spec() == expected, source
+
+    @pytest.mark.parametrize("spec", OFF_DEFAULT_SPECS, ids=lambda s: s.kind)
+    def test_attached_store_resumes_like_an_uninterrupted_run(
+        self, spec, stream, tmp_path
+    ):
+        """Two epochs sealed, the store re-attached, two more sealed:
+        the store and its windows across the restart are byte-identical
+        to four epochs sealed in one go."""
+        from repro.temporal import materialise_window
+
+        batch = stream.as_batch()
+        cuts = [len(batch) * t // 4 for t in range(5)]
+
+        def seal(engine: GraphSketchEngine, epochs: range) -> None:
+            for t in epochs:
+                engine.ingest_batch(batch.slice(cuts[t], cuts[t + 1]))
+                engine.seal_epoch()
+
+        whole = GraphSketchEngine.for_spec(spec).epochs(
+            store=tmp_path / "whole"
+        )
+        seal(whole, range(4))
+        seal(GraphSketchEngine.for_spec(spec).epochs(
+            store=tmp_path / "restarted"
+        ), range(2))
+        attached = GraphSketchEngine.attach_store(tmp_path / "restarted")
+        seal(attached, range(2, 4))
+        assert attached.store.head_payload() == whole.store.head_payload()
+        capability = sorted(capability_entry(spec.kind).queries)[0]
+        for window in [(0, 4), (1, 3), (2, 4)]:
+            assert dump_sketch(materialise_window(attached.store, *window)) \
+                == dump_sketch(materialise_window(whole.store, *window))
+            query = dataclasses.replace(
+                CANONICAL_QUERIES[capability], window=window
+            )
+            assert _answer(attached, query) == _answer(whole, query)
 
 
 hypothesis_settings = settings(

@@ -124,13 +124,10 @@ EXPECTED_DISTRIBUTED = frozenset({
     "ShardedRunReport",
     "ShardedSketchRunner",
     "SiteReport",
-    "forest_sketch",
-    "mincut_sketch",
     "partition_batch",
     "partition_stream",
     "partition_stream_by",
     "shard_assignment",
-    "sparsifier_sketch",
 })
 
 EXPECTED_SKETCH = frozenset({

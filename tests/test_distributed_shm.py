@@ -23,12 +23,9 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+from repro.api import SketchSpec, build_sketch
 from repro.core import SpanningForestSketch
-from repro.distributed import (
-    ShardedSketchRunner,
-    forest_sketch,
-    partition_stream,
-)
+from repro.distributed import ShardedSketchRunner, partition_stream
 from repro.distributed import coordinator as coordinator_mod
 from repro.distributed import shm as shm_mod
 from repro.errors import SketchCompatibilityError, StreamError
@@ -47,6 +44,13 @@ def stream():
     )
     assert any(u.delta < 0 for u in st)
     return st
+
+
+def _forest(n: int, seed: int) -> functools.partial:
+    """A picklable factory of identically-seeded spanning-forest sketches."""
+    return functools.partial(
+        build_sketch, SketchSpec.of("spanning_forest", n, seed=seed)
+    )
 
 
 class _ExplodingForestSketch(SpanningForestSketch):
@@ -74,7 +78,7 @@ def _assert_unlinked(names: list[str]) -> None:
 
 class TestSegmentLifecycle:
     def test_pool_and_segments_reused_across_runs(self, stream):
-        factory = functools.partial(forest_sketch, N, 31)
+        factory = _forest(N, 31)
         reference = dump_sketch(
             ShardedSketchRunner(factory, sites=3).run(stream).sketch
         )
@@ -117,7 +121,7 @@ class TestSegmentLifecycle:
         _assert_unlinked(leaked)
 
     def test_keyboard_interrupt_tears_everything_down(self, stream):
-        factory = functools.partial(forest_sketch, N, 13)
+        factory = _forest(N, 13)
         runner = ShardedSketchRunner(factory, sites=2, mode="process")
         runner.run(stream)
         segments = shm_mod.active_segment_names()
@@ -150,7 +154,7 @@ class TestSegmentLifecycle:
             runner.run(stream)
 
     def test_close_is_idempotent_and_sequential_noop(self, stream):
-        factory = functools.partial(forest_sketch, N, 5)
+        factory = _forest(N, 5)
         runner = ShardedSketchRunner(factory, sites=2, mode="sequential")
         runner.run(stream)
         runner.close()
@@ -180,19 +184,19 @@ class TestSegmentLifecycle:
 
 class TestConfigurationValidation:
     def test_zero_processes_rejected(self):
-        factory = functools.partial(forest_sketch, N, 1)
+        factory = _forest(N, 1)
         with pytest.raises(StreamError, match="processes must be >= 1"):
             ShardedSketchRunner(factory, mode="process", processes=0)
         with pytest.raises(StreamError, match="processes must be >= 1"):
             ShardedSketchRunner(factory, mode="process", processes=-2)
 
     def test_unknown_start_method_rejected(self):
-        factory = functools.partial(forest_sketch, N, 1)
+        factory = _forest(N, 1)
         with pytest.raises(ValueError, match="unknown start method"):
             ShardedSketchRunner(factory, mode="process", start_method="warp")
 
     def test_default_worker_count_capped_at_cpus(self):
-        factory = functools.partial(forest_sketch, N, 1)
+        factory = _forest(N, 1)
         runner = ShardedSketchRunner(factory, sites=64, mode="process")
         cpus = (
             len(os.sched_getaffinity(0))
@@ -232,7 +236,7 @@ class TestWorkerPathInProcess:
     """
 
     def test_inline_worker_matches_sequential(self, stream):
-        factory = functools.partial(forest_sketch, N, 77)
+        factory = _forest(N, 77)
         reference = dump_sketch(
             ShardedSketchRunner(factory, sites=3).run(stream).sketch
         )
@@ -321,7 +325,7 @@ class TestOneByteFigure:
     """Both modes report the bytes the coordinator reads from each slot."""
 
     def test_payload_bytes_match_across_modes(self, stream):
-        factory = functools.partial(forest_sketch, N, 41)
+        factory = _forest(N, 41)
         shards = partition_stream(stream, 3, "round-robin")
         seq = ShardedSketchRunner(factory, sites=3, seed=3)
         seq_reports = [
@@ -349,7 +353,7 @@ class TestOneByteFigure:
 
     def test_payload_bytes_are_slot_bytes(self, stream):
         """16 bytes per nonzero entry, or 32 per cell when dense."""
-        factory = functools.partial(forest_sketch, N, 43)
+        factory = _forest(N, 43)
         shards = partition_stream(stream, 3, "contiguous")
         report = ShardedSketchRunner(factory, sites=3).run_shards(shards)
         for shard, site in zip(shards, report.sites):

@@ -35,8 +35,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import EpochStore, GraphSketchEngine, RetentionPolicy, SketchSpec
-from repro.api import ConnectivityQuery
-from repro.distributed import ShardedSketchRunner, forest_sketch
+from repro.api import ConnectivityQuery, build_sketch
+from repro.distributed import ShardedSketchRunner
 from repro.errors import EpochStoreError, NotSupportedError, StoreCorruptionError
 from repro.sketch import dump_sketch, peek_sketch_meta
 from repro.streams import DynamicGraphStream, churn_stream, erdos_renyi_graph
@@ -70,6 +70,23 @@ heavy_store_settings = settings(
     max_examples=2, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def _forest(n: int, seed: int) -> functools.partial:
+    """A picklable factory of identically-seeded spanning-forest sketches."""
+    return functools.partial(
+        build_sketch, SketchSpec.of("spanning_forest", n, seed=seed)
+    )
+
+
+def _skew_cells(header, _payload) -> None:
+    """Grow every field's cell count past what the parameters give."""
+    header["cells"] = [cells + 1 for cells in header["cells"]]
+
+
+def _null_n(header, _payload) -> None:
+    """Blank the node count a sketch is rebuilt from."""
+    header["n"] = None
 
 
 def _golden_stream() -> DynamicGraphStream:
@@ -154,7 +171,7 @@ class TestWindowExactness:
     ):
         """Windows survive a close/reopen cycle bit for bit."""
         tokens, boundaries = data
-        factory = functools.partial(forest_sketch, N, 321)
+        factory = _forest(N, 321)
         timeline = EpochManager.consume(
             factory, _stream_from(tokens), boundaries=boundaries
         )
@@ -188,7 +205,7 @@ class TestWindowExactness:
         exactly.
         """
         tokens, boundaries = data
-        factory = functools.partial(forest_sketch, N, 77)
+        factory = _forest(N, 77)
         timeline = EpochManager.consume(
             factory, _stream_from(tokens), boundaries=boundaries
         )
@@ -214,7 +231,7 @@ class TestWindowExactness:
         stream = _stream_from(
             [(i % (N - 1), N - 1, 1) for i in range(T * 2)]
         )
-        factory = functools.partial(forest_sketch, N, 9)
+        factory = _forest(N, 9)
         timeline = EpochManager.consume(factory, stream, epochs=T)
         store = EpochStore.from_timeline(tmp_path / "s", timeline, horizon=0)
         bound = 2 * int(math.log2(T)) + 2
@@ -229,7 +246,7 @@ class TestWindowExactness:
 
     def test_max_epochs_floor_respects_span_boundaries(self, tmp_path):
         stream = _stream_from([(i % (N - 1), N - 1, 1) for i in range(32)])
-        factory = functools.partial(forest_sketch, N, 13)
+        factory = _forest(N, 13)
         timeline = EpochManager.consume(factory, stream, epochs=16)
         store = EpochStore.from_timeline(
             tmp_path / "s", timeline, retention=RetentionPolicy(max_epochs=4)
@@ -244,7 +261,7 @@ class TestWindowExactness:
 
     def test_max_bytes_evicts_oldest_first_and_keeps_newest(self, tmp_path):
         stream = _stream_from([(i % (N - 1), N - 1, 1) for i in range(32)])
-        factory = functools.partial(forest_sketch, N, 14)
+        factory = _forest(N, 14)
         timeline = EpochManager.consume(factory, stream, epochs=16)
         unbounded = EpochStore.from_timeline(tmp_path / "u", timeline)
         budget = unbounded.total_bytes // 3
@@ -261,7 +278,7 @@ class TestWindowExactness:
 
     def test_lru_keeps_resident_bytes_bounded(self, tmp_path):
         stream = _stream_from([(i % (N - 1), N - 1, 1) for i in range(64)])
-        factory = functools.partial(forest_sketch, N, 15)
+        factory = _forest(N, 15)
         timeline = EpochManager.consume(factory, stream, epochs=16)
         EpochStore.from_timeline(tmp_path / "s", timeline, horizon=0)
         budget = 48_000
@@ -282,7 +299,7 @@ class TestResume:
         stream = _stream_from(
             [(i % (N - 1), N - 1, 1 if i % 3 else 1) for i in range(40)]
         )
-        factory = functools.partial(forest_sketch, N, 55)
+        factory = _forest(N, 55)
         batch = stream.as_batch()
         bounds = [10, 20, 30, 40]
 
@@ -306,7 +323,7 @@ class TestResume:
 
     def test_store_backed_manager_is_bounded(self, tmp_path):
         manager = EpochManager(
-            functools.partial(forest_sketch, N, 1),
+            _forest(N, 1),
             store=EpochStore(tmp_path / "s"),
         )
         manager.extend(_stream_from([(0, 1, 1)]).as_batch()).seal_epoch()
@@ -317,20 +334,38 @@ class TestResume:
     def test_fresh_manager_refuses_nonempty_store(self, tmp_path):
         store = EpochStore(tmp_path / "s")
         EpochManager(
-            functools.partial(forest_sketch, N, 1), store=store
+            _forest(N, 1), store=store
         ).extend(_stream_from([(0, 1, 1)]).as_batch()).seal_epoch()
         with pytest.raises(EpochStoreError, match="resume"):
-            EpochManager(functools.partial(forest_sketch, N, 1), store=store)
+            EpochManager(_forest(N, 1), store=store)
         with pytest.raises(EpochStoreError, match="empty"):
             EpochManager.resume(
-                functools.partial(forest_sketch, N, 1),
+                _forest(N, 1),
                 EpochStore(tmp_path / "empty"),
             )
+
+    @pytest.mark.parametrize("spec", [
+        SketchSpec.of("spanning_forest", N, seed=2),
+        SketchSpec.of("spanning_forest", N, seed=1, rows=3),
+        SketchSpec.of("cut_edges", N, seed=1, k=2),
+    ], ids=["seed", "rows", "kind"])
+    def test_resume_refuses_a_factory_that_does_not_combine(
+        self, tmp_path, spec
+    ):
+        """The head is loaded against the factory's sketch, so a factory
+        that would seal other checkpoints is refused like such an append."""
+        store = EpochStore(tmp_path / "s")
+        EpochManager(
+            _forest(N, 1), store=store
+        ).extend(_stream_from([(0, 1, 1)]).as_batch()).seal_epoch()
+        factory = functools.partial(build_sketch, spec)
+        with pytest.raises(EpochStoreError, match="does not combine"):
+            EpochManager.resume(factory, store)
 
 
 class TestAppendContract:
     def test_out_of_order_append_refused(self, tmp_path):
-        factory = functools.partial(forest_sketch, N, 2)
+        factory = _forest(N, 2)
         timeline = EpochManager.consume(
             factory, _stream_from([(0, 1, 1), (1, 2, 1)]), epochs=2
         )
@@ -341,11 +376,11 @@ class TestAppendContract:
 
     def test_mismatched_seed_append_refused(self, tmp_path):
         t1 = EpochManager.consume(
-            functools.partial(forest_sketch, N, 2),
+            _forest(N, 2),
             _stream_from([(0, 1, 1)]), epochs=1,
         )
         t2 = EpochManager.consume(
-            functools.partial(forest_sketch, N, 3),
+            _forest(N, 3),
             _stream_from([(0, 1, 1), (1, 2, 1)]), epochs=2,
         )
         store = EpochStore(tmp_path / "s")
@@ -445,7 +480,7 @@ class TestCorruptionFuzz:
         store = EpochStore.open(root)
         entry = self._live_span(store)
         other_timeline = EpochManager.consume(
-            functools.partial(forest_sketch, GOLDEN_N, GOLDEN_SEED + 1),
+            _forest(GOLDEN_N, GOLDEN_SEED + 1),
             _golden_stream(), boundaries=list(GOLDEN_BOUNDARIES),
         )
         other_root = tmp_path / "other"
@@ -469,18 +504,20 @@ class TestCorruptionFuzz:
         with pytest.raises(StoreCorruptionError, match="seed"):
             materialise_window(tampered, entry.start, entry.end)
 
-    def test_unloadable_compacted_span_is_typed_on_the_engine_path(self, tmp_path):
-        """A compacted span whose header cell layout no longer matches its
-        parameters passes the resealed segment and catalog CRCs but fails
-        to load — a windowed engine query reports store corruption, not a
-        bare codec error."""
+    @pytest.mark.parametrize("mutate,match", [
+        (_skew_cells, "cell layout"), (_null_n, "cannot build"),
+    ], ids=["skew_cells", "null_n"])
+    def test_unloadable_compacted_span_is_typed_on_the_engine_path(
+        self, tmp_path, mutate, match
+    ):
+        """A compacted span whose header no longer matches its cell
+        layout, or no longer builds a sketch at all, passes the resealed
+        segment and catalog CRCs but fails to load — a windowed engine
+        query reports store corruption, not a bare codec error."""
         root = _copy_golden(tmp_path)
         entry = next(e for e in EpochStore.open(root).spans() if e.length > 1)
         path = root / "segments" / entry.file
-
-        def skew_cells(header, _payload):
-            header["cells"] = [cells + 1 for cells in header["cells"]]
-        data = repack_v2(path.read_bytes(), skew_cells)
+        data = repack_v2(path.read_bytes(), mutate)
         path.write_bytes(data)
 
         def reseal(doc):
@@ -490,7 +527,7 @@ class TestCorruptionFuzz:
                     span["crc32"] = zlib.crc32(data) & 0xFFFFFFFF
         _rewrite_catalog(root, reseal)
         engine = GraphSketchEngine.attach_store(root)
-        with pytest.raises(StoreCorruptionError, match="cell layout"):
+        with pytest.raises(StoreCorruptionError, match=match):
             engine.query(ConnectivityQuery(window=(entry.start, entry.end)))
 
     def test_unloadable_head_is_typed(self, tmp_path):
@@ -510,7 +547,7 @@ class TestCorruptionFuzz:
             doc["head"]["bytes"] = len(data)
             doc["head"]["crc32"] = zlib.crc32(data) & 0xFFFFFFFF
         _rewrite_catalog(root, reseal)
-        factory = functools.partial(forest_sketch, GOLDEN_N, GOLDEN_SEED)
+        factory = _forest(GOLDEN_N, GOLDEN_SEED)
         with pytest.raises(StoreCorruptionError, match="cell layout"):
             EpochManager.resume(factory, EpochStore.open(root))
         timeline = EpochManager.consume(
@@ -619,7 +656,7 @@ class TestInflateOncePerBlob:
 
     def test_append_inflates_checkpoint_and_head_once(self, tmp_path, monkeypatch):
         timeline = EpochManager.consume(
-            functools.partial(forest_sketch, GOLDEN_N, 7), _golden_stream(),
+            _forest(GOLDEN_N, 7), _golden_stream(),
             epochs=3,
         )
         root = tmp_path / "s"
@@ -677,7 +714,7 @@ class TestGoldenFixture:
     def test_windows_match_freshly_computed_sketches(self):
         """The frozen bytes still decode to the exact window sketches."""
         store = EpochStore.open(GOLDEN)
-        factory = functools.partial(forest_sketch, GOLDEN_N, GOLDEN_SEED)
+        factory = _forest(GOLDEN_N, GOLDEN_SEED)
         batch = _golden_stream().as_batch()
         bounds = (0,) + GOLDEN_BOUNDARIES
         for t1, t2 in [(0, 4), (0, 2), (1, 3), (2, 4), (3, 4)]:
@@ -741,7 +778,8 @@ class TestEngineIntegration:
          .epochs(count=3, store=tmp_path / "s").ingest(self._stream()))
         attached = GraphSketchEngine.attach_store(tmp_path / "s")
         assert attached.epochs_sealed == 3
-        assert attached.spec == spec
+        assert attached.spec.kind == spec.kind
+        assert attached.spec.build()._spec() == spec.build()._spec()
 
     def test_cli_store_round_trip(self, tmp_path, capsys):
         from repro.cli import main
@@ -782,7 +820,7 @@ class TestProcessModeStore:
     """Satellite 3: shm-pool ``run_epochs`` sealing into a store."""
 
     def test_process_mode_store_matches_sequential(self, tmp_path):
-        factory = functools.partial(forest_sketch, N, 31)
+        factory = _forest(N, 31)
         stream = churn_stream(
             N, erdos_renyi_graph(N, 0.4, seed=5), churn_fraction=0.6, seed=6
         )
@@ -795,8 +833,8 @@ class TestProcessModeStore:
             factory, sites=3, seed=3, mode="process", processes=2
         ) as runner:
             proc = runner.run_epochs(stream, epochs=4, store=proc_store)
-        assert [c.payload for c in proc.timeline.checkpoints] == \
-            [c.payload for c in seq.timeline.checkpoints]
+        assert proc.timeline is None and seq.timeline is None
+        assert proc.epochs == seq.epochs == 4
         assert proc_store.epochs == seq_store.epochs == 4
         assert proc_store.head_payload() == seq_store.head_payload()
         assert [(e.start, e.end, e.crc32) for e in proc_store.spans()] == \
@@ -804,7 +842,7 @@ class TestProcessModeStore:
         for t1, t2 in [(0, 4), (1, 3), (2, 4)]:
             assert dump_sketch(materialise_window(proc_store, t1, t2)) == \
                 dump_sketch(materialise_window(seq_store, t1, t2))
-        # And the durable state matches the in-memory report timeline.
+        # And the durable state matches an in-memory timeline.
         local = EpochManager.consume(factory, stream, epochs=4)
         assert dump_sketch(materialise_window(proc_store, 0, 4)) == \
             dump_sketch(materialise_window(local, 0, 4))

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pathlib
 
 import pytest
-from test_manifest_corruption import _resealed_manifest
+from test_manifest_corruption import (
+    _manifest_with_checkpoint_field,
+    _resealed_manifest,
+)
 
 from repro.cli import main
 from repro.eval import (
@@ -229,9 +232,11 @@ class TestCliTemporal:
          _resealed_manifest("lengths", ["a", 1, 2]),
          _resealed_manifest("epoch_tokens", [None, 1, 2]),
          _resealed_manifest("boundaries", [[1], 2, 3]),
-         _resealed_manifest("n", {"a": 1})],
+         _resealed_manifest("n", {"a": 1}),
+         _manifest_with_checkpoint_field("n", None)],
         ids=["garbage", "codec-v1-fixture", "string-length",
-             "null-epoch-tokens", "list-boundary", "object-n"],
+             "null-epoch-tokens", "list-boundary", "object-n",
+             "checkpoint-null-n"],
     )
     def test_window_query_rejects_garbage_manifest(
         self, tmp_path, capsys, data

@@ -23,8 +23,13 @@ import pathlib
 
 import pytest
 
-from repro.api import ConnectivityQuery, GraphSketchEngine, MinCutQuery
-from repro.distributed import forest_sketch, mincut_sketch
+from repro.api import (
+    ConnectivityQuery,
+    GraphSketchEngine,
+    MinCutQuery,
+    SketchSpec,
+    build_sketch,
+)
 from repro.sketch import dump_sketch, peek_sketch_meta
 from repro.temporal import EpochTimeline, materialise_window
 
@@ -92,7 +97,10 @@ class TestForestFixture:
         """An empty identically-seeded sketch still merges with fixtures."""
         from repro.sketch import load_sketch
 
-        twin = functools.partial(forest_sketch, FIXTURE_N, FOREST_SEED)()
+        twin = functools.partial(
+            build_sketch,
+            SketchSpec.of("spanning_forest", FIXTURE_N, seed=FOREST_SEED),
+        )()
         restored = load_sketch(
             forest_timeline.checkpoint(3).payload, like=twin
         )
@@ -122,7 +130,8 @@ class TestMinCutFixture:
         from repro.sketch import load_sketch
 
         stranger = functools.partial(
-            mincut_sketch, FIXTURE_N, MINCUT_SEED + 1, c_k=0.3
+            build_sketch,
+            SketchSpec.of("mincut", FIXTURE_N, seed=MINCUT_SEED + 1, c_k=0.3),
         )()
         with pytest.raises(SketchCompatibilityError):
             load_sketch(mincut_timeline.checkpoint(1).payload, like=stranger)

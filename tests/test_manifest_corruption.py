@@ -21,9 +21,8 @@ import pytest
 from blob_utils import pack_v1_sketch, repack_v2
 from test_epoch_store import _rewrite_catalog
 
-from repro.api import GraphSketchEngine
+from repro.api import GraphSketchEngine, SketchSpec, build_sketch
 from repro.core import SpanningForestSketch
-from repro.distributed import forest_sketch
 from repro.errors import SketchCompatibilityError, StoreCorruptionError
 from repro.hashing import HashSource
 from repro.sketch import (
@@ -57,7 +56,10 @@ def blob(stream) -> bytes:
 @pytest.fixture(scope="module")
 def timeline(stream) -> EpochTimeline:
     return EpochManager.consume(
-        functools.partial(forest_sketch, N, 31), stream, epochs=3
+        functools.partial(
+            build_sketch, SketchSpec.of("spanning_forest", N, seed=31)
+        ),
+        stream, epochs=3,
     )
 
 
@@ -97,6 +99,26 @@ def _resealed_manifest(field: str, value) -> bytes:
     return repack_v2(
         (FIXTURES / "forest_epochs_v2.manifest").read_bytes(), mutate
     )
+
+
+def _manifest_with_checkpoint_field(field: str, value) -> bytes:
+    """The v2 forest fixture manifest with header ``field`` of its first
+    checkpoint set to ``value``; the checkpoint and the manifest are
+    both resealed, so only a check of the checkpoint's parameters can
+    refuse it."""
+    data = (FIXTURES / "forest_epochs_v2.manifest").read_bytes()
+    payloads = load_epoch_manifest(data)[1]
+
+    def set_field(header, _payload):
+        header[field] = value
+
+    payloads[0] = repack_v2(payloads[0], set_field)
+
+    def wrap(header, payload):
+        header["lengths"] = [len(p) for p in payloads]
+        payload[:] = b"".join(payloads)
+
+    return repack_v2(data, wrap)
 
 
 #: Bytes no manifest reader accepts, by name (built lazily).
@@ -148,6 +170,29 @@ GARBAGE_CASES = [
     for name, (field, value) in NON_INTEGER_FIELDS.items()
     for reader in MANIFEST_READERS
     if field == "lengths" or reader != "load_epoch_manifest"
+] + [
+    # The manifest readers check a checkpoint's kind and seed; only the
+    # engine builds its spec from the rest of the header.
+    pytest.param("GraphSketchEngine.restore",
+                 functools.partial(_manifest_with_checkpoint_field, "n", None),
+                 "cannot build",
+                 id="checkpoint-n-null-GraphSketchEngine.restore"),
+]
+
+#: A field removed from a header instead of set (``UNBUILDABLE_HEADERS``).
+_DROP = object()
+
+#: CRC-consistent sketch headers whose constructor fields do not build
+#: the sketch they describe: ``(kind, field, value)``.
+UNBUILDABLE_HEADERS = [
+    pytest.param("spanning_forest", "n", None, id="forest-n-null"),
+    pytest.param("spanning_forest", "n", 10.0, id="forest-n-float"),
+    pytest.param("spanning_forest", "rows", "2", id="forest-rows-string"),
+    pytest.param("spanning_forest", "seed", None, id="forest-seed-null"),
+    pytest.param("spanning_forest", "seed", "31", id="forest-seed-string"),
+    pytest.param("spanning_forest", "rounds", _DROP, id="forest-no-rounds"),
+    pytest.param("mincut", "epsilon", None, id="mincut-epsilon-null"),
+    pytest.param("mincut", "levels", _DROP, id="mincut-no-levels"),
 ]
 
 
@@ -183,6 +228,33 @@ class TestLoadSketchFuzz:
         other = SpanningForestSketch(N, HashSource(32)).consume_batch(stream.as_batch())
         with pytest.raises(SketchCompatibilityError, match="seed"):
             load_sketch(blob, like=other)
+
+    @pytest.mark.parametrize("kind,field,value", UNBUILDABLE_HEADERS)
+    def test_unbuildable_header_is_a_value_error(self, kind, field, value):
+        """Whatever the constructor makes of a header's values, a blob
+        whose fields do not rebuild its sketch refuses with ValueError."""
+        def mutate(header, _payload):
+            if value is _DROP:
+                del header[field]
+            else:
+                header[field] = value
+
+        blob = dump_sketch(SketchSpec.of(kind, N, seed=31).build())
+        with pytest.raises(ValueError):
+            load_sketch(repack_v2(blob, mutate))
+
+    @pytest.mark.parametrize("kind", ["mincut", "simple_sparsification"])
+    def test_negative_levels_refused(self, kind):
+        """A hierarchy with no level has no ``_params()`` to check a
+        header against: spec and header alike refuse ``levels=-1``."""
+        def mutate(header, _payload):
+            header["levels"] = -1
+
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            SketchSpec.of(kind, N, seed=31, levels=-1).build()
+        blob = dump_sketch(SketchSpec.of(kind, N, seed=31).build())
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            load_sketch(repack_v2(blob, mutate))
 
     def test_oversized_cells_meta_rejected(self, blob):
         def grow(header, _arrays):
@@ -292,7 +364,9 @@ class TestManifestCorruption:
             load_epoch_manifest(_repack(timeline.to_bytes(), poison))
 
     def test_manager_rejects_bad_boundaries(self, stream):
-        factory = functools.partial(forest_sketch, N, 31)
+        factory = functools.partial(
+            build_sketch, SketchSpec.of("spanning_forest", N, seed=31)
+        )
         with pytest.raises(ValueError, match="exactly one"):
             EpochManager.consume(factory, stream)
         with pytest.raises(ValueError, match="exactly one"):
