@@ -23,13 +23,21 @@ hierarchy's ``k``.
 
 **Codec v2** is the one format this module reads and writes.  It
 exploits the contiguous :class:`~repro.sketch.arena.SketchArena`: a
-blob is a fixed ``RSKB2\\n`` prefix, a JSON header, and the arena
-buffer — ``header + buffer.tobytes()``, level-1-deflated since cell
-buffers are mostly zeros — with a CRC32 so flipped bits are caught.
-Epoch manifests are the same shape with the concatenated checkpoint
-blobs as a raw payload.  Bytes without the prefix — codec v1 ``npz``
-blobs included — are refused with :class:`ValueError`;
-``docs/MIGRATION.md`` says how to re-dump them.
+blob is a fixed ``RSKB2\\n`` prefix, a strict-JSON header, and a
+level-1-deflated cell payload, with a CRC32 so flipped bits are
+caught.  The payload has one of two encodings.  ``zlib`` is the whole
+arena buffer as int64 (``buffer.tobytes()``).  ``packed-zlib`` is
+written whenever at most one entry in eight is nonzero: the nonzero
+positions as gaps at the narrowest of u16/u32/u64 that holds the
+largest gap, the counter values as int32 when they all fit (int64
+otherwise), and the fingerprint values as uint32 — about 6 bytes a
+nonzero instead of 16.  Blobs written before ``packed-zlib`` existed
+hold ``sparse-zlib`` (int64 positions, then int64 values); they still
+load, but nothing writes them any more.  Epoch manifests are the same
+shape with the concatenated checkpoint blobs as a raw payload.  Bytes
+without the prefix — codec v1 ``npz`` blobs included — are refused
+with :class:`ValueError`; ``docs/MIGRATION.md`` says how to re-dump
+them.
 
 Only identically-parameterised, identically-seeded sketches merge, so
 the format stores the constructor parameters and seeds alongside the
@@ -80,9 +88,21 @@ _MANIFEST_KIND = "epoch-manifest"
 #: Leading bytes of every blob (sketches and manifests alike).
 _V2_PREFIX = b"RSKB2\n"
 _V2_HEAD = struct.Struct("<I")
+#: Payload encodings stored level-1-deflated (``raw`` is stored as is).
+_DEFLATED = frozenset({"zlib", "sparse-zlib", "packed-zlib"})
+#: Byte widths a ``packed-zlib`` payload may store its position gaps
+#: (unsigned) and its counter values (signed) in; fingerprints are u32.
+_GAP_WIDTHS = (2, 4, 8)
+_COUNT_WIDTHS = (4, 8)
+_INT32 = np.iinfo(np.int32)
 
 
 # -- codec v2: raw header + payload containers ---------------------------------
+
+
+def _is_int(value: object) -> bool:
+    """Whether a JSON header value is an integer (``bool`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _pack_raw(
@@ -90,22 +110,22 @@ def _pack_raw(
 ) -> bytes:
     """Assemble a v2 blob: magic, JSON header, payload bytes.
 
-    ``encoding="zlib"`` deflates the payload at level 1 — sketch cell
-    buffers are mostly zeros, so this keeps shipped/persisted sizes
-    small at little CPU cost.  Manifest payloads stay ``"raw"``: they
-    are concatenations of already-encoded checkpoint blobs.
+    The ``zlib`` and ``packed-zlib`` encodings deflate the payload at
+    level 1 — sketch cells are mostly zeros, so this keeps
+    shipped/persisted sizes small at little CPU cost.  Manifest payloads
+    stay ``"raw"``: they are concatenations of already-encoded
+    checkpoint blobs.  The header is strict JSON: a ``NaN`` or infinite
+    parameter raises :class:`ValueError` instead of writing a token no
+    JSON reader accepts.
     """
-    stored = (
-        zlib.compress(payload, 1)
-        if encoding in ("zlib", "sparse-zlib") else payload
-    )
+    stored = zlib.compress(payload, 1) if encoding in _DEFLATED else payload
     header = dict(meta)
     header["__magic__"] = _MAGIC_V2
     header["__kind__"] = kind
     header["encoding"] = encoding
     header["payload_bytes"] = len(stored)
     header["crc32"] = zlib.crc32(stored) & 0xFFFFFFFF
-    head = json.dumps(header).encode("utf-8")
+    head = json.dumps(header, allow_nan=False).encode("utf-8")
     return b"".join((_V2_PREFIX, _V2_HEAD.pack(len(head)), head, stored))
 
 
@@ -160,7 +180,7 @@ def _read_raw(data: bytes) -> tuple[dict, bytes]:
             "blob payload checksum mismatch — corrupt or tampered bytes"
         )
     encoding = header.get("encoding", "raw")
-    if encoding in ("zlib", "sparse-zlib"):
+    if encoding in _DEFLATED:
         try:
             payload = zlib.decompress(payload)
         except zlib.error as err:
@@ -197,12 +217,14 @@ def _validated_cell_buffer(payload: bytes, cells: int) -> np.ndarray:
 def _validated_sparse_cells(
     header: dict, payload: bytes, cells: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interpret a sparse v2 payload as ``(positions, values)``.
+    """Interpret a ``sparse-zlib`` payload as ``(positions, values)``.
 
-    The payload is ``nnz`` strictly-increasing int64 buffer positions
-    followed by ``nnz`` int64 values; ordering gives uniqueness (so
-    scatters are well-defined) for free, and fingerprint-half values
-    must already be reduced mod ``2^31 - 1``.
+    The encoding written before ``packed-zlib``, read so that older
+    blobs, manifests and stores still load.  The payload is ``nnz``
+    strictly-increasing int64 buffer positions followed by ``nnz``
+    int64 values; ordering gives uniqueness (so scatters are
+    well-defined) for free, and fingerprint-half values must already be
+    reduced mod ``2^31 - 1``.
     """
     nnz = header.get("nnz")
     if not isinstance(nnz, int) or nnz < 0 or len(payload) != 16 * nnz:
@@ -233,6 +255,108 @@ def _validated_sparse_cells(
                 "— corrupt or tampered blob"
             )
     return idx, values
+
+
+def _pack_sparse(
+    positions: np.ndarray, values: np.ndarray, cells: int
+) -> tuple[dict, bytes]:
+    """Encode the nonzero entries of a ``4 * cells`` buffer as ``packed-zlib``.
+
+    ``positions`` are strictly increasing int64 buffer positions and
+    ``values`` the int64 entries there.  Returns the header fields (``nnz``
+    and ``widths``) and the payload before deflation: the gaps between
+    successive positions (the first counted from 0) at the narrowest of
+    u16/u32/u64 that holds the largest, then the counter values
+    (positions below ``2 * cells``) as int32 when all fit and int64
+    otherwise, then the fingerprint values as uint32.  A fingerprint
+    outside ``[0, 2^31 - 1)`` raises :class:`ValueError` instead of
+    being truncated.
+    """
+    split = int(np.searchsorted(positions, 2 * cells))
+    counts, fps = values[:split], values[split:]
+    if fps.size and (int(fps.min()) < 0 or int(fps.max()) >= MERSENNE31):
+        raise ValueError(
+            "cannot pack fingerprint values outside GF(2^31 - 1)"
+        )
+    gaps = np.diff(positions, prepend=0)
+    top = int(gaps.max()) if gaps.size else 0
+    gap_width = next(w for w in _GAP_WIDTHS if top < 1 << (8 * w))
+    narrow = not counts.size or (
+        int(counts.min()) >= _INT32.min and int(counts.max()) <= _INT32.max
+    )
+    count_width = 4 if narrow else 8
+    payload = b"".join((
+        gaps.astype(f"<u{gap_width}", copy=False).tobytes(),
+        counts.astype(f"<i{count_width}", copy=False).tobytes(),
+        fps.astype("<u4", copy=False).tobytes(),
+    ))
+    fields = {"nnz": int(positions.size), "widths": [gap_width, count_width]}
+    return fields, payload
+
+
+def _unpack_sparse(
+    header: Mapping[str, Any], payload: bytes, cells: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a ``packed-zlib`` payload into int64 ``(positions, values)``.
+
+    The inverse of :func:`_pack_sparse`, reading ``nnz`` and ``widths``
+    from ``header``.  Refuses with :class:`ValueError` a width outside
+    its set, a non-integer ``nnz``, a payload of any other length than
+    the fields imply, a zero gap after the first, gaps whose unsigned
+    sum wraps or reaches ``4 * cells``, and a fingerprint outside
+    ``GF(2^31 - 1)``.
+    """
+    nnz, widths = header.get("nnz"), header.get("widths")
+    if (
+        not isinstance(widths, list) or len(widths) != 2
+        or not all(map(_is_int, widths))
+        or widths[0] not in _GAP_WIDTHS or widths[1] not in _COUNT_WIDTHS
+    ):
+        raise ValueError(
+            f"blob packed cell widths {widths!r} are not a gap width in "
+            f"{_GAP_WIDTHS} and a count width in {_COUNT_WIDTHS} — corrupt "
+            "or tampered blob"
+        )
+    gap_width, count_width = widths
+    if not _is_int(nnz) or nnz < 0 or len(payload) < nnz * gap_width:
+        raise ValueError(
+            f"blob sparse cell payload mis-sized: nnz={nnz!r} for "
+            f"{len(payload)} bytes — corrupt or tampered blob"
+        )
+    gaps = np.frombuffer(payload, dtype=f"<u{gap_width}", count=nnz)
+    # Every gap after the first is at least 1, so the unsigned running
+    # sum rises strictly unless a gap is zero or the sum wraps.
+    positions = np.cumsum(gaps, dtype=np.uint64)
+    if nnz > 1 and not bool((positions[1:] > positions[:-1]).all()):
+        raise ValueError(
+            "blob sparse cell positions not strictly increasing (a zero "
+            "gap, or gaps that wrap) — corrupt or tampered blob"
+        )
+    if nnz and int(positions[-1]) >= 4 * cells:
+        raise ValueError(
+            "blob sparse cell positions outside the buffer — corrupt or "
+            "tampered blob"
+        )
+    positions = positions.view(np.int64)
+    split = int(np.searchsorted(positions, 2 * cells))
+    offset = nnz * gap_width + split * count_width
+    if len(payload) != offset + 4 * (nnz - split):
+        raise ValueError(
+            f"blob sparse cell payload mis-sized: nnz={nnz} with widths "
+            f"{widths} implies {offset + 4 * (nnz - split)} bytes, got "
+            f"{len(payload)} — corrupt or tampered blob"
+        )
+    counts = np.frombuffer(
+        payload, dtype=f"<i{count_width}", count=split,
+        offset=nnz * gap_width,
+    )
+    fps = np.frombuffer(payload, dtype="<u4", offset=offset)
+    if fps.size and int(fps.max()) >= MERSENNE31:
+        raise ValueError(
+            "blob fingerprint cells have values outside GF(2^31 - 1) — "
+            "corrupt or tampered blob"
+        )
+    return positions, np.concatenate((counts, fps), dtype=np.int64)
 
 
 # -- generic sketch registry ---------------------------------------------------
@@ -413,18 +537,16 @@ def dump_sketch(
         meta["epoch"] = dict(epoch_meta)
     # The field-major arena buffer is the payload, with zero gather
     # work.  A lightly-loaded sketch (a site shard, an early epoch)
-    # ships as sparse (position, value) pairs instead — smaller bytes
-    # *and* an O(nnz) fold at the coordinator.
+    # ships its nonzero entries packed instead — smaller bytes *and* an
+    # O(nnz) fold at the coordinator.  (``buffer != 0`` scans an int64
+    # arena faster than ``flatnonzero`` on the int64 values.)
     buffer = ensure_arena(sketch).buffer
-    idx = np.flatnonzero(buffer)
+    idx = np.flatnonzero(buffer != 0)
     kind = _SKETCH_KIND_PREFIX + codec.kind
     if 2 * idx.size <= buffer.size // 4:
-        meta["nnz"] = int(idx.size)
-        payload = (
-            idx.astype("<i8", copy=False).tobytes()
-            + buffer[idx].astype("<i8", copy=False).tobytes()
-        )
-        return _pack_raw(kind, meta, payload, encoding="sparse-zlib")
+        fields, payload = _pack_sparse(idx, buffer[idx], buffer.size // 4)
+        meta.update(fields)
+        return _pack_raw(kind, meta, payload, encoding="packed-zlib")
     payload = buffer.astype("<i8", copy=False).tobytes()
     return _pack_raw(kind, meta, payload, encoding="zlib")
 
@@ -515,10 +637,14 @@ def _read_cells(
             "parameters give — corrupt or tampered blob"
         )
     total = int(sum(cells))
-    if header.get("encoding") == "sparse-zlib":
+    encoding = header.get("encoding")
+    if encoding == "packed-zlib":
+        idx, values = _unpack_sparse(header, payload, total)
+    elif encoding == "sparse-zlib":
         idx, values = _validated_sparse_cells(header, payload, total)
-        return into, idx, values
-    return into, None, _validated_cell_buffer(payload, total)
+    else:
+        return into, None, _validated_cell_buffer(payload, total)
+    return into, idx, values
 
 
 def _twin_of_header(header: dict) -> Any:
@@ -592,11 +718,6 @@ def _verify_like(
 
 
 # -- epoch manifests -----------------------------------------------------------
-
-
-def _is_int(value: object) -> bool:
-    """Whether a JSON header value is an integer (``bool`` is not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def dump_epoch_manifest(

@@ -323,9 +323,11 @@ class EpochStore:
         point: before it the old catalog and its segments are intact,
         after it the new state is.
         """
-        doc = self._catalog_doc()
-        doc["self_crc32"] = zlib.crc32(self._canonical(doc)) & 0xFFFFFFFF
-        payload = json.dumps(doc, sort_keys=True, indent=1).encode() + b"\n"
+        body = self._canonical(self._catalog_doc())
+        crc = zlib.crc32(body) & 0xFFFFFFFF
+        # One encoding pass: the canonical body with ``self_crc32`` as one
+        # more, last key, which _load_catalog pops before hashing the rest.
+        payload = body[:-1] + b',"self_crc32":%d}\n' % crc
         tmp = self.root / (_CATALOG_NAME + ".tmp")
         with open(tmp, "wb") as fh:
             fh.write(payload)

@@ -18,8 +18,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from blob_utils import (
+    edit_packed,
     repack_v2,
     sketch_fields_v2,
+    sparse_zlib_sketch_v2,
     unpack_v2,
 )
 
@@ -262,13 +264,20 @@ class TestEmptyAndEdgeCases:
 
 
 class TestSparseEncoding:
-    """Lightly-loaded sketches ship as sparse (position, value) pairs."""
+    """Lightly-loaded sketches ship their nonzero entries packed
+    (``packed-zlib``); blobs in the int64 ``sparse-zlib`` encoding
+    written before it still load, combine and refuse tampering."""
 
     def test_empty_and_shard_sketches_dump_sparse(self, stream):
         empty = dump_sketch(SpanningForestSketch(N, HashSource(81)))
         header, _payload = unpack_v2(empty)
+        assert header["encoding"] == "packed-zlib"
+        assert header["nnz"] == 0
+        old = sparse_zlib_sketch_v2(empty)
+        header, _payload = unpack_v2(old)
         assert header["encoding"] == "sparse-zlib"
         assert header["nnz"] == 0
+        assert dump_sketch(load_sketch(old)) == empty
 
     def test_sparse_blob_round_trips(self, stream):
         # A couple of tokens keep the buffer sparse.
@@ -276,35 +285,38 @@ class TestSparseEncoding:
         sketch.consume_batch(stream.as_batch().slice(0, 3))
         blob = dump_sketch(sketch)
         header, _ = unpack_v2(blob)
-        assert header["encoding"] == "sparse-zlib"
-        restored = load_sketch(blob, like=sketch)
-        assert dump_sketch(restored) == blob
-        for mine, theirs in zip(sketch._cell_banks(),
-                                restored._cell_banks()):
-            assert np.array_equal(mine.phi, theirs.phi)
-            assert np.array_equal(mine.fp1, theirs.fp1)
+        assert header["encoding"] == "packed-zlib"
+        for data in (blob, sparse_zlib_sketch_v2(blob)):
+            restored = load_sketch(data, like=sketch)
+            assert dump_sketch(restored) == blob
+            for mine, theirs in zip(sketch._cell_banks(),
+                                    restored._cell_banks()):
+                assert np.array_equal(mine.phi, theirs.phi)
+                assert np.array_equal(mine.fp1, theirs.fp1)
 
     def test_sparse_merge_bytes_equals_dense_merge(self, stream):
         shard = stream.as_batch().slice(0, 4)
         consumed = SpanningForestSketch(N, HashSource(83))
         consumed.consume_batch(shard)
         blob = dump_sketch(consumed)
-        assert unpack_v2(blob)[0]["encoding"] == "sparse-zlib"
+        assert unpack_v2(blob)[0]["encoding"] == "packed-zlib"
 
-        via_bytes = SpanningForestSketch(N, HashSource(83)).consume_batch(stream.as_batch())
-        merge_sketch_bytes(via_bytes, blob)
-        via_object = SpanningForestSketch(N, HashSource(83)).consume_batch(stream.as_batch())
-        via_object.merge(load_sketch(blob))
-        assert dump_sketch(via_bytes) == dump_sketch(via_object)
-        subtract_sketch_bytes(via_bytes, blob)
-        assert dump_sketch(via_bytes) == dump_sketch(
-            SpanningForestSketch(N, HashSource(83)).consume_batch(stream.as_batch())
-        )
+        for data in (blob, sparse_zlib_sketch_v2(blob)):
+            via_bytes = SpanningForestSketch(N, HashSource(83)).consume_batch(stream.as_batch())
+            merge_sketch_bytes(via_bytes, data)
+            via_object = SpanningForestSketch(N, HashSource(83)).consume_batch(stream.as_batch())
+            via_object.merge(load_sketch(data))
+            assert dump_sketch(via_bytes) == dump_sketch(via_object)
+            subtract_sketch_bytes(via_bytes, data)
+            assert dump_sketch(via_bytes) == dump_sketch(
+                SpanningForestSketch(N, HashSource(83)).consume_batch(stream.as_batch())
+            )
 
     def test_tampered_sparse_payloads_rejected(self, stream):
         sketch = SpanningForestSketch(N, HashSource(84))
         sketch.consume_batch(stream.as_batch().slice(0, 3))
         blob = dump_sketch(sketch)
+        old = sparse_zlib_sketch_v2(blob)
 
         def reorder(header, payload):
             raw = np.frombuffer(bytes(payload), dtype="<i8").copy()
@@ -312,28 +324,40 @@ class TestSparseEncoding:
             raw[:nnz] = raw[:nnz][::-1]  # descending positions
             payload[:] = raw.astype("<i8").tobytes()
 
-        with pytest.raises(ValueError, match="strictly increasing"):
-            load_sketch(repack_v2(blob, reorder))
+        def repeat(gaps, _counts, _fps, _size):
+            gaps[2] += gaps[1]
+            gaps[1] = 0  # the second position repeats the first
+
+        for data, mutate in ((old, reorder), (blob, edit_packed(repeat))):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                load_sketch(repack_v2(data, mutate))
 
         def out_of_range(header, payload):
             raw = np.frombuffer(bytes(payload), dtype="<i8").copy()
             raw[header["nnz"] - 1] = 4 * int(sum(header["cells"]))
             payload[:] = raw.astype("<i8").tobytes()
 
-        with pytest.raises(ValueError, match="outside the buffer"):
-            load_sketch(repack_v2(blob, out_of_range))
+        def past_the_end(gaps, _counts, _fps, size):
+            gaps[-1] += size - int(gaps.sum())
+
+        for data, mutate in (
+            (old, out_of_range), (blob, edit_packed(past_the_end)),
+        ):
+            with pytest.raises(ValueError, match="outside the buffer"):
+                load_sketch(repack_v2(data, mutate))
 
         def bad_nnz(header, _payload):
             header["nnz"] = header["nnz"] + 1
 
-        with pytest.raises(ValueError, match="mis-sized"):
-            load_sketch(repack_v2(blob, bad_nnz))
+        for data in (old, blob):
+            with pytest.raises(ValueError, match="mis-sized"):
+                load_sketch(repack_v2(data, bad_nnz))
 
-        with pytest.raises(ValueError, match="mis-sized"):
-            merge_sketch_bytes(
-                SpanningForestSketch(N, HashSource(84)),
-                repack_v2(blob, bad_nnz),
-            )
+            with pytest.raises(ValueError, match="mis-sized"):
+                merge_sketch_bytes(
+                    SpanningForestSketch(N, HashSource(84)),
+                    repack_v2(data, bad_nnz),
+                )
 
 
 class TestCodecMigration:

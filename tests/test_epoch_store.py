@@ -730,6 +730,49 @@ class TestGoldenFixture:
             "epoch": 4, "tokens": 15, "cumulative_tokens": 57,
         }
 
+    def test_resume_appends_packed_segments_through_compaction(
+        self, tmp_path
+    ):
+        """The golden store, written before ``packed-zlib``, resumes
+        under today's codec: new epochs seal ``packed-zlib`` segments,
+        compaction merges old segments with new ones, and every window —
+        those across old and new segments too — equals a freshly built
+        sketch's."""
+        root = _copy_golden(tmp_path)
+        factory = _forest(GOLDEN_N, GOLDEN_SEED)
+        old = _golden_stream().as_batch()
+        new = churn_stream(
+            GOLDEN_N, erdos_renyi_graph(GOLDEN_N, 0.3, seed=7), seed=8
+        ).as_batch()
+        manager = EpochManager.resume(factory, EpochStore.open(root))
+        for epoch in range(GOLDEN_EPOCHS):
+            manager.extend(new.slice(6 * epoch, 6 * epoch + 6)).seal_epoch()
+
+        store = EpochStore.open(root)
+        encodings = {
+            (entry.start, entry.end): peek_sketch_meta(
+                (root / "segments" / entry.file).read_bytes()
+            )["encoding"]
+            for entry in store.spans()
+        }
+        assert encodings[(1, 2)] == "sparse-zlib"
+        assert encodings[(4, 5)] == "packed-zlib"
+        assert (0, 8) in encodings  # (0, 4) compacted with (4, 8)
+
+        end = GOLDEN_BOUNDARIES[-1]
+        bounds = (0, *GOLDEN_BOUNDARIES, *(end + 6 * e for e in (1, 2, 3, 4)))
+        assert store.boundaries == bounds[1:]
+        for t1 in range(store.epochs):
+            for t2 in range(t1 + 1, store.epochs + 1):
+                lo, hi = bounds[t1], bounds[t2]
+                direct = factory()
+                direct.consume_batch(old.slice(min(lo, end), min(hi, end)))
+                direct.consume_batch(
+                    new.slice(max(lo, end) - end, max(hi, end) - end)
+                )
+                assert dump_sketch(materialise_window(store, t1, t2)) == \
+                    dump_sketch(direct), (t1, t2)
+
 
 class TestEngineIntegration:
     def _stream(self):

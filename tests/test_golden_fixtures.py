@@ -12,6 +12,12 @@ silently corrupting stored checkpoints.
 (v1).  They stay committed as refusal inputs: every reader must reject
 them with :class:`ValueError` (``tests/test_manifest_corruption.py``).
 
+The checkpoints of ``forest_epochs_v2`` are dense (``zlib``) and those
+of ``mincut_epochs_v2`` are int64 ``sparse-zlib``, the sparse encoding
+written before ``packed-zlib``.  ``forest_epochs_packed_v2.manifest``
+holds a lighter forest workload whose checkpoints are ``packed-zlib``;
+today's code must re-dump it byte for byte.
+
 If the format ever changes intentionally, add a new fixture version
 (``*_v3.manifest``) and a migration path — do not regenerate these.
 """
@@ -30,7 +36,8 @@ from repro.api import (
     SketchSpec,
     build_sketch,
 )
-from repro.sketch import dump_sketch, peek_sketch_meta
+from repro.sketch import dump_sketch, load_sketch, peek_sketch_meta
+from repro.streams import churn_stream, erdos_renyi_graph
 from repro.temporal import EpochTimeline, materialise_window
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -135,3 +142,48 @@ class TestMinCutFixture:
         )()
         with pytest.raises(SketchCompatibilityError):
             load_sketch(mincut_timeline.checkpoint(1).payload, like=stranger)
+
+
+#: Workload ``forest_epochs_packed_v2.manifest`` was sealed from:
+#: ``EpochManager.consume`` of a ``spanning_forest`` spec (n=10, seed
+#: ``PACKED_SEED``) over this stream, ``epochs=3``.
+PACKED_SEED = 606060
+PACKED_BOUNDARIES = (5, 10, 16)
+
+
+def _packed_stream():
+    return churn_stream(
+        FIXTURE_N, erdos_renyi_graph(FIXTURE_N, 0.2, seed=71), seed=72
+    )
+
+
+class TestPackedForestFixture:
+    """``packed-zlib`` checkpoints, pinned as written."""
+
+    @pytest.fixture(scope="class")
+    def data(self) -> bytes:
+        return (FIXTURES / "forest_epochs_packed_v2.manifest").read_bytes()
+
+    def test_checkpoints_are_packed_and_re_dump_byte_for_byte(self, data):
+        timeline = EpochTimeline.from_bytes(data)
+        assert timeline.boundaries == PACKED_BOUNDARIES
+        for epoch in (1, 2, 3):
+            payload = timeline.checkpoint(epoch).payload
+            meta = peek_sketch_meta(payload)
+            assert meta["encoding"] == "packed-zlib"
+            assert meta["seed"] == PACKED_SEED
+            assert dump_sketch(
+                load_sketch(payload), epoch_meta=meta["epoch"]
+            ) == payload
+        assert timeline.to_bytes() == data
+
+    def test_windows_match_freshly_built_sketches(self, data):
+        timeline = EpochTimeline.from_bytes(data)
+        batch = _packed_stream().as_batch()
+        bounds = (0, *PACKED_BOUNDARIES)
+        for t1, t2 in [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]:
+            direct = SketchSpec.of(
+                "spanning_forest", FIXTURE_N, seed=PACKED_SEED
+            ).build().consume_batch(batch.slice(bounds[t1], bounds[t2]))
+            assert dump_sketch(materialise_window(timeline, t1, t2)) == \
+                dump_sketch(direct)

@@ -18,18 +18,20 @@ import pathlib
 import zlib
 
 import pytest
-from blob_utils import pack_v1_sketch, repack_v2
+from blob_utils import edit_packed, pack_v1_sketch, repack_v2, unpack_v2
 from test_epoch_store import _rewrite_catalog
 
 from repro.api import GraphSketchEngine, SketchSpec, build_sketch
 from repro.core import SpanningForestSketch
 from repro.errors import SketchCompatibilityError, StoreCorruptionError
-from repro.hashing import HashSource
+from repro.hashing import MERSENNE31, HashSource
 from repro.sketch import (
     dump_epoch_manifest,
     dump_sketch,
     load_epoch_manifest,
     load_sketch,
+    merge_sketch_bytes,
+    subtract_sketch_bytes,
 )
 from repro.streams import churn_stream, erdos_renyi_graph
 from repro.temporal import (
@@ -51,6 +53,17 @@ def stream():
 @pytest.fixture(scope="module")
 def blob(stream) -> bytes:
     return dump_sketch(SpanningForestSketch(N, HashSource(31)).consume_batch(stream.as_batch()))
+
+
+@pytest.fixture(scope="module")
+def packed_blob(stream) -> bytes:
+    """A lightly-loaded forest: a ``packed-zlib`` blob."""
+    data = dump_sketch(
+        SpanningForestSketch(N, HashSource(31))
+        .consume_batch(stream.as_batch().slice(0, 8))
+    )
+    assert unpack_v2(data)[0]["encoding"] == "packed-zlib"
+    return data
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +209,129 @@ UNBUILDABLE_HEADERS = [
 ]
 
 
+def _set_header(field: str, value):
+    """A ``mutate(header, payload)`` that sets (or, for ``_DROP``,
+    removes) one header field, computing a callable ``value`` from the
+    header."""
+    def mutate(header, _payload):
+        if value is _DROP:
+            del header[field]
+        else:
+            header[field] = value(header) if callable(value) else value
+    return mutate
+
+
+def _repeat_a_position(gaps, _counts, _fps, _size):
+    """A zero second gap: the second position repeats the first (the
+    third keeps its place)."""
+    gaps[2] += gaps[1]
+    gaps[1] = 0
+
+
+def _first_gap_2_63(gaps, _counts, _fps, _size):
+    gaps[0] = 1 << 63
+
+
+def _last_position_at_end(gaps, _counts, _fps, size):
+    """Move the last position to ``4 * cells``, one past the buffer."""
+    gaps[-1] += size - int(gaps.sum())
+
+
+def _wrap_gaps(gaps, _counts, _fps, _size):
+    """Every gap stays >= 1 and every position but the second in place,
+    but the unsigned running sum wraps past 2^64 on the way."""
+    gaps[2] += gaps[1] + 1
+    gaps[1] = (1 << 64) - 1
+
+
+def _fingerprint_p(_gaps, _counts, fps, _size):
+    fps[0] = MERSENNE31
+
+
+def _drop_last_byte(_header, payload):
+    del payload[-1]
+
+
+def _add_a_byte(_header, payload):
+    payload.append(0)
+
+
+#: One defect each of a ``packed-zlib`` blob, resealed so that only the
+#: payload decoder can refuse it: ``(mutate, message pattern)``.
+PACKED_DEFECTS = {
+    "gap-width-3": (
+        _set_header("widths", lambda h: [3, h["widths"][1]]), "not a gap width",
+    ),
+    "count-width-2": (
+        _set_header("widths", lambda h: [h["widths"][0], 2]), "not a gap width",
+    ),
+    "widths-missing": (_set_header("widths", _DROP), "not a gap width"),
+    "nnz-missing": (_set_header("nnz", _DROP), "mis-sized"),
+    "nnz-float": (_set_header("nnz", lambda h: float(h["nnz"])), "mis-sized"),
+    "payload-byte-short": (_drop_last_byte, "mis-sized"),
+    "payload-byte-long": (_add_a_byte, "mis-sized"),
+    "duplicate-position": (
+        edit_packed(_repeat_a_position), "strictly increasing",
+    ),
+    "first-gap-2^63": (
+        edit_packed(_first_gap_2_63, gap_width=8), "outside the buffer",
+    ),
+    "position-at-4-cells": (
+        edit_packed(_last_position_at_end), "outside the buffer",
+    ),
+    "gaps-wrap": (
+        edit_packed(_wrap_gaps, gap_width=8), "strictly increasing",
+    ),
+    "fingerprint-p": (edit_packed(_fingerprint_p), "outside GF"),
+}
+
+#: Every reader of sketch bytes, as ``data -> result``.
+SKETCH_READERS = {
+    "load_sketch": load_sketch,
+    "merge_sketch_bytes": lambda data: merge_sketch_bytes(
+        SpanningForestSketch(N, HashSource(31)), data
+    ),
+    "subtract_sketch_bytes": lambda data: subtract_sketch_bytes(
+        SpanningForestSketch(N, HashSource(31)), data
+    ),
+}
+
+
 class TestLoadSketchFuzz:
+    @pytest.mark.parametrize("reader", sorted(SKETCH_READERS))
+    @pytest.mark.parametrize("defect", list(PACKED_DEFECTS))
+    def test_packed_payload_defect_refused(self, packed_blob, defect, reader):
+        mutate, match = PACKED_DEFECTS[defect]
+        with pytest.raises(ValueError, match=match):
+            SKETCH_READERS[reader](repack_v2(packed_blob, mutate))
+
+    @pytest.mark.parametrize("defect", list(PACKED_DEFECTS))
+    def test_packed_segment_defect_is_store_corruption(
+        self, timeline, tmp_path, defect
+    ):
+        """The same defects in a store segment (segment and catalog
+        CRCs resealed) are store corruption on the window path."""
+        root = tmp_path / "store"
+        store = EpochStore.from_timeline(root, timeline)
+        entry = next(
+            e for e in store.plan_window(0, timeline.epochs)
+            if unpack_v2((root / "segments" / e.file).read_bytes())[0][
+                "encoding"] == "packed-zlib"
+        )
+        path = root / "segments" / entry.file
+        mutate, match = PACKED_DEFECTS[defect]
+        data = repack_v2(path.read_bytes(), mutate)
+        path.write_bytes(data)
+
+        def reseal(doc):
+            for span in doc["spans"]:
+                if span["file"] == entry.file:
+                    span["bytes"] = len(data)
+                    span["crc32"] = zlib.crc32(data) & 0xFFFFFFFF
+        _rewrite_catalog(root, reseal)
+        with pytest.raises(StoreCorruptionError, match=match):
+            materialise_window(EpochStore.open(root), 0, timeline.epochs)
+
     @pytest.mark.parametrize("keep", [1, 10, 57, 200])
     def test_truncated_payload_rejected(self, blob, keep):
         with pytest.raises(ValueError):

@@ -244,11 +244,16 @@ class TestRefusals:
         with pytest.raises(SketchCompatibilityError, match="CutEdgesSketch"):
             load_sketch(dump_sketch(forest), like=cut)
 
-    def test_tampered_fingerprint_values_rejected(self):
+    def test_tampered_fingerprint_values_rejected(self, stream):
         """Out-of-field fingerprint values refuse to load."""
         import struct
 
-        from blob_utils import densify_sketch_v2, repack_v2
+        from blob_utils import (
+            densify_sketch_v2,
+            edit_packed,
+            repack_v2,
+            sparse_zlib_sketch_v2,
+        )
 
         from repro.hashing import MERSENNE31
 
@@ -261,6 +266,40 @@ class TestRefusals:
 
         with pytest.raises(ValueError, match="outside"):
             load_sketch(repack_v2(densify_sketch_v2(blob), poison_v2))
+
+        # The sparse encodings, on a sketch with fingerprint entries.
+        sparse = dump_sketch(
+            SpanningForestSketch(N, HashSource(3004))
+            .consume_batch(stream.as_batch().slice(0, 2))
+        )
+
+        def poison_sparse(header, payload):
+            # The last value is the last fingerprint entry.
+            struct.pack_into("<q", payload, len(payload) - 8, MERSENNE31)
+
+        def poison_packed(_gaps, _counts, fps, _size):
+            fps[-1] = MERSENNE31
+
+        for data, poison in (
+            (sparse_zlib_sketch_v2(sparse), poison_sparse),
+            (sparse, edit_packed(poison_packed)),
+        ):
+            with pytest.raises(ValueError, match="outside"):
+                load_sketch(repack_v2(data, poison))
+
+    @pytest.mark.parametrize(
+        "epsilon", [float("inf"), float("nan")], ids=["inf", "nan"]
+    )
+    def test_non_finite_parameter_refused_at_dump(self, epsilon):
+        """Blob headers are strict JSON: a parameter no JSON reader
+        accepts raises at dump time instead of being written."""
+        from repro.api import SketchSpec
+
+        sketch = SketchSpec.of(
+            "mst_weight", 10, max_weight=4, epsilon=epsilon
+        ).build()
+        with pytest.raises(ValueError, match="JSON"):
+            dump_sketch(sketch)
 
     def test_tampered_cells_meta_rejected(self):
         """A blob whose cell layout disagrees with its params refuses."""
