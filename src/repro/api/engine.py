@@ -56,6 +56,7 @@ from ..sketch.serialize import (
     peek_sketch_meta,
     sketch_kind_of,
 )
+from ..sketch.twin import WarmTwin
 from ..streams import DynamicGraphStream, StreamBatch
 from ..temporal.epochs import EpochCheckpoint, EpochManager, EpochTimeline
 from ..temporal.query import materialise_window, window_payload_bytes
@@ -141,6 +142,7 @@ class GraphSketchEngine:
         self._spanner_report: Any = None
         self._last_report: Any = None
         self._shipped_bytes: int = 0
+        self._twin = WarmTwin()
 
     # -- fluent configuration ---------------------------------------------------
 
@@ -375,17 +377,21 @@ class GraphSketchEngine:
         return self._runner_obj
 
     def close(self) -> None:
-        """Release the sharded runner: its worker pool and shared
-        segments in process mode, its warm site sketch and buffers in
-        either mode.
+        """Release the sharded runner and the window twin.
 
-        Safe on any engine (a no-op when nothing is sharded) and
+        The runner's worker pool and shared segments go in process
+        mode, its warm site sketch and buffers in either mode.  A
+        temporal engine also drops the all-zero sketch its window
+        queries fold into (one arena, kept mapped between queries).
+
+        Safe on any engine (a no-op when nothing is held) and
         idempotent; the engine stays queryable — only the execution
         resources are torn down, to be lazily rebuilt if needed.
         """
         runner, self._runner_obj = self._runner_obj, None
         if runner is not None:
             runner.close()
+        self._twin.release()
 
     def __enter__(self) -> "GraphSketchEngine":
         return self
@@ -588,6 +594,13 @@ class GraphSketchEngine:
         engines answer straight off the live/merged sketch.  The result
         is a frozen dataclass carrying wall-clock and payload-byte
         telemetry.
+
+        A temporal engine folds each window into one warm all-zero
+        sketch that it keeps between queries, answers, and zeroes the
+        positions the window's payloads named; no result holds that
+        sketch.  A query that finds it in use (another thread's query)
+        folds into a fresh sketch, and one that raises drops it.
+        :meth:`close` releases it.
         """
         if isinstance(query, Mapping):
             query = query_from_dict(query)
@@ -614,7 +627,9 @@ class GraphSketchEngine:
             # default full window starts at its floor.
             t1, t2 = query.window if query.window is not None \
                 else (getattr(source, "base", 0), source.epochs)
-            sketch = materialise_window(source, t1, t2)
+            with self._twin.lend() as twin:
+                sketch = materialise_window(source, t1, t2, twin)
+                result_cls, fields = _answer_query(capability, sketch, query)
             payload_bytes = window_payload_bytes(source, t1, t2)
             window = (t1, t2)
         else:
@@ -628,8 +643,9 @@ class GraphSketchEngine:
                     "no data ingested; call ingest()/ingest_batch() before "
                     "querying"
                 )
-            sketch = self._ensure_sketch()
-        result_cls, fields = _answer_query(capability, sketch, query)
+            result_cls, fields = _answer_query(
+                capability, self._ensure_sketch(), query
+            )
         telemetry = QueryTelemetry(time.perf_counter() - t0, payload_bytes)
         return result_cls(
             **fields,

@@ -104,7 +104,6 @@ class NeighborhoodSketch:
     ):
         self.n = n
         self.buckets = max(1, buckets)
-        self._source = source
         self._cluster_hash = source.derive(0xC1)
         self.restrict_roots = restrict_roots
         self.bank = L0SamplerBank(
@@ -115,10 +114,6 @@ class NeighborhoodSketch:
             rows=2,
             buckets=4,
         )
-
-    def bucket_of_root(self, root: int) -> int:
-        """Bucket assigned to a cluster root for this batch."""
-        return int(self._cluster_hash.bucket(root, self.buckets))
 
     def consume(self, stream: DynamicGraphStream, state: ClusterState) -> None:
         """Replay the stream, routing each token by the *fixed* clustering.
@@ -183,19 +178,6 @@ class NeighborhoodSketch:
                 continue
             out.setdefault(rx, (u, x))
         return out
-
-    def any_edge(self, u: int, state: ClusterState) -> tuple[int, int] | None:
-        """Any single witness edge incident to ``u`` (first recoverable)."""
-        for b in range(self.buckets):
-            try:
-                item, _value = self.bank.sample(0, u * self.buckets + b)
-            except SamplerFailed:
-                continue
-            a, c = pair_unrank(item, self.n)
-            x = c if a == u else a
-            if x != u:
-                return (u, x)
-        return None
 
     def memory_cells(self) -> int:
         """Total 1-sparse cells held by this batch's sketch."""

@@ -30,6 +30,7 @@ stays unbiased.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,8 @@ class Sparsification(ArenaBacked):
         Constant scale handed to the rough sparsifier.
     c_level:
         Constant inside the level rule of step 4(b),
-        ``j = floor(log2(max(c_level · w(e) ε² / log2 n, 1)))``.
+        ``j = floor(log2(max(c_level · w(e) ε² / log2 n, 1)))``; a
+        finite real number above 0.
     levels:
         Subsampling depth, default ``2 log2 n``.
     rounds, rows, buckets:
@@ -99,6 +101,13 @@ class Sparsification(ArenaBacked):
         rows: int = 2,
         buckets: int = 4,
     ):
+        if isinstance(c_level, bool) or not isinstance(c_level, numbers.Real) \
+                or not math.isfinite(c_level) or c_level <= 0:
+            # Only the query computes with it, so a bad value would
+            # otherwise build, ingest and fail at the first sparsifier().
+            raise ValueError(
+                f"c_level must be a finite real number > 0, got {c_level!r}"
+            )
         if source is None:
             source = HashSource(0xBE77)
         self.n = n

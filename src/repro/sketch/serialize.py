@@ -569,6 +569,15 @@ def load_sketch(data: bytes, like: Any | None = None) -> Any:
         the offending fields.  Use this before merging a received
         sketch into a local one.
     """
+    return _load(data, like)[0]
+
+
+def _load(data: bytes, like: Any | None = None) -> tuple[Any, np.ndarray | None]:
+    """:func:`load_sketch`, also returning the positions it wrote.
+
+    The positions are those of a sparse payload, or ``None`` when the
+    payload was dense (see :func:`merge_sketch_bytes`).
+    """
     sketch, idx, values = _read_cells(data, like, "load")
     buffer = ensure_arena(sketch).buffer
     if idx is None:
@@ -576,31 +585,41 @@ def load_sketch(data: bytes, like: Any | None = None) -> Any:
     else:
         # A freshly constructed sketch's buffer is all zeros.
         buffer[idx] = values
-    return sketch
+    return sketch, idx
 
 
-def merge_sketch_bytes(sketch: Any, data: bytes) -> None:
+def merge_sketch_bytes(sketch: Any, data: bytes) -> np.ndarray | None:
     """Fold a serialised sketch directly into ``sketch`` (coordinator path).
 
     Equivalent to ``sketch.merge(load_sketch(data, like=sketch))`` but
     skips materialising the twin: after the same parameter/seed/layout/
     fingerprint verification, the payload is added straight into the
     live sketch's arena — two vector ops total.
+
+    Returns the arena buffer positions the payload named (strictly
+    increasing int64) when it was sparse, or ``None`` when it was the
+    dense buffer.  Every other position of the arena is left as it was,
+    so a caller that folded into an all-zero sketch restores it by
+    zeroing exactly those positions (all of them after a dense one).
     """
-    _combine_sketch_bytes(sketch, data, subtract=False)
+    return _combine_sketch_bytes(sketch, data, subtract=False)
 
 
-def subtract_sketch_bytes(sketch: Any, data: bytes) -> None:
+def subtract_sketch_bytes(sketch: Any, data: bytes) -> np.ndarray | None:
     """Subtract a serialised sketch from ``sketch`` (temporal-window path).
 
     The subtraction twin of :func:`merge_sketch_bytes` — materialising
     an epoch window becomes one checkpoint load plus one in-arena
-    subtraction of the earlier checkpoint's bytes.
+    subtraction of the earlier checkpoint's bytes.  Returns the
+    positions the payload named, or ``None`` for a dense payload, as
+    :func:`merge_sketch_bytes` does.
     """
-    _combine_sketch_bytes(sketch, data, subtract=True)
+    return _combine_sketch_bytes(sketch, data, subtract=True)
 
 
-def _combine_sketch_bytes(sketch: Any, data: bytes, subtract: bool) -> None:
+def _combine_sketch_bytes(
+    sketch: Any, data: bytes, subtract: bool
+) -> np.ndarray | None:
     _codec_for(sketch)
     op = "subtract" if subtract else "merge"
     _, idx, values = _read_cells(data, sketch, op, into=sketch)
@@ -609,6 +628,7 @@ def _combine_sketch_bytes(sketch: Any, data: bytes, subtract: bool) -> None:
         arena._combine_raw(values, subtract=subtract)
     else:
         arena._combine_sparse(idx, values, subtract=subtract)
+    return idx
 
 
 def _read_cells(

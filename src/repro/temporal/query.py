@@ -21,11 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Union
 
 from ..errors import StoreCorruptionError
-from ..sketch.serialize import (
-    load_sketch,
-    merge_sketch_bytes,
-    subtract_sketch_bytes,
-)
+from ..sketch.twin import Fold
 from .epochs import require_window
 from .store import EpochStore
 
@@ -44,7 +40,9 @@ __all__ = [
 ]
 
 
-def materialise_window(source: WindowSource, t1: int, t2: int) -> Any:
+def materialise_window(
+    source: WindowSource, t1: int, t2: int, twin: Fold | None = None
+) -> Any:
     """The sketch of exactly the tokens in epochs ``t1+1 .. t2``.
 
     ``source`` is either an in-memory :class:`~repro.temporal.epochs.
@@ -54,20 +52,27 @@ def materialise_window(source: WindowSource, t1: int, t2: int) -> Any:
     subtraction) — both exact by linearity, and byte-identical to each
     other.  Both sources validate the range (:func:`require_window`).
 
+    Without ``twin`` the window is a fresh sketch that the caller owns.
+    With ``twin``, a :class:`~repro.sketch.twin.Fold` lent by a
+    :class:`~repro.sketch.twin.WarmTwin`, the payloads are folded into
+    the lent all-zero sketch instead, and the result is valid until the
+    lender's ``with`` block ends (the engine answers its query inside
+    it).  Either way the sketch and every error are the same.
+
     Store segments are CRC-verified at page-in, so a store window whose
     segments then fail to load or combine raises
     :class:`~repro.errors.StoreCorruptionError`; timeline windows raise
     the codec's :class:`ValueError` unchanged.
     """
     merge, subtract = source.window_payloads(t1, t2)
+    fold = Fold() if twin is None else twin
     try:
-        sketch = load_sketch(merge[0])
-        for payload in merge[1:]:
-            merge_sketch_bytes(sketch, payload)
+        for payload in merge:
+            fold.merge(payload)
         for payload in subtract:
             # In-arena subtraction of the earlier checkpoint's bytes —
             # no second twin sketch is materialised.
-            subtract_sketch_bytes(sketch, payload)
+            fold.subtract(payload)
     except ValueError as err:
         if not isinstance(source, EpochStore):
             raise
@@ -75,7 +80,7 @@ def materialise_window(source: WindowSource, t1: int, t2: int) -> Any:
             f"window [{t1}, {t2}) failed to materialise from verified "
             f"segments: {err}"
         ) from err
-    return sketch
+    return fold.sketch
 
 
 def window_payload_bytes(source: WindowSource, t1: int, t2: int) -> int:

@@ -61,11 +61,9 @@ from ..sketch.serialize import (
     _read_header,
     _read_raw,
     dump_sketch,
-    load_sketch,
-    merge_sketch_bytes,
     peek_sketch_meta,
-    subtract_sketch_bytes,
 )
+from ..sketch.twin import WarmTwin
 from .epochs import EpochCheckpoint, EpochTimeline, require_window
 
 __all__ = ["EpochStore", "RetentionPolicy", "SpanEntry"]
@@ -209,6 +207,7 @@ class EpochStore:
         self.disk_loads = 0
         self._defer_commit = False
         self._deferred_stale: list[str] = []
+        self._twin = WarmTwin()
         self.retention = retention if retention is not None else RetentionPolicy()
         self.horizon = horizon if horizon is not None else 0
         if (self.root / _CATALOG_NAME).exists():
@@ -648,9 +647,10 @@ class EpochStore:
         Checkpoints must arrive in order (``epoch == epochs + 1``) and
         carry the same sketch kind and seed as every earlier one.  The
         stored segment is the epoch's *delta* (new cumulative minus the
-        previous head, exact by linearity); compaction and retention
-        run before the catalog commits, so the store is never published
-        in an intermediate state.
+        previous head, exact by linearity), folded into the store's one
+        warm all-zero sketch and dumped from it; compaction and
+        retention run before the catalog commits, so the store is never
+        published in an intermediate state.
         """
         if checkpoint.epoch != self.epochs + 1:
             raise EpochStoreError(
@@ -658,7 +658,7 @@ class EpochStore:
                 f"expects {self.epochs + 1} — out-of-order append"
             )
         try:
-            # load_sketch below reads the whole payload; here only the
+            # The fold below reads the whole payload; here only the
             # header is needed.
             header = _read_header(checkpoint.payload)[0]
         except ValueError as err:
@@ -681,24 +681,29 @@ class EpochStore:
                 f"seed={self._seed!r}"
             )
         epoch = checkpoint.epoch
-        try:
-            sketch = load_sketch(checkpoint.payload)
-        except ValueError as err:
-            raise EpochStoreError(
-                f"checkpoint payload failed to load: {err}"
-            ) from err
-        if epoch > 1:
+        with self._twin.lend() as fold:
             try:
-                subtract_sketch_bytes(sketch, self.head_payload())
-            except SketchCompatibilityError as err:
-                raise EpochStoreError(
-                    f"checkpoint does not combine with the store's head: {err}"
-                ) from err
+                fold.merge(checkpoint.payload)
             except ValueError as err:
-                raise StoreCorruptionError(
-                    f"head segment {self._head['file']} failed to load: {err}"
+                raise EpochStoreError(
+                    f"checkpoint payload failed to load: {err}"
                 ) from err
-        delta = dump_sketch(sketch, epoch_meta={"span": [epoch - 1, epoch]})
+            if epoch > 1:
+                try:
+                    fold.subtract(self.head_payload())
+                except SketchCompatibilityError as err:
+                    raise EpochStoreError(
+                        "checkpoint does not combine with the store's head: "
+                        f"{err}"
+                    ) from err
+                except ValueError as err:
+                    raise StoreCorruptionError(
+                        f"head segment {self._head['file']} failed to load: "
+                        f"{err}"
+                    ) from err
+            delta = dump_sketch(
+                fold.sketch, epoch_meta={"span": [epoch - 1, epoch]}
+            )
         span_name = _span_file(epoch - 1, epoch)
         self._write_segment(span_name, delta)
         stale: list[str] = []
@@ -783,15 +788,16 @@ class EpochStore:
     def _write_parent(self, start: int, end: int, half: int) -> None:
         left = self._entries[(start, start + half)]
         right = self._entries[(start + half, end)]
-        try:
-            sketch = load_sketch(self._page(left))
-            merge_sketch_bytes(sketch, self._page(right))
-        except ValueError as err:
-            raise StoreCorruptionError(
-                f"cannot compact spans ({start}, {start + half}] + "
-                f"({start + half}, {end}]: {err}"
-            ) from err
-        payload = dump_sketch(sketch, epoch_meta={"span": [start, end]})
+        with self._twin.lend() as fold:
+            try:
+                fold.merge(self._page(left))
+                fold.merge(self._page(right))
+            except ValueError as err:
+                raise StoreCorruptionError(
+                    f"cannot compact spans ({start}, {start + half}] + "
+                    f"({start + half}, {end}]: {err}"
+                ) from err
+            payload = dump_sketch(fold.sketch, epoch_meta={"span": [start, end]})
         name = _span_file(start, end)
         self._write_segment(name, payload)
         self._entries[(start, end)] = SpanEntry(
