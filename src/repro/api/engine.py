@@ -43,7 +43,11 @@ from collections.abc import Mapping
 from types import TracebackType
 from typing import Any
 
-from ..distributed.coordinator import EXECUTION_MODES, ShardedSketchRunner
+from ..distributed.coordinator import (
+    EXECUTION_MODES,
+    ShardedSketchRunner,
+    check_start_method,
+)
 from ..distributed.partition import PARTITION_STRATEGIES, partition_stream
 from ..errors import NotSupportedError, SketchCompatibilityError, StoreCorruptionError
 from ..sketch.serialize import (
@@ -251,9 +255,9 @@ class GraphSketchEngine:
         ``processes`` sizes it (default: ``min(sites, CPUs)``) and
         ``start_method`` overrides the platform default
         (``"forkserver"`` on Linux, else ``"spawn"`` — the documented
-        portable fallback).  Release
-        the pool and its shared segments with :meth:`close` or by using
-        the engine as a context manager.
+        portable fallback); a method the platform lacks is refused here
+        with ``ValueError``.  Release the pool and its shared segments
+        with :meth:`close` or by using the engine as a context manager.
         """
         self._require_unstarted("workers")
         if mode not in EXECUTION_MODES:
@@ -272,6 +276,7 @@ class GraphSketchEngine:
                 f"processes must be >= 1, got {processes} (omit it for "
                 "the min(sites, cpus) default)"
             )
+        check_start_method(start_method)
         self._mode = mode
         self._processes = processes
         self._start_method = start_method

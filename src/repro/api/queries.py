@@ -19,12 +19,18 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..errors import NotSupportedError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.patterns import Pattern
+    from ..core.sparsifier import Sparsifier
+    from ..graphs import Graph
+
 __all__ = [
     "CAPABILITIES",
+    "CAPABILITY_TYPES",
     "ConnectivityQuery",
     "ConnectivityResult",
     "CutQuery",
@@ -46,19 +52,6 @@ __all__ = [
     "SubgraphCountResult",
     "capability_of",
 ]
-
-#: The full capability vocabulary a registry sketch class may declare.
-CAPABILITIES = (
-    "connectivity",
-    "k-edge-connectivity",
-    "mincut",
-    "cut-query",
-    "sparsifier",
-    "spanner-distance",
-    "subgraph-count",
-    "properties",
-)
-
 
 # -- queries -------------------------------------------------------------------
 
@@ -152,37 +145,13 @@ class SubgraphCountQuery(Query):
     of a built-in one (``"triangle"``, ``"path3"``...).
     """
 
-    pattern: Any = "triangle"
+    pattern: str | Pattern = "triangle"
 
 
 @dataclass(frozen=True)
 class PropertiesQuery(Query):
     """The sketch class's canonical scalar properties (bipartiteness,
     MST weight...), keyed by property name."""
-
-
-#: Query type → the capability name a sketch class must declare.
-_CAPABILITY_OF_QUERY: dict[type, str] = {
-    ConnectivityQuery: "connectivity",
-    KEdgeConnectivityQuery: "k-edge-connectivity",
-    MinCutQuery: "mincut",
-    CutQuery: "cut-query",
-    SparsifierQuery: "sparsifier",
-    SpannerDistanceQuery: "spanner-distance",
-    SubgraphCountQuery: "subgraph-count",
-    PropertiesQuery: "properties",
-}
-
-
-def capability_of(query: Query) -> str:
-    """The capability name a sketch must declare to answer ``query``."""
-    cap = _CAPABILITY_OF_QUERY.get(type(query))
-    if cap is None:
-        raise NotSupportedError(
-            f"{type(query).__name__} is not a registered query type; "
-            f"known: {', '.join(c.__name__ for c in _CAPABILITY_OF_QUERY)}"
-        )
-    return cap
 
 
 # -- results -------------------------------------------------------------------
@@ -287,7 +256,7 @@ class SparsifierResult(QueryResult):
     epsilon: float
     #: The full :class:`~repro.core.sparsifier.Sparsifier` (graph,
     #: per-edge levels, provenance) for downstream cut evaluation.
-    sparsifier: Any
+    sparsifier: Sparsifier
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -300,7 +269,7 @@ class SpannerDistanceResult(QueryResult):
     #: the query named no pair; ``inf`` when disconnected).
     distance: float | None = None
     #: The spanner :class:`~repro.graphs.Graph` itself.
-    spanner: Any = None
+    spanner: Graph | None = None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -318,3 +287,38 @@ class PropertiesResult(QueryResult):
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
+
+
+# -- the capability table ------------------------------------------------------
+
+#: Capability name → its (query class, result class).  The one table
+#: behind the capability vocabulary, :func:`capability_of`, and both
+#: directions of the wire (:mod:`repro.api.wire`).
+CAPABILITY_TYPES: dict[str, tuple[type[Query], type[QueryResult]]] = {
+    "connectivity": (ConnectivityQuery, ConnectivityResult),
+    "k-edge-connectivity": (KEdgeConnectivityQuery, KEdgeConnectivityResult),
+    "mincut": (MinCutQuery, MinCutQueryResult),
+    "cut-query": (CutQuery, CutQueryResult),
+    "sparsifier": (SparsifierQuery, SparsifierResult),
+    "spanner-distance": (SpannerDistanceQuery, SpannerDistanceResult),
+    "subgraph-count": (SubgraphCountQuery, SubgraphCountResult),
+    "properties": (PropertiesQuery, PropertiesResult),
+}
+
+#: The full capability vocabulary a registry sketch class may declare.
+CAPABILITIES = tuple(CAPABILITY_TYPES)
+
+_CAPABILITY_OF_QUERY = {
+    query: cap for cap, (query, _result) in CAPABILITY_TYPES.items()
+}
+
+
+def capability_of(query: Query) -> str:
+    """The capability name a sketch must declare to answer ``query``."""
+    cap = _CAPABILITY_OF_QUERY.get(type(query))
+    if cap is None:
+        raise NotSupportedError(
+            f"{type(query).__name__} is not a registered query type; "
+            f"known: {', '.join(c.__name__ for c in _CAPABILITY_OF_QUERY)}"
+        )
+    return cap

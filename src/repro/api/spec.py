@@ -17,7 +17,7 @@ and seed build the same matrix.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from ..sketch.serialize import _construct
@@ -72,15 +72,6 @@ class SketchSpec:
         """The constructor parameters as a plain dict."""
         return dict(self.params)
 
-    def with_params(self, **params: Any) -> "SketchSpec":
-        """A copy with extra/overridden constructor parameters."""
-        merged = {**self.param_dict(), **params}
-        return replace(self, params=tuple(merged.items()))
-
-    def with_seed(self, seed: int) -> "SketchSpec":
-        """A copy with a different master seed (same measurement shape)."""
-        return replace(self, seed=seed)
-
     @property
     def capabilities(self) -> frozenset[str]:
         """Queries the spec's sketch class declares it can answer."""
@@ -92,8 +83,10 @@ class SketchSpec:
         """Construct the fresh, empty, seeded sketch the spec describes.
 
         ``cls(source=HashSource(seed), n=n, **params)`` through the one
-        constructor the codec rebuilds blobs with; unknown, missing or
-        ill-typed parameters raise :class:`ValueError`.
+        constructor the codec rebuilds blobs with; unknown or missing
+        parameters, and values the parameter rules refuse
+        (:func:`~repro.sketch.arena.check_params`), raise
+        :class:`ValueError` naming the field.
         """
         from .capabilities import capability_entry
 

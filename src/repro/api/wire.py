@@ -15,6 +15,13 @@ renaming one is a wire break and fails the snapshot test in
 
 Encoding rules
 --------------
+Each field's wire form follows from its annotation in
+:mod:`repro.api.queries`: ``_FIELD_RULES`` holds one (encode, decode)
+pair per annotation, and ``X | None`` makes a field optional (absent or
+``null``).  A query or result class therefore gets its ``args`` or
+``body`` codec by naming its field types, and a field whose annotation
+has no rule fails at import.
+
 * Scalars are canonicalised to plain Python types (numpy scalars via
   ``.item()``) so ``json.dumps`` of the dict is deterministic.
 * Non-finite floats — a spanner distance of ``inf`` on a disconnected
@@ -29,13 +36,16 @@ Encoding rules
   codec-v2 blobs wrapped with :func:`blob_to_wire` (base64).
 
 Malformed payloads raise :class:`~repro.errors.WireFormatError`
-(code ``WIRE_INVALID``), never an arbitrary ``KeyError``/``TypeError``.
+(code ``WIRE_INVALID``), never an arbitrary ``KeyError``/``TypeError``;
+a decoded value its dataclass refuses (an empty ``CutQuery.side``) is
+malformed too.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import dataclasses
 import math
 from collections.abc import Callable, Mapping
 from typing import Any
@@ -43,27 +53,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import WireFormatError
-from .queries import (
-    ConnectivityQuery,
-    ConnectivityResult,
-    CutQuery,
-    CutQueryResult,
-    KEdgeConnectivityQuery,
-    KEdgeConnectivityResult,
-    MinCutQuery,
-    MinCutQueryResult,
-    PropertiesQuery,
-    PropertiesResult,
-    Query,
-    QueryResult,
-    QueryTelemetry,
-    SpannerDistanceQuery,
-    SpannerDistanceResult,
-    SparsifierQuery,
-    SparsifierResult,
-    SubgraphCountQuery,
-    SubgraphCountResult,
-)
+from .queries import CAPABILITY_TYPES, Query, QueryResult, QueryTelemetry
 
 __all__ = [
     "WIRE_VERSION",
@@ -114,10 +104,6 @@ def _dec_int(value: Any, field: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise _fail(f"field {field!r} must be an integer, got {value!r}")
-
-
-def _dec_opt_int(value: Any, field: str) -> int | None:
-    return None if value is None else _dec_int(value, field)
 
 
 def _dec_bool(value: Any, field: str) -> bool:
@@ -254,109 +240,149 @@ def _enc_pattern(pattern: Any) -> str:
     )
 
 
-# -- query codecs --------------------------------------------------------------
+# -- numbers, node sets, crossing edges, property values -----------------------
 
 
-def _enc_query_connectivity(query: ConnectivityQuery) -> dict[str, Any]:
-    return {"u": _canon(query.u), "v": _canon(query.v)}
+def _enc_float(value: Any) -> Any:
+    return _canon(float(value))
 
 
-def _dec_query_connectivity(args: Mapping[str, Any], window: Any) -> ConnectivityQuery:
-    return ConnectivityQuery(
-        u=_dec_opt_int(args.get("u"), "args.u"),
-        v=_dec_opt_int(args.get("v"), "args.v"),
-        window=window,
-    )
+def _enc_nodes(nodes: Any) -> list[int]:
+    return sorted(int(node) for node in nodes)
 
 
-def _enc_query_cut(query: CutQuery) -> dict[str, Any]:
-    return {"side": sorted(int(node) for node in query.side)}
+def _dec_nodes(value: Any, field: str) -> frozenset[int]:
+    if not isinstance(value, (list, tuple)):
+        raise _fail(f"field {field!r} must be a list of node ids")
+    return frozenset(_dec_int(node, f"{field}[]") for node in value)
 
 
-def _dec_query_cut(args: Mapping[str, Any], window: Any) -> CutQuery:
-    raw = _get(args, "side")
-    if not isinstance(raw, (list, tuple)):
-        raise _fail("field 'args.side' must be a list of node ids")
-    side = frozenset(_dec_int(node, "args.side[]") for node in raw)
-    if not side:
-        raise _fail("field 'args.side' must be a non-empty list of node ids")
-    return CutQuery(side=side, window=window)
+def _enc_triples(triples: Any) -> list[list[int]]:
+    return [[int(u), int(v), int(mult)] for u, v, mult in triples]
 
 
-def _enc_query_spanner(query: SpannerDistanceQuery) -> dict[str, Any]:
-    return {"source": _canon(query.source), "target": _canon(query.target)}
+def _dec_triples(value: Any, field: str) -> tuple[tuple[int, int, int], ...]:
+    if not isinstance(value, (list, tuple)):
+        raise _fail(f"field {field!r} must be a list")
+    triples = []
+    for item in value:
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
+            raise _fail(f"field {field!r} entries must be [u, v, mult]")
+        u, v, mult = (_dec_int(x, f"{field}[][{i}]") for i, x in enumerate(item))
+        triples.append((u, v, mult))
+    return tuple(triples)
 
 
-def _dec_query_spanner(args: Mapping[str, Any], window: Any) -> SpannerDistanceQuery:
-    return SpannerDistanceQuery(
-        source=_dec_opt_int(args.get("source"), "args.source"),
-        target=_dec_opt_int(args.get("target"), "args.target"),
-        window=window,
-    )
+def _enc_values(values: Mapping[str, Any]) -> dict[str, Any]:
+    return {str(key): _canon(value) for key, value in values.items()}
 
 
-def _enc_query_subgraph(query: SubgraphCountQuery) -> dict[str, Any]:
-    return {"pattern": _enc_pattern(query.pattern)}
+def _dec_values(value: Any, field: str) -> dict[str, Any]:
+    if not isinstance(value, Mapping):
+        raise _fail(f"field {field!r} must be a mapping")
+    values: dict[str, Any] = {}
+    for key, item in value.items():
+        name = _dec_str(key, f"{field} key")
+        if isinstance(item, str) and item in _NONFINITE:
+            item = _NONFINITE[item]
+        elif not (item is None or isinstance(item, (bool, int, float, str))):
+            raise _fail(f"field '{field}[{name}]' must be a JSON scalar")
+        values[name] = item
+    return values
 
 
-def _dec_query_subgraph(args: Mapping[str, Any], window: Any) -> SubgraphCountQuery:
-    return SubgraphCountQuery(
-        pattern=_dec_str(_get(args, "pattern"), "args.pattern"),
-        window=window,
-    )
+# -- field rules ---------------------------------------------------------------
 
-
-def _enc_query_bare(query: Query) -> dict[str, Any]:
-    return {}
-
-
-def _make_dec_bare(
-    cls: "type[Query]",
-) -> "Callable[[Mapping[str, Any], Any], Query]":
-    def decode(args: Mapping[str, Any], window: Any) -> Query:
-        return cls(window=window)
-
-    return decode
-
-
-_QUERY_ENCODERS: "dict[type, tuple[str, Callable[[Any], dict[str, Any]]]]" = {
-    ConnectivityQuery: ("connectivity", _enc_query_connectivity),
-    KEdgeConnectivityQuery: ("k-edge-connectivity", _enc_query_bare),
-    MinCutQuery: ("mincut", _enc_query_bare),
-    CutQuery: ("cut-query", _enc_query_cut),
-    SparsifierQuery: ("sparsifier", _enc_query_bare),
-    SpannerDistanceQuery: ("spanner-distance", _enc_query_spanner),
-    SubgraphCountQuery: ("subgraph-count", _enc_query_subgraph),
-    PropertiesQuery: ("properties", _enc_query_bare),
+#: One ``(encode, decode)`` rule per field annotation, keyed exactly as
+#: :mod:`repro.api.queries` writes it.  ``decode(value, field)`` raises
+#: :class:`WireFormatError` naming ``field``.
+_FIELD_RULES: dict[str, tuple[Callable[[Any], Any], Callable[[Any, str], Any]]] = {
+    "int": (_canon, _dec_int),
+    "float": (_enc_float, _dec_float),
+    "bool": (_canon, _dec_bool),
+    "str": (_canon, _dec_str),
+    "frozenset[int]": (_enc_nodes, _dec_nodes),
+    "tuple[tuple[int, int, int], ...]": (_enc_triples, _dec_triples),
+    "Mapping[str, Any]": (_enc_values, _dec_values),
+    "Graph": (_enc_graph, _dec_graph),
+    "Sparsifier": (_enc_sparsifier, _dec_sparsifier),
+    "str | Pattern": (_enc_pattern, _dec_str),
 }
 
-_QUERY_DECODERS: "dict[str, Callable[[Mapping[str, Any], Any], Query]]" = {
-    "connectivity": _dec_query_connectivity,
-    "k-edge-connectivity": _make_dec_bare(KEdgeConnectivityQuery),
-    "mincut": _make_dec_bare(MinCutQuery),
-    "cut-query": _dec_query_cut,
-    "sparsifier": _make_dec_bare(SparsifierQuery),
-    "spanner-distance": _dec_query_spanner,
-    "subgraph-count": _dec_query_subgraph,
-    "properties": _make_dec_bare(PropertiesQuery),
+_OPTIONAL = " | None"
+
+#: ``(name, path, encode, decode, optional)`` per wire field of a class;
+#: ``path`` (``"args.u"``) names the field in decode errors.
+_Fields = tuple[
+    tuple[str, str, Callable[[Any], Any], Callable[[Any, str], Any], bool], ...
+]
+
+
+def _fields_of(cls: type, where: str, envelope: type | None = None) -> _Fields:
+    """The fields of dataclass ``cls`` nested under ``where``: those its
+    ``envelope`` base (whose fields the envelope carries) lacks."""
+    skip = {f.name for f in dataclasses.fields(envelope)} if envelope else set()
+    fields = []
+    for f in dataclasses.fields(cls):
+        if f.name in skip:
+            continue
+        annotation = str(f.type)
+        optional = annotation.endswith(_OPTIONAL)
+        if optional:
+            annotation = annotation[:-len(_OPTIONAL)]
+        encode, decode = _FIELD_RULES[annotation]
+        fields.append((f.name, f"{where}.{f.name}", encode, decode, optional))
+    return tuple(fields)
+
+
+def _encode(obj: Any, fields: _Fields) -> dict[str, Any]:
+    out = {}
+    for name, _path, encode, _decode, optional in fields:
+        value = getattr(obj, name)
+        out[name] = None if optional and value is None else encode(value)
+    return out
+
+
+def _decode(payload: Mapping[str, Any], fields: _Fields) -> dict[str, Any]:
+    values = {}
+    for name, path, _encode, decode, optional in fields:
+        raw = payload.get(name)
+        if raw is None and optional:
+            values[name] = None
+        elif raw is None and name not in payload:
+            raise _fail(f"missing required field {path!r}")
+        else:
+            values[name] = decode(raw, path)
+    return values
+
+
+def _build(cls: type, fields: dict[str, Any]) -> Any:
+    """``cls(**fields)``, its own refusals reported as malformed wire."""
+    try:
+        return cls(**fields)
+    except ValueError as err:
+        raise _fail(f"invalid {cls.__name__}: {err}") from None
+
+
+#: Query or result class → (capability, its ``args``/``body`` fields).
+_WIRE_FORM: dict[type, tuple[str, _Fields]] = {
+    cls: (name, _fields_of(cls, where, base))
+    for name, classes in CAPABILITY_TYPES.items()
+    for cls, where, base in zip(classes, ("args", "body"), (Query, QueryResult))
 }
+_TELEMETRY = _fields_of(QueryTelemetry, "telemetry")
 
 
-def query_to_dict(query: Query) -> dict[str, Any]:
-    """Encode one typed query as its wire-stable dict."""
-    entry = _QUERY_ENCODERS.get(type(query))
-    if entry is None:
-        raise _fail(f"{type(query).__name__} has no wire form")
-    name, encode = entry
-    return {
-        "v": WIRE_VERSION,
-        "query": name,
-        "window": _enc_window(query.window),
-        "args": encode(query),
-    }
+def _wire_form(obj: Any, base: type) -> tuple[str, _Fields]:
+    entry = _WIRE_FORM.get(type(obj))
+    if entry is None or not isinstance(obj, base):
+        raise _fail(f"{type(obj).__name__} has no wire form")
+    return entry
 
 
-def _check_envelope(payload: Any, discriminator: str) -> Mapping[str, Any]:
+def _envelope_class(payload: Any, discriminator: str) -> type:
+    """Check the envelope; return the class its ``"query"`` or
+    ``"result"`` discriminator names."""
     if not isinstance(payload, Mapping):
         raise _fail(
             f"payload must be a mapping, got {type(payload).__name__}"
@@ -369,266 +395,75 @@ def _check_envelope(payload: Any, discriminator: str) -> Mapping[str, Any]:
         )
     if discriminator not in payload:
         raise _fail(f"missing discriminator field {discriminator!r}")
-    return payload
+    name = _dec_str(payload[discriminator], discriminator)
+    classes = CAPABILITY_TYPES.get(name)
+    if classes is None:
+        raise _fail(
+            f"unknown {discriminator} kind {name!r}; known: "
+            f"{', '.join(sorted(CAPABILITY_TYPES))}"
+        )
+    query_cls, result_cls = classes
+    return query_cls if discriminator == "query" else result_cls
+
+
+# -- queries -------------------------------------------------------------------
+
+
+def query_to_dict(query: Query) -> dict[str, Any]:
+    """Encode one typed query as its wire-stable dict."""
+    name, fields = _wire_form(query, Query)
+    return {
+        "v": WIRE_VERSION,
+        "query": name,
+        "window": _enc_window(query.window),
+        "args": _encode(query, fields),
+    }
 
 
 def query_from_dict(payload: "Mapping[str, Any]") -> Query:
     """Decode a wire dict back to the typed query it names."""
-    payload = _check_envelope(payload, "query")
-    name = _dec_str(payload["query"], "query")
-    decode = _QUERY_DECODERS.get(name)
-    if decode is None:
-        raise _fail(
-            f"unknown query kind {name!r}; known: "
-            f"{', '.join(sorted(_QUERY_DECODERS))}"
-        )
+    cls = _envelope_class(payload, "query")
     args = payload.get("args", {})
     if not isinstance(args, Mapping):
         raise _fail("field 'args' must be a mapping")
-    return decode(args, _dec_window(payload.get("window")))
+    fields = _decode(args, _WIRE_FORM[cls][1])
+    fields["window"] = _dec_window(payload.get("window"))
+    return _build(cls, fields)
 
 
-# -- result codecs -------------------------------------------------------------
-
-
-def _enc_result_connectivity(result: ConnectivityResult) -> dict[str, Any]:
-    return {
-        "connected": _canon(result.connected),
-        "components": _canon(result.components),
-        "forest_edges": _canon(result.forest_edges),
-        "same_component": _canon(result.same_component),
-    }
-
-
-def _dec_result_connectivity(p: Mapping[str, Any]) -> dict[str, Any]:
-    same = p.get("same_component")
-    return {
-        "connected": _dec_bool(_get(p, "connected"), "connected"),
-        "components": _dec_int(_get(p, "components"), "components"),
-        "forest_edges": _dec_int(_get(p, "forest_edges"), "forest_edges"),
-        "same_component": None if same is None else _dec_bool(same, "same_component"),
-    }
-
-
-def _enc_result_k_edge(result: KEdgeConnectivityResult) -> dict[str, Any]:
-    return {
-        "k": _canon(result.k),
-        "witness_edges": _canon(result.witness_edges),
-        "is_k_connected": _canon(result.is_k_connected),
-    }
-
-
-def _dec_result_k_edge(p: Mapping[str, Any]) -> dict[str, Any]:
-    return {
-        "k": _dec_int(_get(p, "k"), "k"),
-        "witness_edges": _dec_int(_get(p, "witness_edges"), "witness_edges"),
-        "is_k_connected": _dec_bool(_get(p, "is_k_connected"), "is_k_connected"),
-    }
-
-
-def _enc_result_mincut(result: MinCutQueryResult) -> dict[str, Any]:
-    return {
-        "value": _canon(float(result.value)),
-        "stop_level": _canon(result.stop_level),
-    }
-
-
-def _dec_result_mincut(p: Mapping[str, Any]) -> dict[str, Any]:
-    return {
-        "value": _dec_float(_get(p, "value"), "value"),
-        "stop_level": _dec_int(_get(p, "stop_level"), "stop_level"),
-    }
-
-
-def _enc_result_cut(result: CutQueryResult) -> dict[str, Any]:
-    return {
-        "crossing_edges": [
-            [int(u), int(v), int(mult)] for u, v, mult in result.crossing_edges
-        ],
-        "cut_value": _canon(result.cut_value),
-    }
-
-
-def _dec_result_cut(p: Mapping[str, Any]) -> dict[str, Any]:
-    raw = _get(p, "crossing_edges")
-    if not isinstance(raw, (list, tuple)):
-        raise _fail("field 'crossing_edges' must be a list")
-    triples = []
-    for item in raw:
-        if not isinstance(item, (list, tuple)) or len(item) != 3:
-            raise _fail("field 'crossing_edges' entries must be [u, v, mult]")
-        triples.append((
-            _dec_int(item[0], "crossing_edges[][0]"),
-            _dec_int(item[1], "crossing_edges[][1]"),
-            _dec_int(item[2], "crossing_edges[][2]"),
-        ))
-    return {
-        "crossing_edges": tuple(triples),
-        "cut_value": _dec_int(_get(p, "cut_value"), "cut_value"),
-    }
-
-
-def _enc_result_sparsifier(result: SparsifierResult) -> dict[str, Any]:
-    return {
-        "edges": _canon(result.edges),
-        "epsilon": _canon(float(result.epsilon)),
-        "sparsifier": _enc_sparsifier(result.sparsifier),
-    }
-
-
-def _dec_result_sparsifier(p: Mapping[str, Any]) -> dict[str, Any]:
-    return {
-        "edges": _dec_int(_get(p, "edges"), "edges"),
-        "epsilon": _dec_float(_get(p, "epsilon"), "epsilon"),
-        "sparsifier": _dec_sparsifier(_get(p, "sparsifier"), "sparsifier"),
-    }
-
-
-def _enc_result_spanner(result: SpannerDistanceResult) -> dict[str, Any]:
-    return {
-        "edges": _canon(result.edges),
-        "batches": _canon(result.batches),
-        "stretch_bound": _canon(float(result.stretch_bound)),
-        "shipped_bytes": _canon(result.shipped_bytes),
-        "distance": (
-            None if result.distance is None else _canon(float(result.distance))
-        ),
-        "spanner": (
-            None if result.spanner is None else _enc_graph(result.spanner)
-        ),
-    }
-
-
-def _dec_result_spanner(p: Mapping[str, Any]) -> dict[str, Any]:
-    distance = p.get("distance")
-    spanner = p.get("spanner")
-    return {
-        "edges": _dec_int(_get(p, "edges"), "edges"),
-        "batches": _dec_int(_get(p, "batches"), "batches"),
-        "stretch_bound": _dec_float(_get(p, "stretch_bound"), "stretch_bound"),
-        "shipped_bytes": _dec_int(_get(p, "shipped_bytes"), "shipped_bytes"),
-        "distance": None if distance is None else _dec_float(distance, "distance"),
-        "spanner": None if spanner is None else _dec_graph(spanner, "spanner"),
-    }
-
-
-def _enc_result_subgraph(result: SubgraphCountResult) -> dict[str, Any]:
-    return {
-        "pattern": _canon(result.pattern),
-        "gamma": _canon(float(result.gamma)),
-        "samples_used": _canon(result.samples_used),
-        "samples_failed": _canon(result.samples_failed),
-    }
-
-
-def _dec_result_subgraph(p: Mapping[str, Any]) -> dict[str, Any]:
-    return {
-        "pattern": _dec_str(_get(p, "pattern"), "pattern"),
-        "gamma": _dec_float(_get(p, "gamma"), "gamma"),
-        "samples_used": _dec_int(_get(p, "samples_used"), "samples_used"),
-        "samples_failed": _dec_int(_get(p, "samples_failed"), "samples_failed"),
-    }
-
-
-def _enc_result_properties(result: PropertiesResult) -> dict[str, Any]:
-    return {
-        "values": {
-            str(key): _canon(value) for key, value in result.values.items()
-        },
-    }
-
-
-def _dec_result_properties(p: Mapping[str, Any]) -> dict[str, Any]:
-    raw = _get(p, "values")
-    if not isinstance(raw, Mapping):
-        raise _fail("field 'values' must be a mapping")
-    values: dict[str, Any] = {}
-    for key, value in raw.items():
-        name = _dec_str(key, "values key")
-        if isinstance(value, str) and value in _NONFINITE:
-            value = _NONFINITE[value]
-        elif not (value is None or isinstance(value, (bool, int, float, str))):
-            raise _fail(f"field 'values[{name}]' must be a JSON scalar")
-        values[name] = value
-    return {"values": values}
-
-
-_RESULT_CODECS: "dict[type, tuple[str, Callable[[Any], dict[str, Any]], Callable[[Mapping[str, Any]], dict[str, Any]]]]" = {  # noqa: E501
-    ConnectivityResult: (
-        "connectivity", _enc_result_connectivity, _dec_result_connectivity,
-    ),
-    KEdgeConnectivityResult: (
-        "k-edge-connectivity", _enc_result_k_edge, _dec_result_k_edge,
-    ),
-    MinCutQueryResult: ("mincut", _enc_result_mincut, _dec_result_mincut),
-    CutQueryResult: ("cut-query", _enc_result_cut, _dec_result_cut),
-    SparsifierResult: (
-        "sparsifier", _enc_result_sparsifier, _dec_result_sparsifier,
-    ),
-    SpannerDistanceResult: (
-        "spanner-distance", _enc_result_spanner, _dec_result_spanner,
-    ),
-    SubgraphCountResult: (
-        "subgraph-count", _enc_result_subgraph, _dec_result_subgraph,
-    ),
-    PropertiesResult: (
-        "properties", _enc_result_properties, _dec_result_properties,
-    ),
-}
-
-_RESULT_BY_NAME: "dict[str, type]" = {
-    name: cls for cls, (name, _enc, _dec) in _RESULT_CODECS.items()
-}
+# -- results -------------------------------------------------------------------
 
 
 def result_to_dict(result: QueryResult) -> dict[str, Any]:
     """Encode one typed result as its wire-stable dict."""
-    entry = _RESULT_CODECS.get(type(result))
-    if entry is None:
-        raise _fail(f"{type(result).__name__} has no wire form")
-    name, encode, _decode = entry
+    name, fields = _wire_form(result, QueryResult)
     return {
         "v": WIRE_VERSION,
         "result": name,
         "kind": str(result.kind),
         "capability": str(result.capability),
         "window": _enc_window(result.window),
-        "telemetry": {
-            "seconds": _canon(float(result.telemetry.seconds)),
-            "payload_bytes": _canon(int(result.telemetry.payload_bytes)),
-        },
-        "body": encode(result),
+        "telemetry": _encode(result.telemetry, _TELEMETRY),
+        "body": _encode(result, fields),
     }
 
 
 def result_from_dict(payload: "Mapping[str, Any]") -> QueryResult:
     """Decode a wire dict back to the typed result it names."""
-    payload = _check_envelope(payload, "result")
-    name = _dec_str(payload["result"], "result")
-    cls = _RESULT_BY_NAME.get(name)
-    if cls is None:
-        raise _fail(
-            f"unknown result kind {name!r}; known: "
-            f"{', '.join(sorted(_RESULT_BY_NAME))}"
-        )
-    _name, _encode, decode = _RESULT_CODECS[cls]
+    cls = _envelope_class(payload, "result")
     raw_telemetry = _get(payload, "telemetry")
     if not isinstance(raw_telemetry, Mapping):
         raise _fail("field 'telemetry' must be a mapping")
-    telemetry = QueryTelemetry(
-        seconds=_dec_float(_get(raw_telemetry, "seconds"), "telemetry.seconds"),
-        payload_bytes=_dec_int(
-            _get(raw_telemetry, "payload_bytes"), "telemetry.payload_bytes"
-        ),
-    )
     body = _get(payload, "body")
     if not isinstance(body, Mapping):
         raise _fail("field 'body' must be a mapping")
-    fields = decode(body)
-    return cls(
-        **fields,
+    fields = _decode(body, _WIRE_FORM[cls][1])
+    fields.update(
         kind=_dec_str(_get(payload, "kind"), "kind"),
         capability=_dec_str(_get(payload, "capability"), "capability"),
         window=_dec_window(payload.get("window")),
-        telemetry=telemetry,
+        telemetry=_build(
+            QueryTelemetry, _decode(raw_telemetry, _TELEMETRY)
+        ),
     )
+    return _build(cls, fields)

@@ -21,6 +21,7 @@ import numpy as np
 from ..errors import RecoveryFailed
 from ..hashing import HashSource
 from ..sketch import ArenaBacked, SparseRecoveryBank
+from ..sketch.arena import check_params
 from ..sketch.bank import CellBank
 from ..streams import EdgeUpdate, StreamBatch
 from ..util import pair_count, pair_unrank
@@ -47,10 +48,7 @@ class CutEdgesSketch(ArenaBacked):
     CAPABILITIES = frozenset({"cut-query"})
 
     def __init__(self, n: int, k: int, source: HashSource | None = None):
-        if n < 2:
-            raise ValueError(f"need at least two nodes, got {n}")
-        if k < 1:
-            raise ValueError(f"cut capacity k must be >= 1, got {k}")
+        check_params(n=n, k=k)
         if source is None:
             source = HashSource(0xC07)
         self.n = n
@@ -78,8 +76,7 @@ class CutEdgesSketch(ArenaBacked):
 
     def consume_batch(self, batch: StreamBatch) -> "CutEdgesSketch":
         """Ingest one columnar batch (both signed endpoint rows at once)."""
-        if batch.n != self.n:
-            raise ValueError("batch and sketch node universes differ")
+        self._check_universe(batch)
         m = len(batch)
         if m == 0:
             return self

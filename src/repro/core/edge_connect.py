@@ -25,6 +25,7 @@ import numpy as np
 from ..graphs import Graph
 from ..hashing import HashSource
 from ..sketch import ArenaBacked
+from ..sketch.arena import check_params
 from ..sketch.bank import CellBank
 from ..streams import EdgeUpdate, StreamBatch
 from ..util import pair_rank_array
@@ -61,8 +62,7 @@ class EdgeConnectivitySketch(ArenaBacked):
         rows: int = 2,
         buckets: int = 4,
     ):
-        if k < 1:
-            raise ValueError(f"connectivity parameter k must be >= 1, got {k}")
+        check_params(n=n, k=k, rounds=rounds, rows=rows, buckets=buckets)
         self.n = n
         self.k = k
         #: Seed of the constructing source (serialisation / merge checks).

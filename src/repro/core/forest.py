@@ -28,6 +28,7 @@ from ..graphs import UnionFind
 from ..hashing import HashSource
 from ..kernels import get as _get_kernel
 from ..sketch import ArenaBacked, L0SamplerBank
+from ..sketch.arena import check_params
 from ..sketch.bank import CellBank
 from ..streams import EdgeUpdate, StreamBatch
 from ..util import ceil_log2, pair_rank_array, pair_unrank
@@ -67,16 +68,13 @@ class SpanningForestSketch(ArenaBacked):
         rows: int = 2,
         buckets: int = 4,
     ):
-        if n < 2:
-            raise ValueError(f"need at least two nodes, got {n}")
+        check_params(n=n, rounds=rounds, rows=rows, buckets=buckets)
         self.n = n
         #: Seed of the constructing source (serialisation / merge checks).
         self.source_seed = getattr(source, "seed", None)
         self.rows = rows
         self.buckets = buckets
         self.rounds = rounds if rounds is not None else ceil_log2(n) + 2
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be positive, got {self.rounds}")
         self.bank = L0SamplerBank(
             families=self.rounds,
             samplers=n,
@@ -134,8 +132,7 @@ class SpanningForestSketch(ArenaBacked):
 
     def consume_batch(self, batch: StreamBatch) -> "SpanningForestSketch":
         """Ingest a columnar batch (shared across sketches/levels)."""
-        if batch.n != self.n:
-            raise ValueError("batch and sketch node universes differ")
+        self._check_universe(batch)
         self.update_edges(batch.lo, batch.hi, batch.delta, items=batch.ranks)
         return self
 

@@ -31,6 +31,7 @@ from ..graphs import Graph, global_min_cut_value
 from ..hashing import HashSource
 from ..kernels import get as _get_kernel
 from ..sketch import ArenaBacked
+from ..sketch.arena import check_params
 from ..sketch.bank import CellBank
 from ..streams import EdgeUpdate, StreamBatch
 from ..util import ceil_log2
@@ -110,6 +111,8 @@ class MinCutSketch(ArenaBacked):
         rows: int = 2,
         buckets: int = 4,
     ):
+        check_params(n=n, epsilon=epsilon, c_k=c_k, levels=levels,
+                     rounds=rounds, rows=rows, buckets=buckets)
         if source is None:
             source = HashSource(0x5EED)
         self.n = n
@@ -118,9 +121,7 @@ class MinCutSketch(ArenaBacked):
         #: Seed of the constructing source (serialisation / merge checks).
         self.source_seed = getattr(source, "seed", None)
         self.k = default_k(n, epsilon, c_k)
-        self.levels = levels if levels is not None else 2 * ceil_log2(max(n, 2))
-        if self.levels < 0:
-            raise ValueError(f"levels must be >= 0, got {self.levels}")
+        self.levels = levels if levels is not None else 2 * ceil_log2(n)
         self._level_source = source.derive(0x17)
         self.instances = [
             EdgeConnectivitySketch(
@@ -155,8 +156,7 @@ class MinCutSketch(ArenaBacked):
         the sorted batch instead of a fresh boolean-mask copy; scatter
         results are order-independent, so the bytes are unchanged.
         """
-        if batch.n != self.n:
-            raise ValueError("batch and sketch node universes differ")
+        self._check_universe(batch)
         top = np.asarray(
             self._level_source.levels(batch.ranks, self.levels), dtype=np.int64
         )

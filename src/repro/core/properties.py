@@ -32,6 +32,7 @@ from ..errors import StreamError
 from ..graphs import global_min_cut_value
 from ..hashing import HashSource
 from ..sketch import ArenaBacked
+from ..sketch.arena import check_params
 from ..sketch.bank import CellBank
 from ..streams import DynamicGraphStream, EdgeUpdate, StreamBatch
 from .edge_connect import EdgeConnectivitySketch
@@ -57,6 +58,7 @@ class BipartitenessSketch(ArenaBacked):
 
     def __init__(self, n: int, source: HashSource | None = None,
                  rounds: int | None = None):
+        check_params(n=n, rounds=rounds)
         if source is None:
             source = HashSource(0xB1B)
         self.n = n
@@ -85,8 +87,7 @@ class BipartitenessSketch(ArenaBacked):
         The doubled graph's edges ``(u, v + n)`` and ``(v, u + n)`` stay
         canonically oriented because ``u, v < n <= x + n``.
         """
-        if batch.n != self.n:
-            raise ValueError("batch and sketch node universes differ")
+        self._check_universe(batch)
         self.base.consume_batch(batch)
         self.doubled.update_edges(
             np.concatenate([batch.lo, batch.hi]),
@@ -182,10 +183,7 @@ class MSTWeightSketch(ArenaBacked):
         source: HashSource | None = None,
         rounds: int | None = None,
     ):
-        if max_weight < 1:
-            raise ValueError(f"max_weight must be >= 1, got {max_weight}")
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        check_params(n=n, max_weight=max_weight, epsilon=epsilon, rounds=rounds)
         if source is None:
             source = HashSource(0x357)
         self.n = n
@@ -224,8 +222,7 @@ class MSTWeightSketch(ArenaBacked):
 
     def consume_batch(self, batch: StreamBatch) -> "MSTWeightSketch":
         """Ingest one columnar batch, routed to every qualifying threshold."""
-        if batch.n != self.n:
-            raise ValueError("batch and sketch node universes differ")
+        self._check_universe(batch)
         if len(batch) == 0:
             return self
         w = np.abs(batch.delta)

@@ -36,7 +36,7 @@ from ..errors import SamplerFailed
 from ..graphs import Graph
 from ..hashing import HashSource
 from ..sketch import L0SamplerBank
-from ..sketch.arena import ensure_arena, slot_bytes
+from ..sketch.arena import check_params, ensure_arena, slot_bytes
 from ..streams import DynamicGraphStream
 from ..util import pair_count, pair_unrank
 from .spanner_common import ClusterState, NeighborhoodSketch
@@ -95,6 +95,7 @@ class BaswanaSenSpanner:
         c_buckets: float = 2.0,
         sample_copies: int = 3,
     ):
+        check_params(n=n, k=k, c_buckets=c_buckets, sample_copies=sample_copies)
         if k < 2:
             raise ValueError(f"stretch parameter k must be >= 2, got {k}")
         if source is None:

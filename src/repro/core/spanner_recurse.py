@@ -42,6 +42,7 @@ from ..errors import SamplerFailed
 from ..graphs import Graph
 from ..hashing import HashSource
 from ..sketch import L0SamplerBank
+from ..sketch.arena import check_params
 from ..streams import DynamicGraphStream
 from ..util import pair_count, pair_unrank
 from .spanner_bs import SpannerBuildReport
@@ -85,6 +86,7 @@ class RecurseConnectSpanner:
         c_deg: float = 1.0,
         c_buckets: float = 4.0,
     ):
+        check_params(n=n, k=k, c_deg=c_deg, c_buckets=c_buckets)
         if k < 2:
             raise ValueError(f"parameter k must be >= 2, got {k}")
         if source is None:

@@ -30,7 +30,6 @@ stays unbiased.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ from ..errors import RecoveryFailed
 from ..graphs import Graph, gomory_hu_tree
 from ..hashing import HashSource
 from ..sketch import ArenaBacked, SparseRecoveryBank
+from ..sketch.arena import check_params
 from ..sketch.bank import CellBank
 from ..streams import EdgeUpdate, StreamBatch
 from ..util import ceil_log2, pair_unrank
@@ -101,13 +101,9 @@ class Sparsification(ArenaBacked):
         rows: int = 2,
         buckets: int = 4,
     ):
-        if isinstance(c_level, bool) or not isinstance(c_level, numbers.Real) \
-                or not math.isfinite(c_level) or c_level <= 0:
-            # Only the query computes with it, so a bad value would
-            # otherwise build, ingest and fail at the first sparsifier().
-            raise ValueError(
-                f"c_level must be a finite real number > 0, got {c_level!r}"
-            )
+        check_params(n=n, epsilon=epsilon, c_k=c_k, c_rough=c_rough,
+                     c_level=c_level, levels=levels, rounds=rounds, rows=rows,
+                     buckets=buckets)
         if source is None:
             source = HashSource(0xBE77)
         self.n = n
@@ -117,7 +113,7 @@ class Sparsification(ArenaBacked):
         self.c_level = c_level
         #: Seed of the constructing source (serialisation / merge checks).
         self.source_seed = getattr(source, "seed", None)
-        self.levels = levels if levels is not None else 2 * ceil_log2(max(n, 2))
+        self.levels = levels if levels is not None else 2 * ceil_log2(n)
         self.k = default_sparsifier_k(n, epsilon, c_k)
         self.rough = SimpleSparsification(
             n,
@@ -156,8 +152,7 @@ class Sparsification(ArenaBacked):
 
     def consume_batch(self, batch: StreamBatch) -> "Sparsification":
         """Ingest one columnar batch (rough sparsifier + recovery bank)."""
-        if batch.n != self.n:
-            raise ValueError("batch and sketch node universes differ")
+        self._check_universe(batch)
         if len(batch) == 0:
             return self
         self.rough.consume_batch(batch)

@@ -36,6 +36,7 @@ from ..graphs import Graph, gomory_hu_tree
 from ..hashing import HashSource
 from ..kernels import get as _get_kernel
 from ..sketch import ArenaBacked
+from ..sketch.arena import check_params
 from ..sketch.bank import CellBank
 from ..streams import EdgeUpdate, StreamBatch
 from ..util import ceil_log2
@@ -98,10 +99,11 @@ class SimpleSparsification(ArenaBacked):
         rows: int = 2,
         buckets: int = 4,
     ):
+        check_params(n=n, epsilon=epsilon, c_k=c_k, levels=levels,
+                     weight_scale=weight_scale, rounds=rounds, rows=rows,
+                     buckets=buckets)
         if source is None:
             source = HashSource(0x51A9)
-        if weight_scale < 1.0:
-            raise ValueError(f"weight_scale must be >= 1, got {weight_scale}")
         self.n = n
         self.epsilon = epsilon
         self.c_k = c_k
@@ -109,9 +111,7 @@ class SimpleSparsification(ArenaBacked):
         self.source_seed = getattr(source, "seed", None)
         self.k = default_sparsifier_k(n, epsilon, c_k)
         self.weight_scale = weight_scale
-        self.levels = levels if levels is not None else 2 * ceil_log2(max(n, 2))
-        if self.levels < 0:
-            raise ValueError(f"levels must be >= 0, got {self.levels}")
+        self.levels = levels if levels is not None else 2 * ceil_log2(n)
         self._level_source = source.derive(0x17)
         self.instances = [
             EdgeConnectivitySketch(
@@ -144,8 +144,7 @@ class SimpleSparsification(ArenaBacked):
         the sorted batch instead of a fresh boolean-mask copy; scatter
         results are order-independent, so the bytes are unchanged.
         """
-        if batch.n != self.n:
-            raise ValueError("batch and sketch node universes differ")
+        self._check_universe(batch)
         top = np.asarray(
             self._level_source.levels(batch.ranks, self.levels), dtype=np.int64
         )

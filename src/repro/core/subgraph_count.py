@@ -34,6 +34,7 @@ import numpy as np
 from ..errors import NotSupportedError, SamplerFailed
 from ..hashing import HashSource
 from ..sketch import ArenaBacked, L0SamplerBank, pair_positions_k3, rows_for_order
+from ..sketch.arena import check_params
 from ..sketch.bank import CellBank
 from ..streams import EdgeUpdate, StreamBatch
 from ..util import comb
@@ -97,12 +98,12 @@ class SubgraphSketch(ArenaBacked):
         rows: int = 2,
         buckets: int = 4,
     ):
+        check_params(n=n, order=order, samplers=samplers, rows=rows,
+                     buckets=buckets)
         if source is None:
             source = HashSource(0x5B6)
         if not 3 <= order <= 5:
             raise NotSupportedError(f"subgraph order must be 3..5, got {order}")
-        if samplers < 1:
-            raise ValueError(f"need at least one sampler, got {samplers}")
         if n < order:
             raise ValueError(f"need n >= order, got n={n}, order={order}")
         self.n = n
@@ -137,8 +138,7 @@ class SubgraphSketch(ArenaBacked):
 
     def consume_batch(self, batch: StreamBatch) -> "SubgraphSketch":
         """Ingest one columnar batch (chunked column expansion)."""
-        if batch.n != self.n:
-            raise ValueError("batch and sketch node universes differ")
+        self._check_universe(batch)
         chunk_tokens = max(1, 200_000 // max(1, (self.n - 2) * self.samplers))
         for start in range(0, len(batch), chunk_tokens):
             end = start + chunk_tokens

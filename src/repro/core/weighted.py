@@ -23,6 +23,7 @@ import numpy as np
 from ..graphs import Graph
 from ..hashing import HashSource
 from ..sketch import ArenaBacked
+from ..sketch.arena import check_params
 from ..sketch.bank import CellBank
 from ..streams import EdgeUpdate, StreamBatch
 from ..util import ceil_log2
@@ -73,8 +74,8 @@ class WeightedSparsification(ArenaBacked):
         rows: int = 2,
         buckets: int = 4,
     ):
-        if max_weight < 1:
-            raise ValueError(f"max_weight must be >= 1, got {max_weight}")
+        check_params(n=n, max_weight=max_weight, epsilon=epsilon, c_k=c_k,
+                     rounds=rounds, rows=rows, buckets=buckets)
         if source is None:
             source = HashSource(0x3E1D)
         self.n = n
@@ -110,8 +111,7 @@ class WeightedSparsification(ArenaBacked):
 
     def consume_batch(self, batch: StreamBatch) -> "WeightedSparsification":
         """Ingest one columnar batch, routed to the dyadic class sketches."""
-        if batch.n != self.n:
-            raise ValueError("batch and sketch node universes differ")
+        self._check_universe(batch)
         if len(batch) == 0:
             return self
         w = np.abs(batch.delta)

@@ -101,6 +101,21 @@ def default_start_method() -> str:
     return "spawn"
 
 
+def check_start_method(start_method: str | None) -> None:
+    """Refuse a pool start method this platform does not offer.
+
+    Called where the method is configured (``GraphSketchEngine.workers``
+    and the runner), not where the pool first starts, so a bad value
+    fails before any batch is accepted.
+    """
+    if start_method is not None and \
+            start_method not in multiprocessing.get_all_start_methods():
+        raise ValueError(
+            f"unknown start method {start_method!r}; choose from "
+            f"{', '.join(multiprocessing.get_all_start_methods())}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class SiteReport:
     """What one site did and shipped.
@@ -357,12 +372,7 @@ class ShardedSketchRunner:
                 f"processes must be >= 1, got {processes} (omit it for "
                 "the min(sites, cpus) default)"
             )
-        if start_method is not None and \
-                start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"unknown start method {start_method!r}; choose from "
-                f"{', '.join(multiprocessing.get_all_start_methods())}"
-            )
+        check_start_method(start_method)
         self.factory = factory
         self.sites = sites
         self.strategy = strategy

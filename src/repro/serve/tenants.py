@@ -85,23 +85,19 @@ def _opt_section(
 
 
 def parse_spec(payload: Mapping[str, Any]) -> SketchSpec:
-    """Build a :class:`SketchSpec` from its declaration dict."""
+    """Build a :class:`SketchSpec` from its declaration dict.
+
+    The params pass through as declared: building the spec applies the
+    parameter rules (:func:`~repro.sketch.arena.check_params`), whose
+    ``ValueError`` names the refused field (400).
+    """
     kind = _req_str(payload, "kind")
     capability_entry(kind)  # unknown kind -> NotSupportedError (422)
     n = _req_int(payload, "n")
     seed = _opt_int(payload, "seed", 0)
-    raw_params = _opt_section(payload, "params") or {}
-    params: dict[str, Any] = {}
-    for key, value in raw_params.items():
-        if not isinstance(key, str):
-            raise _fail(f"params keys must be strings, got {key!r}")
-        if not isinstance(value, (int, float, str)) or isinstance(value, bool):
-            raise _fail(
-                f"params[{key!r}] must be a number or string, got {value!r}"
-            )
-        params[key] = value
     assert seed is not None
-    return SketchSpec.of(kind, n, seed=seed, **params)
+    params = _opt_section(payload, "params") or {}
+    return SketchSpec(kind, n, seed, tuple(params.items()))
 
 
 def parse_updates(raw: Any) -> "list[EdgeUpdate]":

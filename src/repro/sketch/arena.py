@@ -40,6 +40,7 @@ arena is only ever *used* while all of its banks still view its buffer.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -49,9 +50,12 @@ from ..errors import SketchCompatibilityError, incompatible
 from ..kernels import get as _get_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..streams import StreamBatch
     from .bank import CellBank
 
-__all__ = ["SketchArena", "ArenaBacked", "ensure_arena", "slot_bytes"]
+__all__ = [
+    "SketchArena", "ArenaBacked", "check_params", "ensure_arena", "slot_bytes",
+]
 
 _K_FOLD = _get_kernel("arena_fold")
 _K_FOLD_SPARSE = _get_kernel("arena_fold_sparse")
@@ -279,6 +283,66 @@ def ensure_arena(sketch) -> SketchArena:
     return arena
 
 
+#: The rule for each constructor keyword of a registry kind:
+#: ``name -> (type, bound, bound excluded)``.  An ``int`` parameter
+#: takes a Python ``int`` — not a ``bool``, and not a numpy integer,
+#: which a JSON blob header cannot hold — at or above its bound.  A
+#: ``float`` parameter takes a finite ``int`` or ``float`` above (or,
+#: if the bound is not excluded, at) its bound.
+_PARAM_RULES: dict[str, tuple[type, int, bool]] = {
+    "n": (int, 2, False),
+    "k": (int, 1, False),
+    "rounds": (int, 1, False),
+    "rows": (int, 1, False),
+    "buckets": (int, 1, False),
+    "samplers": (int, 1, False),
+    "max_weight": (int, 1, False),
+    "order": (int, 1, False),
+    "levels": (int, 0, False),
+    "epsilon": (float, 0, False),
+    "c_k": (float, 0, True),
+    "c_rough": (float, 0, True),
+    "c_level": (float, 0, True),
+    "weight_scale": (float, 1, False),
+    # The adaptive spanner drivers' constants.
+    "sample_copies": (int, 1, False),
+    "c_buckets": (float, 0, True),
+    "c_deg": (float, 0, True),
+}
+#: Parameters a constructor derives itself when given ``None``.
+_DERIVED_WHEN_NONE = frozenset({"rounds", "levels"})
+
+
+def check_params(**params: object) -> None:
+    """Refuse any constructor keyword whose value its rule does not admit.
+
+    Every registry sketch constructor calls this on its keywords first,
+    so :meth:`~repro.api.SketchSpec.build`, the codec's rebuild of a
+    blob header and serve's tenant creation all refuse the same values
+    with the same :class:`ValueError`, which names the field.  What a
+    kind adds on top (a hierarchy's ``epsilon`` in ``(0, 1]``, a
+    subgraph order of 3..5) stays in that kind's constructor.
+    """
+    for name, value in params.items():
+        if value is None and name in _DERIVED_WHEN_NONE:
+            continue
+        expected, bound, excluded = _PARAM_RULES[name]
+        if expected is int:
+            if type(value) is not int:
+                raise ValueError(f"{name} must be a Python int, got {value!r}")
+            if value < bound:
+                raise ValueError(f"{name} must be >= {bound}, got {value!r}")
+        # ``abs(value) <= max`` fails for NaN, ±inf and an int past
+        # the float range alike.
+        elif isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max \
+                or value < bound or (excluded and value == bound):
+            raise ValueError(
+                f"{name} must be a finite real {'>' if excluded else '>='} "
+                f"{bound}, got {value!r}"
+            )
+
+
 class ArenaBacked:
     """Base of every sketch whose state is one arena: the sketch algebra.
 
@@ -309,6 +373,9 @@ class ArenaBacked:
     #: Seed of the constructing source; part of the measurement matrix.
     source_seed: int | None
 
+    #: Node universe of a graph sketch (the banks have none).
+    n: int
+
     def _cell_banks(self) -> list["CellBank"]:
         raise NotImplementedError
 
@@ -319,6 +386,11 @@ class ArenaBacked:
     def arena(self) -> SketchArena:
         """The contiguous cell-state arena (created on first use)."""
         return ensure_arena(self)
+
+    def _check_universe(self, batch: "StreamBatch") -> None:
+        """Refuse a batch over another node universe than the sketch's."""
+        if batch.n != self.n:
+            raise ValueError("batch and sketch node universes differ")
 
     def _spec(self) -> dict:
         """``_params()`` plus the seed: what a combinable sketch shares."""

@@ -56,6 +56,7 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+import numbers
 import struct
 import zlib
 from collections.abc import Mapping
@@ -407,18 +408,17 @@ def _constructor_params(cls: type, fields: Mapping[str, Any]) -> dict[str, Any]:
 def _construct(cls: type, seed: Any, params: Mapping[str, Any]) -> Any:
     """Build a fresh sketch: ``cls(source=HashSource(seed), **params)``.
 
-    The one way (class, parameters, seed) becomes a sketch.  Unknown or
-    missing keywords, and every error the constructor raises on the
-    given values (a ``None``, a string or a float where it computes
-    with an integer, an out-of-range value), are all reported as
-    :class:`ValueError`.
+    The one way (class, parameters, seed) becomes a sketch.  A seed
+    that is not an integer, unknown or missing keywords, a value its
+    parameter rule refuses (:func:`~repro.sketch.arena.check_params`,
+    the constructor's first call) and a kind's own refusals are all
+    reported as :class:`ValueError`.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     try:
         return cls(source=HashSource(seed), **params)
-    except (
-        ArithmeticError, AttributeError, LookupError, TypeError, ValueError,
-        ReproError,
-    ) as err:
+    except (TypeError, ValueError, ReproError) as err:
         raise ValueError(
             f"cannot build a {cls.__name__} from parameters "
             f"{dict(params)!r} and seed {seed!r}: {err}"

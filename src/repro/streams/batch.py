@@ -33,6 +33,11 @@ __all__ = ["StreamBatch"]
 class StreamBatch:
     """Read-only columnar snapshot of a dynamic graph stream.
 
+    The public constructor refuses a token outside the stream model
+    (``lo >= hi``, an endpoint outside ``[0, n)``, or ``delta == 0``)
+    with :class:`~repro.errors.StreamError`: a reversed deletion would
+    otherwise add to its insertion instead of cancelling it.
+
     Attributes
     ----------
     n:
@@ -65,6 +70,17 @@ class StreamBatch:
         self.delta = self._column(delta)
         if not (self.lo.size == self.hi.size == self.delta.size):
             raise StreamError("batch columns must have equal length")
+        bad = np.flatnonzero(
+            (self.lo >= self.hi) | (self.lo < 0) | (self.hi >= n)
+            | (self.delta == 0)
+        )
+        if bad.size:
+            i = int(bad[0])
+            raise StreamError(
+                f"token {i} (lo={int(self.lo[i])}, hi={int(self.hi[i])}, "
+                f"delta={int(self.delta[i])}) is outside the stream model: "
+                f"need 0 <= lo < hi < n={n} and a nonzero delta"
+            )
         if ranks is None:
             ranks = pair_rank_array(self.lo, self.hi, n)
         self.ranks = self._column(ranks)

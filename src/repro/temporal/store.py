@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -205,6 +206,9 @@ class EpochStore:
         self._cache: OrderedDict[str, bytes] = OrderedDict()
         self._resident = 0
         self.disk_loads = 0
+        #: Guards the page cache, its byte count and ``disk_loads``:
+        #: window queries on one engine may page from several threads.
+        self._cache_lock = threading.Lock()
         self._defer_commit = False
         self._deferred_stale: list[str] = []
         self._twin = WarmTwin()
@@ -523,20 +527,25 @@ class EpochStore:
     # -- paging -----------------------------------------------------------------
 
     def _cache_put(self, name: str, data: bytes) -> None:
-        self._cache[name] = data
-        self._cache.move_to_end(name)
-        self._resident += len(data)
-        # Trim the least-recently-used entries past the budget, always
-        # keeping the entry just inserted.
-        while self._resident > self.cache_bytes and len(self._cache) > 1:
-            _evicted, blob = self._cache.popitem(last=False)
-            self._resident -= len(blob)
+        with self._cache_lock:
+            # A name two threads paged in at once is counted once.
+            old = self._cache.pop(name, None)
+            if old is not None:
+                self._resident -= len(old)
+            self._cache[name] = data
+            self._resident += len(data)
+            # Trim the least-recently-used entries past the budget,
+            # always keeping the entry just inserted.
+            while self._resident > self.cache_bytes and len(self._cache) > 1:
+                _evicted, blob = self._cache.popitem(last=False)
+                self._resident -= len(blob)
 
     def _cache_drop(self, names: "set[str]") -> None:
-        for name in names:
-            blob = self._cache.pop(name, None)
-            if blob is not None:
-                self._resident -= len(blob)
+        with self._cache_lock:
+            for name in names:
+                blob = self._cache.pop(name, None)
+                if blob is not None:
+                    self._resident -= len(blob)
 
     def _read_segment(self, name: str, nbytes: int, crc: int) -> bytes:
         path = self._segments / name
@@ -552,7 +561,8 @@ class EpochStore:
                 f"({len(data)} bytes vs {nbytes} recorded; CRC mismatch "
                 "or truncation) — corrupt or tampered segment"
             )
-        self.disk_loads += 1
+        with self._cache_lock:
+            self.disk_loads += 1
         return data
 
     def _segment_header(self, name: str, data: bytes, full: bool = False) -> dict:
@@ -582,10 +592,11 @@ class EpochStore:
 
     def _page(self, entry: SpanEntry) -> bytes:
         """The verified payload bytes of one span segment (LRU-cached)."""
-        cached = self._cache.get(entry.file)
-        if cached is not None:
-            self._cache.move_to_end(entry.file)
-            return cached
+        with self._cache_lock:
+            cached = self._cache.get(entry.file)
+            if cached is not None:
+                self._cache.move_to_end(entry.file)
+                return cached
         data = self._read_segment(entry.file, entry.nbytes, entry.crc32)
         header = self._segment_header(entry.file, data)
         span = header.get("epoch", {}).get("span") \

@@ -292,12 +292,13 @@ class TestRefusals:
     )
     def test_non_finite_parameter_refused_at_dump(self, epsilon):
         """Blob headers are strict JSON: a parameter no JSON reader
-        accepts raises at dump time instead of being written."""
+        accepts raises at dump time instead of being written.  The
+        parameter rules refuse such a value at build, so it is set on a
+        built sketch."""
         from repro.api import SketchSpec
 
-        sketch = SketchSpec.of(
-            "mst_weight", 10, max_weight=4, epsilon=epsilon
-        ).build()
+        sketch = SketchSpec.of("mst_weight", 10, max_weight=4).build()
+        sketch.epsilon = epsilon
         with pytest.raises(ValueError, match="JSON"):
             dump_sketch(sketch)
 
