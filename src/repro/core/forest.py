@@ -31,7 +31,7 @@ from ..sketch import ArenaBacked, L0SamplerBank
 from ..sketch.arena import check_params
 from ..sketch.bank import CellBank
 from ..streams import EdgeUpdate, StreamBatch
-from ..util import ceil_log2, pair_rank_array, pair_unrank
+from ..util import ceil_log2, pair_rank_array, pair_unrank_array
 from .incidence import edge_domain
 
 __all__ = ["SpanningForestSketch"]
@@ -161,46 +161,47 @@ class SpanningForestSketch(ArenaBacked):
         true graph has); callers needing certainty can retry with more
         ``rounds`` or a different seed.
         """
-        uf = UnionFind(self.n)
-        forest: list[tuple[int, int, int]] = []
-        for t in range(self.rounds):
-            components = uf.groups()
-            if len(components) == 1:
-                break
-            merged_any = False
-            decode_failed = False
-            # One whole-bank kernel call decodes every component's
-            # summed sampler for this round at once; the per-component
-            # union bookkeeping stays in Python but touches no cells.
-            groups = list(components.values())
-            status, items, values = self.bank.sample_many(t, groups)
-            for ci in range(len(groups)):
-                st = int(status[ci])
-                if st != 0:
-                    # A zero vector (1) means the component has no
-                    # outgoing edge (isolated w.h.p.); a decode failure
-                    # (2) says nothing — a later round's fresh samplers
-                    # may still recover an edge, so it must not end the
-                    # extraction early.
-                    if st == 2:
-                        decode_failed = True
-                    continue
-                a, b = pair_unrank(int(items[ci]), self.n)
-                if uf.union(a, b):
-                    forest.append((a, b, abs(int(values[ci]))))
-                    merged_any = True
-            if not merged_any and not decode_failed and t > 0:
-                # Every remaining component reported a zero outgoing
-                # vector in a full round; they are isolated w.h.p.
-                break
-        return forest
+        return self._boruvka()[1]
 
     def connected_components(self) -> list[set[int]]:
         """Connected components implied by the extracted forest."""
+        members, seg_offsets = _grouped(_labels(self._boruvka()[0].parent))
+        nodes, bounds = members.tolist(), seg_offsets.tolist()
+        return [set(nodes[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def _boruvka(self) -> tuple[UnionFind, list[tuple[int, int, int]]]:
+        """Run the extraction: the union-find it merged nodes in, and the
+        forest edges of its merges.
+
+        Each round decodes every component's summed sampler in one
+        kernel call and unranks the decoded edges in one call; only the
+        unions, in component order, run in Python.
+        """
         uf = UnionFind(self.n)
-        for u, v, _ in self.spanning_forest():
-            uf.union(u, v)
-        return [set(members) for members in uf.groups().values()]
+        forest: list[tuple[int, int, int]] = []
+        for t in range(self.rounds):
+            if uf.count == 1:
+                break
+            members, seg_offsets = _grouped(_labels(uf.parent))
+            status, items, values = self.bank.sample_segments(
+                t, members, seg_offsets)
+            decoded = status == 0
+            lo, hi = pair_unrank_array(items[decoded], self.n)
+            merged_any = False
+            for a, b, value in zip(
+                lo.tolist(), hi.tolist(), values[decoded].tolist()
+            ):
+                if uf.union(a, b):
+                    forest.append((a, b, abs(value)))
+                    merged_any = True
+            if not merged_any and t > 0 and not bool((status == 2).any()):
+                # Every remaining component reported a zero outgoing
+                # vector (status 1) in a full round; they are isolated
+                # w.h.p.  A decode failure (2) says nothing — a later
+                # round's fresh samplers may still recover an edge, so
+                # it must not end the extraction early.
+                break
+        return uf, forest
 
     def is_connected(self) -> bool:
         """Whether the sketched graph is connected (w.h.p. correct)."""
@@ -209,3 +210,24 @@ class SpanningForestSketch(ArenaBacked):
     def memory_cells(self) -> int:
         """Total 1-sparse cells held (space accounting for experiments)."""
         return self.bank.memory_cells()
+
+
+def _labels(parent: list[int]) -> np.ndarray:
+    """Each node's component in a union-find forest, the components
+    numbered in the order of their smallest node."""
+    root = np.asarray(parent, dtype=np.int64)
+    while not np.array_equal(up := root[root], root):
+        root = up
+    first = np.sort(np.unique(root, return_index=True)[1])
+    by_root = np.empty(root.size, dtype=np.int64)
+    by_root[root[first]] = np.arange(first.size)
+    return by_root[root]
+
+
+def _grouped(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes grouped by component label, ascending within a group, and
+    the ``C + 1`` group boundaries."""
+    members = np.argsort(label, kind="stable")
+    seg_offsets = np.zeros(int(label.max()) + 2, dtype=np.int64)
+    np.cumsum(np.bincount(label), out=seg_offsets[1:])
+    return members, seg_offsets

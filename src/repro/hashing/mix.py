@@ -19,7 +19,7 @@ import numpy as np
 
 from ..util import trailing_zeros_array
 
-__all__ = ["splitmix64", "HashSource"]
+__all__ = ["splitmix64", "hash_levels", "HashSource"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -46,6 +46,15 @@ def splitmix64(x: np.ndarray | int, seed: int = 0) -> np.ndarray | int:
     if scalar:
         return int(z)
     return z
+
+
+def hash_levels(h: np.ndarray, max_level: int) -> np.ndarray:
+    """:meth:`HashSource.levels` of the keys whose 64-bit hashes are ``h``.
+
+    A caller that needs both a key's hash and its level hashes it once.
+    """
+    h = np.asarray(h, dtype=np.uint64) | np.uint64(1 << 63)
+    return np.minimum(trailing_zeros_array(h), max_level)
 
 
 class HashSource:
@@ -126,8 +135,7 @@ class HashSource:
         if isinstance(h, (int, np.integer)):
             h = int(h) | (1 << 63)  # guarantee a set bit
             return min((h & -h).bit_length() - 1, max_level)
-        h = np.asarray(h, dtype=np.uint64) | np.uint64(1 << 63)
-        return np.minimum(trailing_zeros_array(h), max_level)
+        return hash_levels(h, max_level)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HashSource(seed=0x{self.seed:016x})"

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..hashing import MERSENNE31
 from ..hashing.field import mulmod, powmod_windowed
+from ..hashing.mix import hash_levels
 
 __all__ = ["KERNELS"]
 
@@ -365,46 +366,55 @@ def _forest_scatter_levels(
 
 
 #: Sampler-block gather budget per decode slab — bounds the peak
-#: ``members × cells_per_sampler`` gather matrix regardless of how many
-#: components one Borůvka round decodes.
+#: ``members × cells_per_sampler`` gather of each field regardless of
+#: how many components one Borůvka round decodes.
 _DECODE_SLAB = 1 << 16
 
 
 @_kernel
-def decode_all(bank, family, member_starts, seg_offsets):
+def decode_all(bank, family, members, seg_offsets):
     """Batched one-sparse decode over per-component summed samplers.
 
-    ``bank`` is an :class:`~repro.sketch.l0.L0SamplerBank`;
-    ``member_starts`` holds the first cell of each member sampler's
-    block (components concatenated), ``seg_offsets`` the ``C + 1``
-    component boundaries.  For each component the member blocks are
-    summed (the AGM supernode trick) and decoded with the same
-    deepest-level / hash-tie-break / last-cell selection rule as
-    ``L0SamplerBank._sample_from``.
+    ``bank`` is an :class:`~repro.sketch.l0.L0SamplerBank`; ``members``
+    holds the sampler ids of every component's members (components
+    concatenated, a repeated member counted once per repeat) and
+    ``seg_offsets`` the ``C + 1`` component boundaries.  For each
+    component the member samplers are summed (the AGM supernode trick)
+    and decoded with the same deepest-level / hash-tie-break /
+    last-cell selection rule as ``L0SamplerBank._sample_from``.
+
+    A sampler's cells are one contiguous block per field, so a slab of
+    members is gathered as one row per member and field, and only the
+    nonzero cells of those rows go on.  When some component has several
+    members, those cells are sorted by (component, cell), each run is
+    summed and the fingerprint sums are reduced mod ``p``.  When every
+    component has one member (a round of single nodes, such as
+    Borůvka's first), the cells are the sums already, since stored
+    fingerprints are canonical residues, and the sort, the sums and the
+    reduction are skipped.  The division, both fingerprint checks and
+    the level hashing then run on the summed cells with ``φ ≠ 0`` only.
 
     Returns ``(status, items, values)`` with status ``0`` = decoded,
-    ``1`` = zero vector (w.h.p. no support), ``2`` = recovery failure.
+    ``1`` = zero vector (w.h.p. no support), ``2`` = recovery failure;
+    ``items`` and ``values`` are ``0`` where the status is not ``0``.
     """
-    cps = bank._cells_per_sampler
     count = seg_offsets.size - 1
-    status = np.full(count, 2, dtype=np.int64)
+    status = np.ones(count, dtype=np.int64)
     items_out = np.zeros(count, dtype=np.int64)
     values_out = np.zeros(count, dtype=np.int64)
-    # Slab the component axis so the gather matrix stays bounded.
-    per_slab = max(1, _DECODE_SLAB // max(cps, 1))
+    rows = members + family * bank.samplers
+    # Slab the component axis so each field's gather stays bounded: a
+    # slab takes the components whose members fit the budget, and at
+    # least one.
+    per_slab = max(1, _DECODE_SLAB // bank._cells_per_sampler)
     first = 0
     while first < count:
-        last = first
-        members = 0
-        while last < count:
-            seg = int(seg_offsets[last + 1] - seg_offsets[last])
-            if last > first and members + seg > per_slab:
-                break
-            members += seg
-            last += 1
+        last = int(np.searchsorted(
+            seg_offsets, seg_offsets[first] + per_slab, side="right")) - 1
+        last = max(last, first + 1)
         _decode_slab(
             bank, family,
-            member_starts[seg_offsets[first]:seg_offsets[last]],
+            rows[seg_offsets[first]:seg_offsets[last]],
             seg_offsets[first:last + 1] - seg_offsets[first],
             status[first:last], items_out[first:last], values_out[first:last],
         )
@@ -412,55 +422,85 @@ def decode_all(bank, family, member_starts, seg_offsets):
     return status, items_out, values_out
 
 
-def _decode_slab(bank, family, member_starts, seg_offsets, status, items_out,
-                 values_out):
-    """Decode one bounded slab of components in place."""
+def _decode_slab(bank, family, rows, seg_offsets, status, items_out, values_out):
+    """Decode one bounded slab of components in place.
+
+    Cells are addressed by ``key = component * cps + cell``; the keys
+    come out ascending, so each component's candidates keep their cell
+    order for the last-cell tie-break.
+    """
     bb = bank.bank
     cps = bank._cells_per_sampler
-    idx = member_starts[:, None] + np.arange(cps, dtype=np.int64)[None, :]
-    starts = seg_offsets[:-1]
-    phi = np.add.reduceat(bb.phi[idx], starts, axis=0)
-    iota = np.add.reduceat(bb.iota[idx], starts, axis=0)
-    fp1 = np.add.reduceat(bb.fp1[idx], starts, axis=0)
-    fp2 = np.add.reduceat(bb.fp2[idx], starts, axis=0)
-    _reduce_mersenne31_inplace(fp1)
-    _reduce_mersenne31_inplace(fp2)
-    zero = ~((phi != 0) | (iota != 0) | (fp1 != 0) | (fp2 != 0)).any(axis=1)
-    status[zero] = 1
-    # Vectorised 1-sparse test; the fingerprint check then runs on the
-    # candidate cells only, taken in row-major order like a mask.
-    ok = phi != 0
-    safe = np.where(ok, phi, 1)
-    ok &= np.mod(iota, safe) == 0
-    index = np.where(ok, iota // safe, 0)
-    ok &= (index >= 0) & (index < bank.domain)
-    comp_ids, cells = np.nonzero(ok)
-    cand_idx = index[comp_ids, cells]
-    cand_val = phi[comp_ids, cells]
-    phimod = np.mod(cand_val, MERSENNE31)
-    good = fp1[comp_ids, cells] == mulmod(
-        phimod, powmod_windowed(bb.z1, cand_idx))
-    good &= fp2[comp_ids, cells] == mulmod(
-        phimod, powmod_windowed(bb.z2, cand_idx))
-    comp_ids = comp_ids[good]
-    if comp_ids.size == 0:
+    count = seg_offsets.size - 1
+    fields = (bb.phi, bb.iota, bb.fp1, bb.fp2)
+    # One row per member and field, OR-ed into one buffer: a cell is
+    # nonzero when any field is.  The nonzero cells are then read from
+    # the bank by position.
+    nonzero = np.take(fields[0].reshape(-1, cps), rows, axis=0)
+    for field in fields[1:]:
+        nonzero |= np.take(field.reshape(-1, cps), rows, axis=0)
+    key = (nonzero.ravel() != 0).nonzero()[0]
+    if key.size == 0:
         return
-    cand_idx = cand_idx[good]
-    cand_val = cand_val[good]
-    keys = cand_idx * bank.families + family
-    cand_lv = np.asarray(bank._level_source.levels(keys, bank.levels), dtype=np.int64)
-    tiebreak = np.asarray(bank._level_source.hash64(keys), dtype=np.uint64)
+    row = key // cps
+    cell = key - row * cps
+    position = rows[row] * cps + cell
+    phi, iota, fp1, fp2 = (field[position] for field in fields)
+    if rows.size > count:
+        # Sum each component's member cells: sort the nonzero cells by
+        # key and add up each run of equal keys.  Fingerprint sums stay
+        # far below 2^63, so ``%`` gives their canonical residues.
+        comp = np.searchsorted(seg_offsets, row, side="right") - 1
+        key = comp * cps + cell
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        key = key[runs]
+        phi, iota, fp1, fp2 = (
+            np.add.reduceat(f[order], runs) for f in (phi, iota, fp1, fp2)
+        )
+        fp1 %= MERSENNE31
+        fp2 %= MERSENNE31
+        live = ((phi | iota | fp1 | fp2) != 0).nonzero()[0]
+        key, phi, iota, fp1, fp2 = (
+            f[live] for f in (key, phi, iota, fp1, fp2)
+        )
+    comp = key // cps
+    status[comp] = 2
+    # Vectorised 1-sparse test on the cells with φ ≠ 0; the fingerprint
+    # checks then run on the cells naming an index in the domain.
+    cand = (phi != 0).nonzero()[0]
+    value = phi[cand]
+    weighted = iota[cand]
+    ok = weighted % value == 0
+    index = weighted // value
+    ok &= (index >= 0) & (index < bank.domain)
+    cand, value, index = cand[ok], value[ok], index[ok]
+    phimod = np.mod(value, MERSENNE31)
+    good = fp1[cand] == mulmod(phimod, powmod_windowed(bb.z1, index))
+    good &= fp2[cand] == mulmod(phimod, powmod_windowed(bb.z2, index))
+    if not good.any():
+        return
+    comp = comp[cand[good]]
+    index = index[good]
+    value = value[good]
+    tiebreak = np.asarray(
+        bank._level_source.hash64(index * bank.families + family),
+        dtype=np.uint64)
+    cand_lv = hash_levels(tiebreak, bank.levels)
     # Per component: deepest level wins, ties by hash, then by last
     # cell position — exactly ``lexsort((tiebreak, level))[-1]`` of
     # ``L0SamplerBank._sample_from``, batched via a component-major
     # stable lexsort.
-    order = np.lexsort((tiebreak, cand_lv, comp_ids))
-    sorted_comps = comp_ids[order]
-    present = np.unique(comp_ids)
-    win = order[np.searchsorted(sorted_comps, present, side="right") - 1]
+    order = np.lexsort((tiebreak, cand_lv, comp))
+    sorted_comps = comp[order]
+    last = np.flatnonzero(
+        np.concatenate((sorted_comps[1:] != sorted_comps[:-1], [True])))
+    win = order[last]
+    present = sorted_comps[last]
     status[present] = 0
-    items_out[present] = cand_idx[win]
-    values_out[present] = cand_val[win]
+    items_out[present] = index[win]
+    values_out[present] = value[win]
 
 
 @_kernel

@@ -87,17 +87,19 @@ def _opt_section(
 def parse_spec(payload: Mapping[str, Any]) -> SketchSpec:
     """Build a :class:`SketchSpec` from its declaration dict.
 
-    The params pass through as declared: building the spec applies the
-    parameter rules (:func:`~repro.sketch.arena.check_params`), whose
-    ``ValueError`` names the refused field (400).
+    ``n``, ``seed`` (``0`` when absent) and the params pass through as
+    declared: building the spec applies the parameter rules
+    (:func:`~repro.sketch.arena.check_params`), whose ``ValueError``
+    names the refused field (400).
     """
     kind = _req_str(payload, "kind")
     capability_entry(kind)  # unknown kind -> NotSupportedError (422)
-    n = _req_int(payload, "n")
-    seed = _opt_int(payload, "seed", 0)
-    assert seed is not None
+    seed = payload.get("seed")
     params = _opt_section(payload, "params") or {}
-    return SketchSpec(kind, n, seed, tuple(params.items()))
+    return SketchSpec(
+        kind, payload.get("n"), 0 if seed is None else seed,
+        tuple(params.items()),
+    )
 
 
 def parse_updates(raw: Any) -> "list[EdgeUpdate]":

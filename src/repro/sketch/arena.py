@@ -283,13 +283,15 @@ def ensure_arena(sketch) -> SketchArena:
     return arena
 
 
-#: The rule for each constructor keyword of a registry kind:
-#: ``name -> (type, bound, bound excluded)``.  An ``int`` parameter
-#: takes a Python ``int`` — not a ``bool``, and not a numpy integer,
-#: which a JSON blob header cannot hold — at or above its bound.  A
+#: The rule for each constructor keyword of a registry kind, and for
+#: the seed: ``name -> (type, bound, bound excluded)``.  An ``int``
+#: parameter takes a Python ``int`` — not a ``bool``, and not a numpy
+#: integer, which a JSON blob header cannot hold — at or above its
+#: bound, and below its limit in ``_INT_LIMITS`` if it has one.  A
 #: ``float`` parameter takes a finite ``int`` or ``float`` above (or,
 #: if the bound is not excluded, at) its bound.
 _PARAM_RULES: dict[str, tuple[type, int, bool]] = {
+    "seed": (int, 0, False),
     "n": (int, 2, False),
     "k": (int, 1, False),
     "rounds": (int, 1, False),
@@ -309,17 +311,22 @@ _PARAM_RULES: dict[str, tuple[type, int, bool]] = {
     "c_buckets": (float, 0, True),
     "c_deg": (float, 0, True),
 }
+#: Exclusive upper limits of ``int`` parameters: ``HashSource`` keeps
+#: only the low 64 bits of a seed, so a larger one would build another
+#: seed's sketch.
+_INT_LIMITS: dict[str, int] = {"seed": 1 << 64}
 #: Parameters a constructor derives itself when given ``None``.
 _DERIVED_WHEN_NONE = frozenset({"rounds", "levels"})
 
 
 def check_params(**params: object) -> None:
-    """Refuse any constructor keyword whose value its rule does not admit.
+    """Refuse any constructor keyword or seed its rule does not admit.
 
     Every registry sketch constructor calls this on its keywords first,
-    so :meth:`~repro.api.SketchSpec.build`, the codec's rebuild of a
-    blob header and serve's tenant creation all refuse the same values
-    with the same :class:`ValueError`, which names the field.  What a
+    and the one constructor behind them on the seed, so
+    :meth:`~repro.api.SketchSpec.build`, the codec's rebuild of a blob
+    header and serve's tenant creation all refuse the same values with
+    the same :class:`ValueError`, which names the field.  What a
     kind adds on top (a hierarchy's ``epsilon`` in ``(0, 1]``, a
     subgraph order of 3..5) stays in that kind's constructor.
     """
@@ -332,6 +339,9 @@ def check_params(**params: object) -> None:
                 raise ValueError(f"{name} must be a Python int, got {value!r}")
             if value < bound:
                 raise ValueError(f"{name} must be >= {bound}, got {value!r}")
+            limit = _INT_LIMITS.get(name)
+            if limit is not None and value >= limit:
+                raise ValueError(f"{name} must be < {limit}, got {value!r}")
         # ``abs(value) <= max`` fails for NaN, ±inf and an int past
         # the float range alike.
         elif isinstance(value, bool) or not isinstance(value, (int, float)) \

@@ -159,7 +159,19 @@ class L0SamplerBank(ArenaBacked):
 
     # -- queries ---------------------------------------------------------------
 
+    def _check_ids(self, family: int, samplers: tuple[int, ...]) -> None:
+        """Refuse a family or sampler id outside the bank, naming it: its
+        cells would be a neighbour's."""
+        if not 0 <= family < self.families:
+            raise ValueError(f"family {family} outside [0, {self.families})")
+        for sampler in samplers:
+            if not 0 <= sampler < self.samplers:
+                raise ValueError(
+                    f"sampler {sampler} outside [0, {self.samplers})"
+                )
+
     def _sampler_cells(self, family: int, sampler: int) -> np.ndarray:
+        self._check_ids(family, (sampler,))
         start = (family * self.samplers + sampler) * self._cells_per_sampler
         return np.arange(start, start + self._cells_per_sampler, dtype=np.int64)
 
@@ -205,30 +217,49 @@ class L0SamplerBank(ArenaBacked):
 
         Decodes the summed sampler of every group in one whole-bank
         kernel call (``decode_all``) instead of one Python round-trip
-        per group — the Borůvka extraction loop decodes *all* current
-        components of a round this way.  Returns parallel ``(status,
-        items, values)`` arrays: status ``0`` = decoded (a sample of
-        ``Σ_s x_{f,s}`` identical to :meth:`sample_sum`'s), ``1`` =
-        zero vector, ``2`` = recovery failure.
+        per group.  The kernel gathers each member's cells as one row
+        per field, sums only the groups of several members, and tests
+        only the summed cells with ``φ ≠ 0``.  Returns parallel
+        ``(status, items, values)`` arrays: status ``0`` = decoded (a
+        sample of ``Σ_s x_{f,s}`` identical to :meth:`sample_sum`'s),
+        ``1`` = zero vector, ``2`` = recovery failure, with ``items``
+        and ``values`` ``0`` unless decoded.
+
+        Raises ``ValueError`` for an empty group, or a family or member
+        outside the bank.
         """
-        count = len(member_groups)
         sizes = np.fromiter(
-            (len(g) for g in member_groups), dtype=np.int64, count=count
+            (len(g) for g in member_groups), dtype=np.int64,
+            count=len(member_groups),
         )
-        if count == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        if bool((sizes < 1).any()):
-            raise ValueError("every member group must be non-empty")
-        total = int(sizes.sum())
         members = np.fromiter(
-            chain.from_iterable(member_groups), dtype=np.int64, count=total
+            chain.from_iterable(member_groups), dtype=np.int64,
+            count=int(sizes.sum()),
         )
-        starts = (
-            family * self.samplers + members
-        ) * self._cells_per_sampler
-        seg_offsets = np.concatenate(([0], np.cumsum(sizes)))
-        return _K_DECODE_ALL(self, family, starts, seg_offsets)
+        return self.sample_segments(
+            family, members, np.concatenate(([0], np.cumsum(sizes)))
+        )
+
+    def sample_segments(
+        self, family: int, members: np.ndarray, seg_offsets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`sample_many` over groups laid out as arrays.
+
+        ``members`` holds the groups' sampler ids one group after the
+        other, and group ``c`` is ``members[seg_offsets[c]:seg_offsets[c
+        + 1]]``; ``seg_offsets`` starts at ``0``, ends at
+        ``members.size`` and increases strictly.  The Borůvka extraction
+        of :class:`~repro.core.forest.SpanningForestSketch` decodes each
+        round's components this way.  Raises ``ValueError`` as
+        :meth:`sample_many` does.
+        """
+        self._check_ids(family, (int(members.min()), int(members.max()))
+                        if members.size else ())
+        if seg_offsets[0] != 0 or seg_offsets[-1] != members.size or bool(
+            (np.diff(seg_offsets) < 1).any()
+        ):
+            raise ValueError("every member group must be non-empty")
+        return _K_DECODE_ALL(self, family, members, seg_offsets)
 
     def _sample_from(
         self,

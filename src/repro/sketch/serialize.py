@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import inspect
 import json
-import numbers
 import struct
 import zlib
 from collections.abc import Mapping
@@ -67,7 +66,7 @@ import numpy as np
 
 from ..errors import ReproError, SketchCompatibilityError
 from ..hashing import MERSENNE31, HashSource
-from .arena import ensure_arena
+from .arena import check_params, ensure_arena
 
 __all__ = [
     "SketchCodec",
@@ -409,13 +408,13 @@ def _construct(cls: type, seed: Any, params: Mapping[str, Any]) -> Any:
     """Build a fresh sketch: ``cls(source=HashSource(seed), **params)``.
 
     The one way (class, parameters, seed) becomes a sketch.  A seed
-    that is not an integer, unknown or missing keywords, a value its
-    parameter rule refuses (:func:`~repro.sketch.arena.check_params`,
-    the constructor's first call) and a kind's own refusals are all
-    reported as :class:`ValueError`.
+    outside ``[0, 2^64)`` or not a Python ``int``, unknown or missing
+    keywords, a value its parameter rule refuses
+    (:func:`~repro.sketch.arena.check_params`, the constructor's first
+    call) and a kind's own refusals are all reported as
+    :class:`ValueError`.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    check_params(seed=seed)
     try:
         return cls(source=HashSource(seed), **params)
     except (TypeError, ValueError, ReproError) as err:
@@ -572,18 +571,22 @@ def load_sketch(data: bytes, like: Any | None = None) -> Any:
     return _load(data, like)[0]
 
 
-def _load(data: bytes, like: Any | None = None) -> tuple[Any, np.ndarray | None]:
+def _load(
+    data: bytes, like: Any | None = None, into: Any | None = None
+) -> tuple[Any, np.ndarray | None]:
     """:func:`load_sketch`, also returning the positions it wrote.
 
-    The positions are those of a sparse payload, or ``None`` when the
-    payload was dense (see :func:`merge_sketch_bytes`).
+    ``into`` is an all-zero sketch of the spec the header names (a
+    :class:`~repro.sketch.twin.WarmTwin`'s), loaded in place of a fresh
+    one.  The positions are those of a sparse payload, or ``None`` when
+    the payload was dense (see :func:`merge_sketch_bytes`).
     """
-    sketch, idx, values = _read_cells(data, like, "load")
+    sketch, idx, values = _read_cells(data, like, "load", into=into)
     buffer = ensure_arena(sketch).buffer
     if idx is None:
         buffer[:] = values
     else:
-        # A freshly constructed sketch's buffer is all zeros.
+        # The buffer is all zeros, so the payload's cells are assigned.
         buffer[idx] = values
     return sketch, idx
 

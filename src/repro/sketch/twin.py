@@ -74,18 +74,19 @@ class Fold:
     def merge(self, data: bytes) -> None:
         """Add one payload.
 
-        The first goes into the lent twin only when its header names the
-        twin's exact spec; otherwise :func:`load_sketch`'s path, with
-        its checks and errors, loads it into a fresh sketch.  Into
-        zeros, a merge is that load, byte for byte.
+        The first is loaded: :func:`load_sketch`'s path, with its checks
+        and errors, assigns its cells into the lent twin when the header
+        names the twin's exact spec, and into a fresh sketch otherwise.
+        Into zeros, that assignment is a merge, byte for byte: stored
+        fingerprints are canonical residues already.
         """
-        if self._touched or (
-            self.sketch is not None and _of_spec(self.sketch, data)
-        ):
+        if self._touched:
             self._touched.append(merge_sketch_bytes(self.sketch, data))
-        else:
-            self.sketch, positions = _load(data)
-            self._touched.append(positions)
+            return
+        twin = self.sketch
+        into = twin if twin is not None and _of_spec(twin, data) else None
+        self.sketch, positions = _load(data, into=into)
+        self._touched.append(positions)
 
     def subtract(self, data: bytes) -> None:
         """Subtract one payload from the sketch the merges started."""

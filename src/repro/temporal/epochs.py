@@ -86,6 +86,16 @@ class EpochCheckpoint:
     payload: bytes
 
 
+def _check_epoch(index: int, checkpoint: EpochCheckpoint) -> None:
+    """Refuse a checkpoint at position ``index`` that does not seal epoch
+    ``index + 1``."""
+    if checkpoint.epoch != index + 1:
+        raise ValueError(
+            f"checkpoint {index} carries epoch id {checkpoint.epoch}, "
+            f"expected {index + 1} — out-of-order or missing epochs"
+        )
+
+
 class EpochTimeline:
     """An immutable, ordered sequence of cumulative epoch checkpoints.
 
@@ -99,13 +109,21 @@ class EpochTimeline:
         if not checkpoints:
             raise ValueError("a timeline needs at least one checkpoint")
         for i, chk in enumerate(checkpoints):
-            if chk.epoch != i + 1:
-                raise ValueError(
-                    f"checkpoint {i} carries epoch id {chk.epoch}, "
-                    f"expected {i + 1} — out-of-order or missing epochs"
-                )
+            _check_epoch(i, chk)
         self.n = n
         self.checkpoints: tuple[EpochCheckpoint, ...] = tuple(checkpoints)
+
+    def extended(self, checkpoint: EpochCheckpoint) -> "EpochTimeline":
+        """This timeline with ``checkpoint`` sealed after its last epoch.
+
+        Only the new checkpoint's epoch id is checked: this timeline's
+        were checked when it was built.
+        """
+        _check_epoch(self.epochs, checkpoint)
+        timeline = object.__new__(type(self))
+        timeline.n = self.n
+        timeline.checkpoints = (*self.checkpoints, checkpoint)
+        return timeline
 
     @property
     def epochs(self) -> int:
@@ -257,7 +275,9 @@ class EpochManager:
                 "instead of attaching a fresh manager"
             )
         self._store = store
-        self._checkpoints: list[EpochCheckpoint] = []
+        #: The in-memory timeline, extended by each seal; ``None`` until
+        #: the first seal or when store-backed.
+        self._timeline: EpochTimeline | None = None
         self._epoch_tokens = 0
         self._cumulative_tokens = 0
 
@@ -271,7 +291,7 @@ class EpochManager:
         """Number of checkpoints sealed so far."""
         if self._store is not None:
             return self._store.epochs
-        return len(self._checkpoints)
+        return 0 if self._timeline is None else self._timeline.epochs
 
     @property
     def store(self) -> "EpochStore | None":
@@ -310,8 +330,10 @@ class EpochManager:
         )
         if self._store is not None:
             self._store.append_checkpoint(checkpoint)
+        elif self._timeline is None:
+            self._timeline = EpochTimeline(self.n, [checkpoint])
         else:
-            self._checkpoints.append(checkpoint)
+            self._timeline = self._timeline.extended(checkpoint)
         self._epoch_tokens = 0
         return checkpoint
 
@@ -328,7 +350,10 @@ class EpochManager:
                 f"{self._store.root!s} — query it directly instead of "
                 "materialising an in-memory timeline"
             )
-        return EpochTimeline(self.n, self._checkpoints)
+        if self._timeline is None:
+            # No epoch is sealed: the constructor refuses the empty timeline.
+            return EpochTimeline(self.n, [])
+        return self._timeline
 
     @classmethod
     def resume(

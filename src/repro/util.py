@@ -23,6 +23,7 @@ __all__ = [
     "pair_rank",
     "pair_unrank",
     "pair_rank_array",
+    "pair_unrank_array",
     "subset_rank",
     "subset_unrank",
     "check_node",
@@ -136,6 +137,35 @@ def pair_rank_array(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     return lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)
+
+
+def pair_unrank_array(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised :func:`pair_unrank`: int64 arrays ``(u, v)`` with ``u < v``.
+
+    Row ``u`` owns the ranks from ``offset(u) = u(2n - 1 - u)/2`` up to
+    ``offset(u + 1) = offset(u) + n - 1 - u``.  The float root of
+    ``offset(u) = r`` seeds each row, and integer fix-ups step a seed
+    that float rounding put in a neighbouring row into the row holding
+    ``r``, as :func:`pair_unrank`'s do.  The row offsets are int64, so
+    ``n * n`` must stay below ``2^63``.
+    """
+    if n * n >= 1 << 63:
+        raise ValueError(f"n = {n} too large: int64 row offsets need n * n < 2^63")
+    r = np.asarray(r, dtype=np.int64)
+    total = pair_count(n)
+    if r.size and (int(r.min()) < 0 or int(r.max()) >= total):
+        bad = int(r[(r < 0) | (r >= total)][0])
+        raise ValueError(f"pair rank {bad} outside [0, {total})")
+    b = 2 * n - 1
+    u = ((b - np.sqrt(float(b) * b - 8.0 * r)) // 2).astype(np.int64)
+    offset = u * (b - u) // 2
+    while (high := offset > r).any():
+        u -= high
+        offset = u * (b - u) // 2
+    while (low := offset + (n - 1 - u) <= r).any():
+        offset += low * (n - 1 - u)
+        u += low
+    return u, r - offset + u + 1
 
 
 def subset_rank(subset: Sequence[int], n: int) -> int:

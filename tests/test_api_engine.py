@@ -42,6 +42,7 @@ from repro.errors import NotSupportedError
 from repro.sketch import dump_sketch
 from repro.streams import DynamicGraphStream, churn_stream, erdos_renyi_graph
 from repro.temporal import EpochManager
+from repro.temporal import epochs as epochs_module
 
 from strategies import streams_with_epochs
 
@@ -270,6 +271,26 @@ class TestTemporalParity:
             manual.seal_epoch()
             start = end
         assert manual.snapshot() == grid.snapshot()
+
+    def test_window_queries_check_each_checkpoint_once(
+        self, stream, monkeypatch
+    ):
+        """A seal checks its checkpoint's epoch id; a window query, and
+        the timeline it reads, check none again."""
+        checks = []
+        check = epochs_module._check_epoch
+        monkeypatch.setattr(
+            epochs_module, "_check_epoch",
+            lambda *args: checks.append(args) or check(*args),
+        )
+        engine = GraphSketchEngine.for_spec(SPECS["spanning_forest"]).epochs()
+        batch = stream.as_batch()
+        sealed = 12
+        for epoch in range(sealed):
+            engine.ingest_batch(batch.slice(epoch, epoch + 1)).seal_epoch()
+            engine.query(ConnectivityQuery(window=(0, epoch + 1)))
+            assert engine.timeline.epochs == epoch + 1
+        assert len(checks) == sealed
 
 
 #: One spec per serialisable kind, each with a constructor parameter

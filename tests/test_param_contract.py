@@ -65,3 +65,50 @@ def test_codec_refuses_a_blob_resealed_with_a_string_c_level():
         load_sketch(tampered)
     with pytest.raises(ValueError, match="c_level must be a finite real"):
         GraphSketchEngine.restore(tampered)
+
+
+#: Spec fields serve used to check on its own: each refused value now
+#: answers as the parameter rules do, whatever its type.
+REFUSED_SPEC_FIELDS = [
+    ("n", True), ("n", 1), ("n", 2.0), ("n", None), ("n", "10"),
+    ("seed", True), ("seed", -1), ("seed", 1 << 64), ("seed", 1 << 70),
+    ("seed", 1.0),
+]
+
+
+@pytest.mark.parametrize("field,value", REFUSED_SPEC_FIELDS, ids=repr)
+def test_serve_answers_each_refused_spec_field_alike(field, value):
+    spec = {"kind": "spanning_forest", "n": N, "seed": 3, field: value}
+
+    async def scenario():
+        async with AsgiClient(create_app()) as client:
+            r = await client.post(
+                "/v1/tenants", json={"name": "t", "spec": spec}
+            )
+            assert r.status == 400, r.text
+            assert r.json()["error"]["code"] == "BAD_REQUEST", r.text
+            assert f"{field} must be" in r.json()["error"]["message"]
+            assert (await client.get("/v1/tenants/t")).status == 404
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 1 << 70, True], ids=repr)
+def test_build_refuses_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must be"):
+        SketchSpec.of("spanning_forest", N, seed=seed).build()
+
+
+def test_a_served_tenant_keeps_its_declared_seed():
+    top = (1 << 64) - 1
+    spec = {"kind": "spanning_forest", "n": N, "seed": top}
+
+    async def scenario():
+        async with AsgiClient(create_app()) as client:
+            r = await client.post("/v1/tenants", json={"name": "t", "spec": spec})
+            assert r.status == 201, r.text
+            r = await client.get("/v1/tenants/t")
+            assert r.json()["spec"]["seed"] == top
+
+    asyncio.run(scenario())
+    assert SketchSpec.of("spanning_forest", N, seed=top).build().source_seed == top

@@ -148,7 +148,7 @@ def test_codec_refuses_a_resealed_header(kind, name):
 
 
 @pytest.mark.parametrize("seed", [
-    math.inf, -math.inf, math.nan, "31", None, True, 1.5, [1],
+    math.inf, -math.inf, math.nan, "31", None, True, 1.5, [1], -1, 1 << 64,
 ], ids=repr)
 def test_codec_refuses_a_resealed_seed(seed):
     blob = dump_sketch(SketchSpec.of("spanning_forest", N, seed=SEED).build())

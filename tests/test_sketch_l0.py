@@ -232,3 +232,54 @@ class TestL0SamplerBank:
             L0SamplerBank(0, 1, 10, source)
         with pytest.raises(ValueError):
             L0SamplerBank(1, 0, 10, source)
+
+
+class TestOutOfRangeSamplers:
+    """Cells are indexed by ``family * samplers + sampler``, so an id
+    outside the bank would read a neighbour's cells: each entry point
+    refuses it, naming the value."""
+
+    @pytest.fixture
+    def bank(self, source):
+        bank = L0SamplerBank(families=2, samplers=3, domain=100,
+                             source=source.derive(20))
+        bank.update(np.array([1]), np.array([0]), np.array([42]),
+                    np.array([5]))
+        assert bank.sample(1, 0) == (42, 5)
+        return bank
+
+    def test_sample(self, bank):
+        for family, sampler, named in [
+            (0, 3, "sampler 3"), (0, -3, "sampler -3"),
+            (-1, 0, "family -1"), (2, 0, "family 2"),
+        ]:
+            with pytest.raises(ValueError, match=f"{named} outside"):
+                bank.sample(family, sampler)
+
+    def test_sample_sum(self, bank):
+        for family, ids, named in [
+            (0, [3], "sampler 3"), (0, [-3], "sampler -3"),
+            (0, [1, 4, 2], "sampler 4"), (-1, [0], "family -1"),
+            (2, [0], "family 2"),
+        ]:
+            with pytest.raises(ValueError, match=f"{named} outside"):
+                bank.sample_sum(family, ids)
+
+    def test_sample_many(self, bank):
+        for family, groups, named in [
+            (0, [[0], [3]], "sampler 3"), (0, [[-3, 1]], "sampler -3"),
+            (-1, [[0]], "family -1"), (2, [[0], [1]], "family 2"),
+        ]:
+            with pytest.raises(ValueError, match=f"{named} outside"):
+                bank.sample_many(family, groups)
+        with pytest.raises(ValueError, match="sampler 3 outside"):
+            bank.sample_segments(0, np.array([0, 3]), np.array([0, 1, 2]))
+
+    def test_is_zero(self, bank):
+        assert not bank.is_zero(1, 0)
+        for family, sampler, named in [
+            (0, 3, "sampler 3"), (0, -3, "sampler -3"),
+            (-1, 0, "family -1"), (2, 0, "family 2"),
+        ]:
+            with pytest.raises(ValueError, match=f"{named} outside"):
+                bank.is_zero(family, sampler)

@@ -15,6 +15,7 @@ from repro.util import (
     pair_rank,
     pair_rank_array,
     pair_unrank,
+    pair_unrank_array,
     stable_unique_pairs,
     subset_rank,
     subset_unrank,
@@ -145,6 +146,33 @@ class TestPairRanking:
         got = pair_rank_array(u, v, n)
         want = [pair_rank(int(a), int(b), n) for a, b in zip(u, v)]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", [2, 3, 23, 128])
+    def test_unrank_array_matches_scalar_on_every_rank(self, n):
+        ranks = np.arange(pair_count(n), dtype=np.int64)
+        u, v = pair_unrank_array(ranks, n)
+        assert list(zip(u.tolist(), v.tolist())) == [
+            pair_unrank(int(r), n) for r in ranks
+        ]
+
+    def test_unrank_array_exact_at_large_universe(self):
+        for n in (1 << 27, (1 << 28) + 3, 3_000_000_000):
+            total = pair_count(n)
+            ranks = np.array([0, 1, n - 2, n - 1, total // 3, total // 2,
+                              total - 3, total - 2, total - 1], dtype=np.int64)
+            u, v = pair_unrank_array(ranks, n)
+            assert list(zip(u.tolist(), v.tolist())) == [
+                pair_unrank(int(r), n) for r in ranks
+            ]
+
+    def test_unrank_array_refuses_out_of_range(self):
+        with pytest.raises(ValueError, match="45"):
+            pair_unrank_array(np.array([3, 45]), 10)
+        with pytest.raises(ValueError, match="-1"):
+            pair_unrank_array(np.array([-1]), 10)
+        # Its row offsets would overflow int64 and the fix-ups not end.
+        with pytest.raises(ValueError, match="too large"):
+            pair_unrank_array(np.array([0]), 4_000_000_000)
 
 
 class TestSubsetRanking:
