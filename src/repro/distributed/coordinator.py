@@ -59,7 +59,7 @@ import numpy as np
 
 from ..errors import SketchCompatibilityError, StreamError
 from ..sketch.arena import SketchArena, ensure_arena, slot_bytes
-from ..sketch.serialize import _sketch_header, _verify_header, dump_sketch
+from ..sketch.serialize import _sketch_header, _verify_header, dump_cells
 from ..streams import DynamicGraphStream, StreamBatch
 from ..temporal.epochs import EpochCheckpoint, EpochTimeline, normalize_boundaries
 from .partition import partition_batch, shard_assignment
@@ -686,7 +686,8 @@ class ShardedSketchRunner:
         ``store=`` every sealed checkpoint is appended durably to an
         :class:`~repro.temporal.store.EpochStore` as it is produced and
         *not* kept in memory — the report then carries no timeline —
-        so RAM holds one live sketch however many epochs are sealed.
+        so RAM holds one live sketch plus the store's tail however many
+        epochs are sealed.
         """
         bounds = normalize_boundaries(len(stream), epochs, boundaries)
         t_start = time.perf_counter()
@@ -710,11 +711,10 @@ class ShardedSketchRunner:
                 "tokens": bounds[t] - (bounds[t - 1] if t else 0),
                 "cumulative_tokens": bounds[t],
             }
-            checkpoint = EpochCheckpoint(
-                **meta, payload=dump_sketch(sketch, epoch_meta=meta)
-            )
+            cells, payload = dump_cells(sketch, epoch_meta=meta)
+            checkpoint = EpochCheckpoint(**meta, payload=payload)
             if store is not None:
-                store.append_checkpoint(checkpoint)
+                store.append_checkpoint(checkpoint, cells=cells)
             else:
                 checkpoints.append(checkpoint)
 

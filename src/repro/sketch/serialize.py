@@ -60,6 +60,7 @@ import struct
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -69,13 +70,16 @@ from ..hashing import MERSENNE31, HashSource
 from .arena import check_params, ensure_arena
 
 __all__ = [
+    "SketchCells",
     "SketchCodec",
     "register_sketch_codec",
     "serializable_sketch_kinds",
     "sketch_codec",
     "sketch_kind_of",
     "dump_sketch",
+    "dump_cells",
     "load_sketch",
+    "read_cells",
     "merge_sketch_bytes",
     "subtract_sketch_bytes",
     "peek_sketch_meta",
@@ -503,6 +507,110 @@ def _codec_of_header(header: dict) -> SketchCodec:
     return codec
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class SketchCells:
+    """The decoded cells of one sketch: what its blob encodes.
+
+    ``kind`` is the blob-header kind (``sketch:<name>``) and ``spec`` the
+    header fields :func:`dump_sketch` writes ahead of any epoch
+    metadata — the constructor parameters, ``seed`` and the per-bank
+    ``cells`` layout — as a read-only mapping.  ``positions`` are the
+    strictly increasing int64 positions of the nonzero entries of the
+    ``4 * cells`` arena buffer and ``values`` the canonical int64
+    entries there (fingerprints reduced into ``GF(2^31 - 1)``); both
+    arrays refuse writes.  :func:`dump_cells` returns the value with
+    the blob it encodes, and :func:`read_cells` reads it off a blob.
+    """
+
+    kind: str
+    spec: Mapping[str, Any]
+    positions: np.ndarray
+    values: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Length of the arena buffer the positions index (``4 * cells``)."""
+        return 4 * sum(self.spec["cells"])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the two arrays hold."""
+        return int(self.positions.nbytes + self.values.nbytes)
+
+    @property
+    def header(self) -> dict:
+        """The blob-header fields the cells carry: the spec and ``__kind__``."""
+        return {"__kind__": self.kind, **self.spec}
+
+
+def _cells_of(
+    kind: str, spec: dict, positions: np.ndarray, values: np.ndarray
+) -> SketchCells:
+    """Freeze ``(positions, values)`` of a ``kind`` sketch of ``spec``."""
+    positions.flags.writeable = False
+    values.flags.writeable = False
+    return SketchCells(kind, MappingProxyType(spec), positions, values)
+
+
+def _spec_of(sketch: Any, seed: int) -> dict:
+    """The header fields a dump of ``sketch`` writes ahead of any epoch
+    metadata: its parameters, ``seed`` and the per-bank ``cells``."""
+    spec = sketch._params()
+    spec["seed"] = seed
+    spec["cells"] = tuple(int(b.size) for b in sketch._cell_banks())
+    return spec
+
+
+def _scan(
+    sketch: Any, seed: int | None
+) -> tuple[str, dict, np.ndarray, np.ndarray]:
+    """The arena scan of a dump: ``sketch``'s blob kind and spec, its
+    arena buffer, and the strictly increasing positions of the buffer's
+    nonzero entries."""
+    kind = _SKETCH_KIND_PREFIX + _codec_for(sketch).kind
+    if seed is None:
+        seed = sketch.source_seed
+    if seed is None:
+        raise ValueError(
+            f"{type(sketch).__name__} has no recorded seed; pass one explicitly"
+        )
+    # ``buffer != 0`` scans an int64 arena faster than ``flatnonzero``
+    # on the int64 values.
+    buffer = ensure_arena(sketch).buffer
+    return kind, _spec_of(sketch, int(seed)), buffer, np.flatnonzero(buffer != 0)
+
+
+def _encode(
+    kind: str,
+    spec: Mapping[str, Any],
+    buffer: np.ndarray,
+    positions: np.ndarray,
+    values: np.ndarray | None,
+    epoch_meta: dict | None,
+) -> bytes:
+    """The blob of a ``kind`` sketch of ``spec`` whose arena ``buffer``
+    is nonzero exactly at ``positions``.
+
+    A lightly-loaded sketch (a site shard, an early epoch, a store
+    delta) ships its nonzero entries packed — smaller bytes *and* an
+    O(nnz) fold at the reader; ``values`` are those entries, gathered
+    from ``buffer`` when ``None``.  Past one nonzero entry in eight the
+    buffer itself is the payload, with zero gather work.
+    """
+    meta = dict(spec)
+    meta["cells"] = list(meta["cells"])
+    if epoch_meta is not None:
+        meta["epoch"] = dict(epoch_meta)
+    if 2 * positions.size <= buffer.size // 4:
+        if values is None:
+            values = buffer[positions]
+        fields, payload = _pack_sparse(positions, values, buffer.size // 4)
+        meta.update(fields)
+        return _pack_raw(kind, meta, payload, encoding="packed-zlib")
+    payload = buffer.astype("<i8", copy=False).tobytes()
+    return _pack_raw(kind, meta, payload, encoding="zlib")
+
+
 def dump_sketch(
     sketch: Any,
     seed: int | None = None,
@@ -522,32 +630,23 @@ def dump_sketch(
     by the parameter/seed verification of :func:`load_sketch` — two
     checkpoints of the same sketch at different epochs stay mergeable.
     """
-    codec = _codec_for(sketch)
-    if seed is None:
-        seed = sketch.source_seed
-    if seed is None:
-        raise ValueError(
-            f"{type(sketch).__name__} has no recorded seed; pass one explicitly"
-        )
-    meta = sketch._params()
-    meta["seed"] = int(seed)
-    meta["cells"] = [int(b.size) for b in sketch._cell_banks()]
-    if epoch_meta is not None:
-        meta["epoch"] = dict(epoch_meta)
-    # The field-major arena buffer is the payload, with zero gather
-    # work.  A lightly-loaded sketch (a site shard, an early epoch)
-    # ships its nonzero entries packed instead — smaller bytes *and* an
-    # O(nnz) fold at the coordinator.  (``buffer != 0`` scans an int64
-    # arena faster than ``flatnonzero`` on the int64 values.)
-    buffer = ensure_arena(sketch).buffer
-    idx = np.flatnonzero(buffer != 0)
-    kind = _SKETCH_KIND_PREFIX + codec.kind
-    if 2 * idx.size <= buffer.size // 4:
-        fields, payload = _pack_sparse(idx, buffer[idx], buffer.size // 4)
-        meta.update(fields)
-        return _pack_raw(kind, meta, payload, encoding="packed-zlib")
-    payload = buffer.astype("<i8", copy=False).tobytes()
-    return _pack_raw(kind, meta, payload, encoding="zlib")
+    return _encode(*_scan(sketch, seed), None, epoch_meta)
+
+
+def dump_cells(
+    sketch: Any,
+    seed: int | None = None,
+    epoch_meta: dict | None = None,
+) -> tuple[SketchCells, bytes]:
+    """:func:`dump_sketch`, also returning the cells its blob encodes.
+
+    One arena scan gives both, so the cells are exactly those
+    :func:`read_cells` reads back from the blob.  The arrays are
+    copies: the sketch may keep changing after the dump.
+    """
+    kind, spec, buffer, positions = _scan(sketch, seed)
+    cells = _cells_of(kind, spec, positions, buffer[positions])
+    return cells, _encode(kind, spec, buffer, positions, cells.values, epoch_meta)
 
 
 def load_sketch(data: bytes, like: Any | None = None) -> Any:
@@ -668,6 +767,47 @@ def _read_cells(
     else:
         return into, None, _validated_cell_buffer(payload, total)
     return into, idx, values
+
+
+def read_cells(data: bytes, into: Any | None = None) -> SketchCells:
+    """The codec's reader: the verified cells of a sketch blob.
+
+    The checks of :func:`load_sketch`, without loading.  ``into`` is the
+    sketch the cells are checked against: the header must name its
+    kind, parameters and seed (:class:`~repro.errors.
+    SketchCompatibilityError` otherwise) and its layout; when ``None``,
+    a fresh twin built from the header.  A dense payload is scanned for
+    its nonzero entries.
+    """
+    into, idx, values = _read_cells(data, into, "load", into=into)
+    if idx is None:
+        idx = np.flatnonzero(values != 0)
+        values = values[idx]
+    kind = _SKETCH_KIND_PREFIX + _codec_for(into).kind
+    return _cells_of(kind, _spec_of(into, into.source_seed), idx, values)
+
+
+def _load_cells(cells: SketchCells, into: Any | None = None) -> tuple[Any, np.ndarray]:
+    """Assign ``cells`` into ``into``, an all-zero sketch of their spec,
+    or into a fresh one built from it; return it and the positions."""
+    if into is None:
+        into = _twin_of_header(cells.header)
+    ensure_arena(into).buffer[cells.positions] = cells.values
+    return into, cells.positions
+
+
+def _combine_cells(sketch: Any, cells: SketchCells, subtract: bool) -> np.ndarray:
+    """Fold ``cells`` into ``sketch``; return the positions they named.
+
+    Refused with :class:`~repro.errors.SketchCompatibilityError`, in the
+    words of the byte combines, unless ``sketch`` is of the cells' spec.
+    The layout then matches too: the spec fixes it.
+    """
+    _verify_header(cells.header, sketch, op="subtract" if subtract else "merge")
+    ensure_arena(sketch)._combine_sparse(
+        cells.positions, cells.values, subtract=subtract
+    )
+    return cells.positions
 
 
 def _twin_of_header(header: dict) -> Any:

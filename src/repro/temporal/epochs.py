@@ -27,8 +27,11 @@ from typing import TYPE_CHECKING
 from ..errors import EpochStoreError, SketchCompatibilityError, StoreCorruptionError
 from ..sketch.serialize import (
     _is_int,
+    dump_cells,
     dump_epoch_manifest,
-    dump_sketch,
+    # Seals call dump_cells, but code that rebinds the codec per module
+    # (e2ebench/tracer.py) finds dump_sketch here.
+    dump_sketch,  # noqa: F401
     load_epoch_manifest,
     load_sketch,
     peek_sketch_meta,
@@ -251,7 +254,9 @@ class EpochManager:
     With ``store=`` the manager runs *durable*: every sealed checkpoint
     is appended straight to an :class:`~repro.temporal.store.EpochStore`
     and **not** retained in memory, so RAM stays bounded by one live
-    sketch no matter how many epochs are sealed.  Query the store (or
+    sketch plus the store's tail (the decoded cells of its head and of
+    at most ``horizon + 1`` recent deltas) no matter how many epochs
+    are sealed.  Query the store (or
     :func:`~repro.temporal.query.materialise_window` over it) instead of
     :meth:`timeline`, and continue an interrupted run from disk with
     :meth:`resume`.
@@ -311,17 +316,16 @@ class EpochManager:
         Empty epochs are legal (the checkpoint simply equals the
         previous one); the returned checkpoint is immutable and already
         appended to the manager's timeline — or, store-backed, durably
-        appended to the store and *not* retained in memory.
+        appended to the store and *not* retained in memory.  The store
+        is handed the cells the payload was encoded from as well.
         """
         epoch = self.sealed_epochs + 1
-        payload = dump_sketch(
-            self._sketch,
-            epoch_meta={
-                "epoch": epoch,
-                "tokens": self._epoch_tokens,
-                "cumulative_tokens": self._cumulative_tokens,
-            },
-        )
+        meta = {
+            "epoch": epoch,
+            "tokens": self._epoch_tokens,
+            "cumulative_tokens": self._cumulative_tokens,
+        }
+        cells, payload = dump_cells(self._sketch, epoch_meta=meta)
         checkpoint = EpochCheckpoint(
             epoch=epoch,
             tokens=self._epoch_tokens,
@@ -329,7 +333,7 @@ class EpochManager:
             payload=payload,
         )
         if self._store is not None:
-            self._store.append_checkpoint(checkpoint)
+            self._store.append_checkpoint(checkpoint, cells=cells)
         elif self._timeline is None:
             self._timeline = EpochTimeline(self.n, [checkpoint])
         else:

@@ -59,8 +59,9 @@ def materialise_window(
     lender's ``with`` block ends (the engine answers its query inside
     it).  Either way the sketch and every error are the same.
 
-    Store segments are CRC-verified at page-in, so a store window whose
-    segments then fail to load or combine raises
+    A store hands the spans its tail holds as decoded cells, which fold
+    without a read.  Store segments are CRC-verified at page-in, so a
+    store window whose segments then fail to load or combine raises
     :class:`~repro.errors.StoreCorruptionError`; timeline windows raise
     the codec's :class:`ValueError` unchanged.
     """

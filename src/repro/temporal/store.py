@@ -32,14 +32,25 @@ the old end and advance a ``base`` floor; windows reaching below
 ``base`` raise :class:`~repro.errors.EpochStoreError` rather than
 answering from partial data.
 
+Memory.  Besides the catalog and the page cache, a store keeps the
+decoded cells of its newest sealed state: the head and the *tail*, the
+length-1 delta spans compaction may still take as children — at most
+``horizon + 1`` of them, however many epochs are sealed.  Appends fold
+the checkpoint minus the head from cells, compaction takes its children
+from the tail, and windows fold tail spans from cells, so only segments
+paged from disk are ever inflated.  A reopened store starts with an
+empty tail.
+
 Crash safety.  Every segment is written tmp-then-rename *before* the
-catalog (itself tmp-then-rename) references it, so a crash at any point
-leaves the previous catalog — and every segment it references — fully
-intact; orphaned segments from an interrupted append are swept on the
-next open.  The versioned JSON catalog carries a CRC32 per referenced
-segment (checked at page-in) and one over its own canonical body, so
-flipped bits anywhere surface as :class:`~repro.errors.
-StoreCorruptionError`, never as a wrong window answer.
+catalog (itself tmp-then-rename) references it, and ``segments/`` is
+fsynced before the catalog rename and the store root after it, so a
+crash or power loss at any point leaves the previous catalog — and
+every segment it references — fully intact; orphaned segments from an
+interrupted append are swept on the next open.  The versioned JSON
+catalog carries a CRC32 per referenced segment (checked at page-in) and
+one over its own canonical body, so flipped bits anywhere surface as
+:class:`~repro.errors.StoreCorruptionError`, never as a wrong window
+answer.
 """
 
 from __future__ import annotations
@@ -58,13 +69,14 @@ from ..errors import (
     StoreCorruptionError,
 )
 from ..sketch.serialize import (
+    SketchCells,
     _pack_raw,
     _read_header,
     _read_raw,
-    dump_sketch,
+    dump_cells,
     peek_sketch_meta,
 )
-from ..sketch.twin import WarmTwin
+from ..sketch.twin import Payload, WarmTwin
 from .epochs import EpochCheckpoint, EpochTimeline, require_window
 
 __all__ = ["EpochStore", "RetentionPolicy", "SpanEntry"]
@@ -157,6 +169,23 @@ def _head_file(epoch: int) -> str:
     return f"head-{epoch:06d}.blob"
 
 
+def _fsync_dir(path: pathlib.Path) -> None:
+    """Make the renames into directory ``path`` durable.
+
+    POSIX persists a rename only once its directory is fsynced.  Where
+    directories cannot be opened (no ``O_DIRECTORY``: Windows) this does
+    nothing.
+    """
+    flag = getattr(os, "O_DIRECTORY", None)
+    if flag is None:  # pragma: no cover - platform-dependent
+        return
+    fd = os.open(path, os.O_RDONLY | flag)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class EpochStore:
     """A durable, compacting, lazily-paged store of sealed epochs.
 
@@ -202,12 +231,17 @@ class EpochStore:
         self._seed: int | None = None
         self._n = 0
         self._head: dict | None = None
-        self._head_cache: bytes | None = None
+        #: The decoded cells of the head and of the *tail*: the length-1
+        #: delta spans that compaction may still take as children (see
+        #: :meth:`_trim_tail`).  Empty on open; only appends fill them.
+        self._head_cells: SketchCells | None = None
+        self._tail: dict[tuple[int, int], SketchCells] = {}
         self._cache: OrderedDict[str, bytes] = OrderedDict()
         self._resident = 0
         self.disk_loads = 0
-        #: Guards the page cache, its byte count and ``disk_loads``:
-        #: window queries on one engine may page from several threads.
+        #: Guards the page cache, its byte count, ``disk_loads`` and the
+        #: tail: window queries on one engine may read from several
+        #: threads.
         self._cache_lock = threading.Lock()
         self._defer_commit = False
         self._deferred_stale: list[str] = []
@@ -322,21 +356,25 @@ class EpochStore:
         """Atomically publish the current in-memory state as the catalog.
 
         Segments referenced by the new catalog are already on disk (each
-        tmp-then-renamed), so the rename below is the single commit
-        point: before it the old catalog and its segments are intact,
-        after it the new state is.
+        tmp-then-renamed), and one fsync of ``segments/`` makes their
+        renames durable before the catalog is renamed, so the catalog
+        rename is the single commit point: before it the old catalog and
+        its segments are intact, after it the new state is.  An fsync of
+        the store root then makes the commit itself durable.
         """
         body = self._canonical(self._catalog_doc())
         crc = zlib.crc32(body) & 0xFFFFFFFF
         # One encoding pass: the canonical body with ``self_crc32`` as one
         # more, last key, which _load_catalog pops before hashing the rest.
         payload = body[:-1] + b',"self_crc32":%d}\n' % crc
+        _fsync_dir(self._segments)
         tmp = self.root / (_CATALOG_NAME + ".tmp")
         with open(tmp, "wb") as fh:
             fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.root / _CATALOG_NAME)
+        _fsync_dir(self.root)
 
     def _load_catalog(self) -> None:
         path = self.root / _CATALOG_NAME
@@ -511,6 +549,20 @@ class EpochStore:
         """Paged segment bytes currently held by the LRU cache."""
         return self._resident
 
+    @property
+    def tail_bytes(self) -> int:
+        """Bytes of the decoded cells held for the head and the tail.
+
+        At most ``horizon + 1`` length-1 spans besides the head, however
+        many epochs are sealed; 0 on a store no append has run on since
+        it was opened.
+        """
+        with self._cache_lock:
+            held = list(self._tail.values())
+            if self._head_cells is not None:
+                held.append(self._head_cells)
+        return sum(cells.nbytes for cells in held)
+
     def spans(self) -> tuple[SpanEntry, ...]:
         """Live span entries, ordered by (start, end)."""
         return tuple(
@@ -521,7 +573,7 @@ class EpochStore:
         return (
             f"EpochStore(root={str(self.root)!r}, epochs={self.epochs}, "
             f"base={self._base}, spans={len(self._entries)}, "
-            f"bytes={self.total_bytes})"
+            f"bytes={self.total_bytes}, tail_bytes={self.tail_bytes})"
         )
 
     # -- paging -----------------------------------------------------------------
@@ -610,11 +662,14 @@ class EpochStore:
         return data
 
     def head_payload(self) -> bytes:
-        """The cumulative checkpoint payload at the latest epoch."""
+        """The cumulative checkpoint payload at the latest epoch.
+
+        Read from disk and checked against the catalog on every call:
+        appends subtract the head's decoded cells instead, so only
+        resuming, attaching an engine and :meth:`verify` read it.
+        """
         if self._head is None:
             raise EpochStoreError("store is empty; no head checkpoint yet")
-        if self._head_cache is not None:
-            return self._head_cache
         name = str(self._head["file"])
         data = self._read_segment(
             name, int(self._head["bytes"]), int(self._head["crc32"])
@@ -628,7 +683,6 @@ class EpochStore:
                 f"head segment {name} records epoch {recorded!r}, catalog "
                 f"promises {self._head['epoch']} — misplaced segment"
             )
-        self._head_cache = data
         return data
 
     def verify(self) -> int:
@@ -652,7 +706,9 @@ class EpochStore:
 
     # -- appending --------------------------------------------------------------
 
-    def append_checkpoint(self, checkpoint: EpochCheckpoint) -> SpanEntry:
+    def append_checkpoint(
+        self, checkpoint: EpochCheckpoint, *, cells: SketchCells | None = None
+    ) -> SpanEntry:
         """Seal one cumulative checkpoint into the store.
 
         Checkpoints must arrive in order (``epoch == epochs + 1``) and
@@ -662,6 +718,16 @@ class EpochStore:
         warm all-zero sketch and dumped from it; compaction and
         retention run before the catalog commits, so the store is never
         published in an intermediate state.
+
+        ``cells`` are the cells the checkpoint's payload encodes, as
+        :func:`~repro.sketch.serialize.dump_cells` returns them with it
+        (:meth:`EpochManager.seal_epoch <repro.temporal.epochs.
+        EpochManager.seal_epoch>` and the sharded runner's epoch seals
+        pass them); their kind, parameters, seed and layout are checked
+        against the payload's header, their entries are not.  Without
+        them the payload is read.  The store keeps them as the new
+        head's cells, so the next append subtracts the head without
+        reading it.
         """
         if checkpoint.epoch != self.epochs + 1:
             raise EpochStoreError(
@@ -691,17 +757,29 @@ class EpochStore:
                 f"not match the store's kind={self._kind!r} "
                 f"seed={self._seed!r}"
             )
+        if cells is not None:
+            ours = dict(cells.header, cells=list(cells.spec["cells"]))
+            theirs = {field: header.get(field) for field in ours}
+            if ours != theirs:
+                raise EpochStoreError(
+                    f"checkpoint cells of {ours!r} do not match its "
+                    f"payload's {theirs!r}"
+                )
         epoch = checkpoint.epoch
         with self._twin.lend() as fold:
             try:
-                fold.merge(checkpoint.payload)
+                if cells is None:
+                    cells = fold.read(checkpoint.payload)
+                fold.merge(cells)
             except ValueError as err:
                 raise EpochStoreError(
                     f"checkpoint payload failed to load: {err}"
                 ) from err
             if epoch > 1:
+                head: Payload = self._head_cells \
+                    if self._head_cells is not None else self.head_payload()
                 try:
-                    fold.subtract(self.head_payload())
+                    fold.subtract(head)
                 except SketchCompatibilityError as err:
                     raise EpochStoreError(
                         "checkpoint does not combine with the store's head: "
@@ -712,7 +790,7 @@ class EpochStore:
                         f"head segment {self._head['file']} failed to load: "
                         f"{err}"
                     ) from err
-            delta = dump_sketch(
+            delta_cells, delta = dump_cells(
                 fold.sketch, epoch_meta={"span": [epoch - 1, epoch]}
             )
         span_name = _span_file(epoch - 1, epoch)
@@ -735,9 +813,12 @@ class EpochStore:
             "bytes": len(checkpoint.payload),
             "crc32": zlib.crc32(checkpoint.payload) & 0xFFFFFFFF,
         }
-        self._head_cache = checkpoint.payload
+        with self._cache_lock:
+            self._head_cells = cells
+            self._tail[(epoch - 1, epoch)] = delta_cells
         stale += self._compact()
         stale += self._enforce_retention()
+        self._trim_tail()
         if self._defer_commit:
             # Bulk import (from_timeline): segment names are never
             # reused, so stale files can all be dropped after the one
@@ -764,22 +845,29 @@ class EpochStore:
         Bottom-up: a parent ``(a, a+2L]`` is written whenever both
         aligned children of length ``L`` exist, the parent lies fully
         before the horizon frontier, and it starts at or above the
-        retention floor.  Then, under a ``min_granularity`` policy,
-        spans shorter than the granularity whose covering aligned
-        ancestor now exists are scheduled for deletion.  Returns the
-        segment file names to delete after the catalog commits.
+        retention floor.  A length-2 parent takes its children out of
+        the tail, and a parent built one level down in this same call
+        hands its cells up; other children are paged.  Then, under a
+        ``min_granularity`` policy, spans shorter than the granularity
+        whose covering aligned ancestor now exists are scheduled for
+        deletion.  Returns the segment file names to delete after the
+        catalog commits.
         """
         frontier = self.epochs - self.horizon
+        built: dict[tuple[int, int], SketchCells] = {}
         length = 2
         while length <= frontier - self._base:
             half = length // 2
             start = -(-self._base // length) * length  # first aligned >= base
+            children, built = built, {}
             while start + length <= frontier:
                 key = (start, start + length)
                 if key not in self._entries and \
                         (start, start + half) in self._entries and \
                         (start + half, start + length) in self._entries:
-                    self._write_parent(start, start + length, half)
+                    built[key] = self._write_parent(
+                        start, start + length, half, children
+                    )
                 start += length
             length *= 2
         stale: list[str] = []
@@ -796,19 +884,30 @@ class EpochStore:
                 self._by_start = None
         return stale
 
-    def _write_parent(self, start: int, end: int, half: int) -> None:
-        left = self._entries[(start, start + half)]
-        right = self._entries[(start + half, end)]
+    def _write_parent(
+        self,
+        start: int,
+        end: int,
+        half: int,
+        children: "dict[tuple[int, int], SketchCells]",
+    ) -> SketchCells:
+        """Write the parent ``(start, end]`` of two stored children and
+        return its cells; ``children`` holds the cells of parents built
+        one level down in the same compaction."""
+        left = self._child((start, start + half), children)
+        right = self._child((start + half, end), children)
         with self._twin.lend() as fold:
             try:
-                fold.merge(self._page(left))
-                fold.merge(self._page(right))
+                fold.merge(left)
+                fold.merge(right)
             except ValueError as err:
                 raise StoreCorruptionError(
                     f"cannot compact spans ({start}, {start + half}] + "
                     f"({start + half}, {end}]: {err}"
                 ) from err
-            payload = dump_sketch(fold.sketch, epoch_meta={"span": [start, end]})
+            cells, payload = dump_cells(
+                fold.sketch, epoch_meta={"span": [start, end]}
+            )
         name = _span_file(start, end)
         self._write_segment(name, payload)
         self._entries[(start, end)] = SpanEntry(
@@ -816,6 +915,33 @@ class EpochStore:
             crc32=zlib.crc32(payload) & 0xFFFFFFFF,
         )
         self._by_start = None
+        return cells
+
+    def _child(
+        self, key: tuple[int, int], children: "dict[tuple[int, int], SketchCells]"
+    ) -> Payload:
+        """A compaction child: cells built one level down or taken out of
+        the tail, else the span's paged bytes."""
+        cells = children.get(key)
+        if cells is None:
+            with self._cache_lock:
+                cells = self._tail.pop(key, None)
+        return cells if cells is not None else self._page(self._entries[key])
+
+    def _trim_tail(self) -> None:
+        """Keep in the tail only what compaction may still take.
+
+        A live length-1 span ending before the horizon frontier was
+        either compacted already or never will be (its parent would
+        start below the retention floor), so the tail keeps the spans
+        ending at or after the frontier: at most ``horizon + 1``.
+        """
+        frontier = self.epochs - self.horizon
+        with self._cache_lock:
+            self._tail = {
+                key: cells for key, cells in self._tail.items()
+                if key[1] >= frontier and key in self._entries
+            }
 
     def _spans_at(self, start: int) -> "list[tuple[int, int]]":
         """Live spans starting at ``start``, widest first."""
@@ -897,9 +1023,20 @@ class EpochStore:
             position = chosen[1]
         return plan
 
-    def window_payloads(self, t1: int, t2: int) -> "tuple[list[bytes], list[bytes]]":
-        """Payloads to merge / subtract for ``[t1, t2)`` (store: merge-only)."""
-        return [self._page(entry) for entry in self.plan_window(t1, t2)], []
+    def window_payloads(
+        self, t1: int, t2: int
+    ) -> "tuple[list[Payload], list[Payload]]":
+        """Payloads to merge / subtract for ``[t1, t2)`` (store: merge-only).
+
+        One per span of :meth:`plan_window`: the span's cells when the
+        tail holds them, its verified segment bytes otherwise.
+        """
+        payloads: list[Payload] = []
+        for entry in self.plan_window(t1, t2):
+            with self._cache_lock:
+                cells = self._tail.get((entry.start, entry.end))
+            payloads.append(cells if cells is not None else self._page(entry))
+        return payloads, []
 
     def window_payload_bytes(self, t1: int, t2: int) -> int:
         """Segment bytes a window materialisation pages for ``[t1, t2)``."""

@@ -667,7 +667,8 @@ class TestInflateOncePerBlob:
         store.append_checkpoint(timeline.checkpoint(2))
         assert calls[0] == 2  # load the checkpoint, subtract the head
         store.append_checkpoint(timeline.checkpoint(3))
-        assert calls[0] == 4
+        # The head's cells stayed decoded: only the checkpoint inflates.
+        assert calls[0] == 3
 
     def test_cold_window_inflates_each_span_once(self, tmp_path, monkeypatch):
         store = EpochStore.open(_copy_golden(tmp_path))

@@ -11,6 +11,7 @@ Two layers of guarantees:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -36,6 +37,7 @@ from repro.sketch import (
     sketch_kind_of,
     subtract_sketch_bytes,
 )
+from repro.sketch.serialize import dump_cells, read_cells
 from repro.streams import (
     churn_stream,
     erdos_renyi_graph,
@@ -178,6 +180,22 @@ class TestRoundTrip:
         resumed.merge(build(2001).consume_batch(second.as_batch()))
         assert dump_sketch(resumed) == dump_sketch(whole)
 
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_dump_cells_pairs_the_dump_with_the_cells_it_reads_back(
+        self, kind, stream, weighted_stream
+    ):
+        """``dump_cells`` returns ``dump_sketch``'s blob, packed or dense,
+        and the cells ``read_cells`` reads back from it."""
+        build, _, weighted = CASES[kind]
+        st = weighted_stream if weighted else stream
+        sketch = build(2003).consume_batch(st.as_batch())
+        cells, blob = dump_cells(sketch, epoch_meta={"epoch": 1})
+        assert blob == dump_sketch(sketch, epoch_meta={"epoch": 1})
+        back = read_cells(blob)
+        assert (back.kind, dict(back.spec)) == (cells.kind, dict(cells.spec))
+        assert np.array_equal(back.positions, cells.positions)
+        assert np.array_equal(back.values, cells.values)
+
     def test_meta_peek(self, stream):
         blob = dump_sketch(
             SpanningForestSketch(N, HashSource(2002)).consume_batch(stream.as_batch())
@@ -237,6 +255,14 @@ class TestRefusals:
         theirs = EdgeConnectivitySketch(N, 4, HashSource(43))
         with pytest.raises(SketchCompatibilityError, match="k:"):
             load_sketch(dump_sketch(theirs), like=ours)
+
+    def test_read_cells_refuses_a_sketch_of_another_spec(self, stream):
+        ours = SpanningForestSketch(N, HashSource(45))
+        theirs = SpanningForestSketch(N, HashSource(46)).consume_batch(
+            stream.as_batch()
+        )
+        with pytest.raises(SketchCompatibilityError, match="seed"):
+            read_cells(dump_sketch(theirs), into=ours)
 
     def test_mismatched_type_refused_against_reference(self, stream):
         forest = SpanningForestSketch(N, HashSource(44))
